@@ -26,14 +26,6 @@ from .errors import (
 from .algebra import (
     FieldSpec,
     Matrix,
-    field_make,
-    scalar_add,
-    scalar_mul,
-    scalar_inv,
-    rref,
-    rank,
-    nullspace,
-    kron,
     row_space_intersection,
     iter_rref_matrices,
     SUBSET_ENUM_CAP,
@@ -43,16 +35,6 @@ from .code import (
     Subcode,
     mask_of,
     bits_of,
-    support,
-    degree,
-    effective_rate,
-    shorten,
-    puncture,
-    dual,
-    closure,
-    dlp,
-    weight_hierarchy,
-    schur_product,
 )
 from .hn import (
     CanonicalPolygon,
@@ -62,8 +44,6 @@ from .hn import (
     polygon_from_profile,
     code_polygon,
     subset_polygon,
-    affine_transform,
-    opposite_polygon,
     canonical_filtration,
     is_semistable,
     is_stable,
@@ -80,14 +60,6 @@ from .matroid import (
     matroid_from_code,
     matroid_from_bases,
     uniform_matroid,
-    matroid_degree,
-    dual_matroid,
-    h0_matroid,
-    h1_matroid,
-    matroid_hierarchy,
-    matroid_polygon,
-    matroid_filtration,
-    matroid_graded,
     rr_matroid_check,
     gap_counts_check,
     gap_duality_check,
@@ -120,7 +92,6 @@ from .tensor import (
     is_chained,
     wei_yang_check,
 )
-from .code import tensor as tensor_code
 from . import formats, zoo
 
 __version__ = "0.1.0"
@@ -130,23 +101,17 @@ __all__ = [
     "DivisionByZero", "FieldMismatch", "InvariantViolation", "ZeroSubcode",
     "NotASubcode", "NotFullSupport", "InvalidHierarchy", "EmptyProfile",
     "SizeLimitExceeded", "ParseError",
-    "FieldSpec", "Matrix", "field_make", "scalar_add", "scalar_mul",
-    "scalar_inv", "rref", "rank", "nullspace", "kron",
-    "row_space_intersection", "iter_rref_matrices", "SUBSET_ENUM_CAP",
-    "LinearCode", "Subcode", "mask_of", "bits_of", "support", "degree",
-    "effective_rate", "shorten", "puncture", "dual", "closure", "dlp",
-    "weight_hierarchy", "schur_product", "tensor_code",
+    "FieldSpec", "Matrix", "row_space_intersection", "iter_rref_matrices",
+    "SUBSET_ENUM_CAP",
+    "LinearCode", "Subcode", "mask_of", "bits_of",
     "CanonicalPolygon", "Filtration", "SubspaceLattice", "SubsetLattice",
     "polygon_from_profile", "code_polygon", "subset_polygon",
-    "affine_transform", "opposite_polygon", "canonical_filtration",
-    "is_semistable", "is_stable", "semistability_witness", "graded_pieces",
-    "verify_parallelogram", "verify_galois", "gap_condition_check",
-    "cosupport", "subset_to_subcode",
+    "canonical_filtration", "is_semistable", "is_stable",
+    "semistability_witness", "graded_pieces", "verify_parallelogram",
+    "verify_galois", "gap_condition_check", "cosupport", "subset_to_subcode",
     "Matroid", "matroid_from_code", "matroid_from_bases", "uniform_matroid",
-    "matroid_degree", "dual_matroid", "h0_matroid", "h1_matroid",
-    "matroid_hierarchy", "matroid_polygon", "matroid_filtration",
-    "matroid_graded", "rr_matroid_check", "gap_counts_check",
-    "gap_duality_check", "wei_partition_check", "dual_polygon_check",
+    "rr_matroid_check", "gap_counts_check", "gap_duality_check",
+    "wei_partition_check", "dual_polygon_check",
     "CohomologyPair", "cohomology", "rr_check", "serre_check",
     "rr_normalized", "les_check", "clifford_check", "wei_duality_check",
     "dual_dlp_check", "dual_polygon", "dual_subset_polygon_check",

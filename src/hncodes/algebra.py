@@ -257,23 +257,6 @@ class FieldSpec:
         return f"FieldSpec({self.p}, {self.m}, modulus={self.modulus})"
 
 
-def field_make(p: int, m: int = 1, modulus: int | None = None) -> FieldSpec:
-    """Build a FieldSpec; see the class docstring for conventions."""
-    return FieldSpec(p, m, modulus)
-
-
-def scalar_add(field: FieldSpec, a: int, b: int) -> int:
-    return field.add(a, b)
-
-
-def scalar_mul(field: FieldSpec, a: int, b: int) -> int:
-    return field.mul(a, b)
-
-
-def scalar_inv(field: FieldSpec, a: int) -> int:
-    return field.inv(a)
-
-
 class Matrix:
     """Immutable dense matrix over a FieldSpec, entries stored row-major."""
 
@@ -449,6 +432,21 @@ class Matrix:
             rows.append(v)
         return Matrix.from_rows(f, rows) if rows else Matrix(f, 0, self.cols, ())
 
+    def row_space_words(self) -> list[tuple[int, ...]]:
+        """All q^rows words of the row space (independent rows assumed)."""
+        ADD, MUL = self.field._add, self.field._mul
+        words = [(0,) * self.cols]
+        for i in range(self.rows):
+            row = self.row(i)
+            new = []
+            for c in range(1, self.field.q):
+                mc = MUL[c]
+                scaled = tuple(mc[x] for x in row)
+                for w in words:
+                    new.append(tuple(ADD[a][b] for a, b in zip(w, scaled)))
+            words.extend(new)
+        return words
+
     def row_space_contains(self, vector) -> bool:
         vec = Matrix.from_rows(self.field, [list(vector)])
         return self.rank() == self.stack(vec).rank()
@@ -473,22 +471,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols} /GF({self.field.q}): {body})"
-
-
-def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    return M.rref()
-
-
-def rank(M: Matrix) -> int:
-    return M.rank()
-
-
-def nullspace(M: Matrix) -> Matrix:
-    return M.right_nullspace()
-
-
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    return A.kron(B)
 
 
 def row_space_intersection(A: Matrix, B: Matrix) -> Matrix:

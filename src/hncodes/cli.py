@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import SUBSET_ENUM_CAP, _check_cap
-from .code import LinearCode, bits_of
+from .code import bits_of
 from .errors import (Error, InvariantViolation, NotFullSupport, ParseError,
                      SizeLimitExceeded)
 from .formats import parse_code_file, parse_matroid_file
@@ -37,7 +37,7 @@ from .matroid import (dual_polygon_check, gap_counts_check,
                       wei_partition_check)
 from .rr import (cohomology, dual_code_slopes, dual_dlp_check, dual_polygon,
                  dual_subset_polygon_check, rr_check, rr_normalized,
-                 serre_check, wei_duality_check, weight_one_span)
+                 serre_check, wei_duality_check)
 from .tensor import (is_chained, schaathun_bound, schaathun_bound_table,
                      schaathun_verify, tensor_semistable_check,
                      wei_yang_check, witness)
@@ -253,7 +253,7 @@ def cmd_semistable(args):
     ss = is_semistable(C)
     witness_obj = None
     if not ss:
-        W = semistability_witness(C)
+        W = semistability_witness(C, cap)
         witness_obj = {
             "dim": W.dim,
             "support": _coords(W.support_mask),
@@ -581,6 +581,13 @@ def _int_arg(x: str) -> int:
     return int(x, 0)
 
 
+def _cap_arg(x: str) -> int:
+    n = int(x)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hncodes",
@@ -591,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--max-enum", type=int, default=None, metavar="N",
+        sp.add_argument("--max-enum", type=_cap_arg, default=None, metavar="N",
                         help="override the subset-enumeration cap "
                              "(length in bits)")
 

@@ -116,20 +116,8 @@ class LinearCode:
         return self.weight == self.n
 
     def codewords(self):
-        """Iterate all q^k codewords (small k only)."""
-        f = self.field
-        ADD, MUL = f._add, f._mul
-        words = [(0,) * self.n]
-        for i in range(self.k):
-            row = self.gen.row(i)
-            new = []
-            for c in range(1, f.q):
-                mc = MUL[c]
-                scaled = tuple(mc[x] for x in row)
-                for w in words:
-                    new.append(tuple(ADD[a][b] for a, b in zip(w, scaled)))
-            words.extend(new)
-        return words
+        """All q^k codewords (small k only)."""
+        return self.gen.row_space_words()
 
     # -- subcodes and coordinate operations ---------------------------------
 
@@ -188,8 +176,8 @@ class LinearCode:
 
     def dlp(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """Dimension/length profile (k_0, ..., k_n), k_j = max dim C_J."""
-        minr = self._min_ranks(max_enum)
-        return tuple(self.k - minr[self.n - j] for j in range(self.n + 1))
+        from .hn import subset_profile  # hn builds on this module
+        return subset_profile(self.n, self.k, self._min_ranks(max_enum))
 
     def dlp_witnesses(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """One maximizing coordinate set per profile entry."""
@@ -200,14 +188,8 @@ class LinearCode:
     def weight_hierarchy(self, max_enum: int = SUBSET_ENUM_CAP
                          ) -> tuple[int, ...]:
         """(d_0, ..., d_k): d_i the least support size of an i-dim subcode."""
-        kj = self.dlp(max_enum)
-        out = [0]
-        j = 0
-        for i in range(1, self.k + 1):
-            while kj[j] < i:
-                j += 1
-            out.append(j)
-        return tuple(out)
+        from .hn import profile_hierarchy
+        return profile_hierarchy(self.k, self.dlp(max_enum))
 
     # -- products ------------------------------------------------------------
 
@@ -322,49 +304,3 @@ class Subcode:
     def __repr__(self):
         return (f"Subcode(dim {self.dim} of [{self.parent.n},"
                 f"{self.parent.k}], support {sorted(bits_of(self.support_mask))})")
-
-
-# Spec-surface aliases: the operations read better as functions in formulas.
-
-def support(x) -> int:
-    return x.support_mask
-
-
-def degree(x) -> int:
-    return x.degree
-
-
-def effective_rate(x) -> Fraction:
-    return x.effective_rate
-
-
-def shorten(C: LinearCode, J: int) -> Subcode:
-    return C.shorten(J)
-
-
-def puncture(C: LinearCode, J: int) -> LinearCode:
-    return C.puncture(J)
-
-
-def dual(C: LinearCode) -> LinearCode:
-    return C.dual()
-
-
-def closure(S: Subcode) -> Subcode:
-    return S.closure()
-
-
-def dlp(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP):
-    return C.dlp(max_enum)
-
-
-def weight_hierarchy(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP):
-    return C.weight_hierarchy(max_enum)
-
-
-def tensor(A: LinearCode, B: LinearCode) -> LinearCode:
-    return A.tensor(B)
-
-
-def schur_product(A: LinearCode, B: LinearCode) -> LinearCode:
-    return A.schur_product(B)

@@ -149,12 +149,70 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
     return CanonicalPolygon(_upper_hull(pts))
 
 
-def affine_transform(P: CanonicalPolygon, a, b, c) -> CanonicalPolygon:
-    return P.affine(a, b, c)
+# -- the subset engine ------------------------------------------------------
+#
+# Codes and matroids share everything below: it sees only n, k = r(E), the
+# least rank of an s-element subset for each s ("minima"), and, for
+# filtrations, the rank of every subset indexed by bitmask.  A subset S has
+# degree k - r(S); for a code that is dim C_{[n]-S}.
+
+def subset_profile(n: int, k: int, minr) -> tuple[int, ...]:
+    """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
+    return tuple(k - minr[n - j] for j in range(n + 1))
 
 
-def opposite_polygon(P: CanonicalPolygon) -> CanonicalPolygon:
-    return P.opposite()
+def profile_hierarchy(k: int, kj) -> tuple[int, ...]:
+    """(d_0, ..., d_k): d_i the least j with k_j >= i."""
+    out = [0]
+    j = 0
+    for i in range(1, k + 1):
+        while kj[j] < i:
+            j += 1
+        out.append(j)
+    return tuple(out)
+
+
+def profile_gaps(kj) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(gaps, non-gaps): the sizes j >= 1 where the profile stalls
+    (k_j = k_{j-1}) and where it rises."""
+    sizes = range(1, len(kj))
+    return (tuple(j for j in sizes if kj[j] == kj[j - 1]),
+            tuple(j for j in sizes if kj[j] > kj[j - 1]))
+
+
+def minima_polygon(k: int, minr) -> CanonicalPolygon:
+    """Polygon of the subset lattice: profile (s, k - min {r(S) : #S = s})."""
+    return polygon_from_profile([k - m for m in minr])
+
+
+def vertex_subsets(n: int, k: int, ranks, vertices) -> list[int]:
+    """The subset attaining each subset-lattice vertex (s, t), in order.
+
+    For each (s, t) this is the unique S with #S = s and k - r(S) = t;
+    `ranks` is read only for 0 < s < n, where it must be the full rank
+    table.  Uniqueness is a theorem at polygon vertices, so a second
+    attaining subset raises, as does a missing one or a chain that does
+    not nest (vertices must come in increasing s).
+    """
+    full = (1 << n) - 1
+    out = []
+    for s, t in vertices:
+        if s in (0, n):              # a single subset has this size
+            out.append(full if s else 0)
+            continue
+        need = k - t
+        hits = [S for S in range(full + 1)
+                if ranks[S] == need and S.bit_count() == s]
+        if not hits:
+            raise InvariantViolation(f"no subset attains vertex size {s}")
+        if len(hits) > 1:
+            raise InvariantViolation(
+                f"polygon vertex at size {s} attained twice")
+        out.append(hits[0])
+    for A, B in zip(out, out[1:]):
+        if A & ~B:
+            raise InvariantViolation("filtration subsets do not nest")
+    return out
 
 
 def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
@@ -167,8 +225,7 @@ def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 def subset_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                    ) -> CanonicalPolygon:
     """Polygon of the coordinate-subset lattice: profile (j, k_{n-j})."""
-    kj = C.dlp(max_enum)
-    return polygon_from_profile([kj[C.n - j] for j in range(C.n + 1)])
+    return minima_polygon(C.k, C._min_ranks(max_enum))
 
 
 class Filtration:
@@ -206,41 +263,20 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                          ) -> Filtration:
     """The chain of subcodes attaining the code polygon's vertices.
 
-    Each step is realized as C_J for a minimizing support J; every
-    minimizing support is checked to yield the same subcode (uniqueness is
-    a theorem, so a violation raises).
+    This is the Galois image of the subset-lattice filtration: the code
+    vertex (i, v) is the subset vertex (v, i), and its step is the subcode
+    vanishing on the attaining subset S, C_{[n]-S}.  The chain property
+    follows from the nesting of the subsets.  The rank table is built only
+    when the polygon has an interior vertex.
     """
     poly = code_polygon(C, max_enum)
-    tab = C.rank_table(max_enum)
-    full = (1 << C.n) - 1
-    steps = []
-    for i, v in poly.vertices:
-        if i == 0:
-            steps.append(C.zero_subcode())
-            continue
-        if i == C.k:
-            steps.append(C.whole_subcode())
-            continue
-        w = C.n - int(v)
-        found = None
-        for mask in range(1 << C.n):
-            if mask.bit_count() != w:
-                continue
-            if C.k - tab[full ^ mask] != i:
-                continue
-            sub = C.shorten(mask)
-            if found is None:
-                found = sub
-            elif sub != found:
-                raise InvariantViolation(
-                    f"polygon vertex at rank {i} attained by two distinct "
-                    f"subcodes")
-        if found is None:
-            raise InvariantViolation(f"no subcode attains vertex rank {i}")
-        steps.append(found)
-    for a, b in zip(steps, steps[1:]):
-        if not b.contains(a):
-            raise InvariantViolation("filtration steps do not form a chain")
+    inner = poly.vertices[-2:0:-1]           # interior, increasing v
+    ranks = C.rank_table(max_enum) if inner else None
+    subsets = vertex_subsets(C.n, C.k, ranks,
+                             [(int(v), i) for i, v in inner])
+    steps = [C.zero_subcode()]
+    steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
+    steps.append(C.whole_subcode())
     return Filtration(steps, poly)
 
 
@@ -303,12 +339,13 @@ def is_stable(C: LinearCode) -> bool:
     return _rate_violation(C, strict=True) is None
 
 
-def semistability_witness(C: LinearCode) -> Subcode | None:
+def semistability_witness(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
+                          ) -> Subcode | None:
     """A subcode violating semistability, or None; the first filtration
     step is returned (the maximal-slope destabilizer) when one exists."""
     if is_semistable(C):
         return None
-    filt = canonical_filtration(C)
+    filt = canonical_filtration(C, max_enum)
     return filt.steps[1]
 
 
@@ -367,7 +404,7 @@ class SubspaceLattice:
             for coeff in iter_rref_matrices(f, r, C.k):
                 basis = coeff.matmul(C.gen) if r else Matrix(f, 0, C.n, ())
                 sub = Subcode(C, basis, check=False)
-                words = frozenset(_span_words(f, basis))
+                words = frozenset(basis.row_space_words())
                 self._index[words] = len(self.elements)
                 self.elements.append(sub)
                 self._wordsets.append(words)
@@ -376,7 +413,7 @@ class SubspaceLattice:
         return len(self.elements)
 
     def index_of(self, S: Subcode) -> int:
-        return self._index[frozenset(_span_words(self.code.field, S.basis))]
+        return self._index[frozenset(S.basis.row_space_words())]
 
     def rank(self, i: int) -> int:
         return self.elements[i].dim
@@ -397,23 +434,7 @@ class SubspaceLattice:
         if not rows:
             return self._index[union]
         B = Matrix.from_rows(f, rows).rref_nonzero()
-        return self._index[frozenset(_span_words(f, B))]
-
-
-def _span_words(field, basis: Matrix):
-    """All codewords of the row space of `basis` (tuples)."""
-    ADD, MUL = field._add, field._mul
-    words = [(0,) * basis.cols]
-    for i in range(basis.rows):
-        row = basis.row(i)
-        new = []
-        for c in range(1, field.q):
-            mc = MUL[c]
-            scaled = tuple(mc[x] for x in row)
-            for w in words:
-                new.append(tuple(ADD[a][b] for a, b in zip(w, scaled)))
-        words.extend(new)
-    return words
+        return self._index[frozenset(B.row_space_words())]
 
 
 class SubsetLattice:
@@ -431,7 +452,6 @@ class SubsetLattice:
     @classmethod
     def for_code(cls, C: LinearCode, max_enum: int = SUBSET_ENUM_CAP):
         tab = C.rank_table(max_enum)
-        full = (1 << C.n) - 1
         # degree of J is dim C_{[n]-J} = k - rank(columns J)
         return cls(C.n, lambda J: C.k - tab[J], max_enum)
 

@@ -15,12 +15,11 @@ rank complement formula.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .algebra import column_rank_table
 from .code import LinearCode
 from .errors import InvariantViolation, SizeLimitExceeded
-from .hn import CanonicalPolygon, Filtration, polygon_from_profile
+from .hn import (CanonicalPolygon, Filtration, minima_polygon, profile_gaps,
+                 profile_hierarchy, subset_profile, vertex_subsets)
 
 MATROID_CAP = 16
 _VALIDATE_EXHAUSTIVE = 12
@@ -29,7 +28,7 @@ _VALIDATE_EXHAUSTIVE = 12
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
-    __slots__ = ("n", "k", "ranks")
+    __slots__ = ("n", "k", "ranks", "_minr")
 
     def __init__(self, n: int, ranks, validate: bool = True):
         if n > MATROID_CAP:
@@ -43,6 +42,7 @@ class Matroid:
         self.n = n
         self.ranks = ranks
         self.k = ranks[(1 << n) - 1]
+        self._minr = None
         if validate:
             self._validate()
 
@@ -97,20 +97,14 @@ class Matroid:
 
     def restrict(self, T: int) -> "Matroid":
         """Restriction to the elements of T, reindexed in ascending order."""
-        elems = [e for e in range(self.n) if (T >> e) & 1]
-        m = len(elems)
-        table = bytearray(1 << m)
-        for S in range(1 << m):
-            mask = 0
-            for i in range(m):
-                if (S >> i) & 1:
-                    mask |= 1 << elems[i]
-            table[S] = self.ranks[mask]
-        return Matroid(m, bytes(table), validate=False)
+        return self._minor([e for e in range(self.n) if (T >> e) & 1], 0)
 
     def contract(self, S: int) -> "Matroid":
         """Contraction of the elements of S, reindexed in ascending order."""
-        elems = [e for e in range(self.n) if not (S >> e) & 1]
+        return self._minor([e for e in range(self.n) if not (S >> e) & 1], S)
+
+    def _minor(self, elems, S: int) -> "Matroid":
+        """Contract S, then restrict to `elems` (disjoint from S)."""
         base = self.ranks[S]
         m = len(elems)
         table = bytearray(1 << m)
@@ -124,65 +118,40 @@ class Matroid:
 
     # -- profiles ------------------------------------------------------------
 
-    def _min_rank_by_size(self) -> list[int]:
-        INF = self.n + 1
-        best = [INF] * (self.n + 1)
-        for J in range(1 << self.n):
-            s = J.bit_count()
-            if self.ranks[J] < best[s]:
-                best[s] = self.ranks[J]
-        return best
+    def _minima(self) -> list[int]:
+        """Least rank of an s-element subset, for each s (computed once)."""
+        if self._minr is None:
+            best = [self.n + 1] * (self.n + 1)
+            for J, r in enumerate(self.ranks):
+                s = J.bit_count()
+                if r < best[s]:
+                    best[s] = r
+            self._minr = best
+        return self._minr
 
     def profile(self) -> tuple[int, ...]:
         """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""
-        minr = self._min_rank_by_size()
-        return tuple(self.k - minr[self.n - j] for j in range(self.n + 1))
+        return subset_profile(self.n, self.k, self._minima())
 
     def hierarchy(self) -> tuple[int, ...]:
         """(d_1, ..., d_k): least #J with h0 reaching each dimension."""
-        kj = self.profile()
-        out = []
-        j = 0
-        for i in range(1, self.k + 1):
-            while kj[j] < i:
-                j += 1
-            out.append(j)
-        return tuple(out)
+        return profile_hierarchy(self.k, self.profile())[1:]
 
     def gaps(self) -> tuple[int, ...]:
         """Sizes j >= 1 where the profile stalls (k_j = k_{j-1})."""
-        kj = self.profile()
-        return tuple(j for j in range(1, self.n + 1) if kj[j] == kj[j - 1])
+        return profile_gaps(self.profile())[0]
 
     def nongaps(self) -> tuple[int, ...]:
-        kj = self.profile()
-        return tuple(j for j in range(1, self.n + 1) if kj[j] > kj[j - 1])
+        return profile_gaps(self.profile())[1]
 
     def polygon(self) -> CanonicalPolygon:
-        minr = self._min_rank_by_size()
-        return polygon_from_profile([self.k - m for m in minr])
+        return minima_polygon(self.k, self._minima())
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
         vertex; a second attaining subset raises)."""
         poly = self.polygon()
-        steps = []
-        for s, v in poly.vertices:
-            target = int(v)
-            found = None
-            for J in range(1 << self.n):
-                if J.bit_count() != s or self.degree(J) != target:
-                    continue
-                if found is not None:
-                    raise InvariantViolation(
-                        f"polygon vertex at size {s} attained twice")
-                found = J
-            if found is None:
-                raise InvariantViolation(f"no subset attains vertex size {s}")
-            steps.append(found)
-        for A, B in zip(steps, steps[1:]):
-            if A & ~B:
-                raise InvariantViolation("filtration subsets do not nest")
+        steps = vertex_subsets(self.n, self.k, self.ranks, poly.vertices)
         return Filtration(steps, poly)
 
     def graded(self) -> list["Matroid"]:
@@ -221,10 +190,13 @@ class Matroid:
         return f"Matroid(n={self.n}, k={self.k})"
 
 
-def matroid_from_code(C: LinearCode, validate: bool = True) -> Matroid:
-    """Column matroid of the generator matrix (memoized on the code)."""
+def matroid_from_code(C: LinearCode) -> Matroid:
+    """Column matroid of the generator matrix (memoized on the code).
+
+    Column ranks satisfy the rank axioms by construction, so the table is
+    not revalidated."""
     table = C.rank_table(MATROID_CAP)
-    return Matroid(C.n, table, validate=validate)
+    return Matroid(C.n, table, validate=False)
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:
@@ -246,39 +218,6 @@ def matroid_from_bases(n: int, bases) -> Matroid:
     for J in range(1 << n):
         table[J] = max((b & J).bit_count() for b in bases)
     return Matroid(n, bytes(table), validate=True)
-
-
-def matroid_degree(M: Matroid, J: int) -> int:
-    return M.degree(J)
-
-
-def dual_matroid(M: Matroid) -> Matroid:
-    return M.dual()
-
-
-def h0_matroid(M: Matroid, J: int) -> int:
-    return M.h0(J)
-
-
-def h1_matroid(M: Matroid, J: int) -> int:
-    return M.h1(J)
-
-
-def matroid_hierarchy(M: Matroid):
-    """(d_i sequence, k_j profile, gaps, nongaps) of the matroid."""
-    return (M.hierarchy(), M.profile(), M.gaps(), M.nongaps())
-
-
-def matroid_polygon(M: Matroid) -> CanonicalPolygon:
-    return M.polygon()
-
-
-def matroid_filtration(M: Matroid) -> Filtration:
-    return M.filtration()
-
-
-def matroid_graded(M: Matroid) -> list[Matroid]:
-    return M.graded()
 
 
 def rr_matroid_check(M: Matroid) -> bool:

@@ -194,6 +194,23 @@ def envelope_vertices(values):
     return verts
 
 
+def brute_filtration(field, rows):
+    """The canonical filtration as codeword sets: for each vertex (i, .) of
+    the majorant of the profile (i, n - d_i), the unique i-dimensional
+    subspace of weight d_i."""
+    levels = subspaces_by_dim(field, rows)
+    hier = brute_weight_hierarchy(field, rows, levels)
+    n = len(rows[0])
+    steps = []
+    for i, _ in envelope_vertices([n - d for d in hier]):
+        hits = [S for S in levels[i] if len(support_of(S)) == hier[i]]
+        if len(hits) != 1:
+            raise AssertionError(
+                f"{len(hits)} subspaces attain the vertex at dimension {i}")
+        steps.append(hits[0])
+    return steps
+
+
 def schaathun_oracle(dA, dB, r: int):
     """Minimum DP cost by enumerating every nonincreasing t-sequence with
     sum at least r (a short prefix stands for its zero-padded completion)."""

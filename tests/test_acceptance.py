@@ -24,7 +24,6 @@ from hncodes import (
     rr_check,
     schaathun_bound,
     schaathun_verify,
-    schur_product,
     semistability_witness,
     serre_check,
     subset_polygon,
@@ -86,7 +85,7 @@ def test_criterion_02_stable_5_2_and_its_square():
         assert is_semistable(B) and is_stable(B)
         assert semistability_witness(B) is None
         S = zoo.binary_5_2_square()
-        assert schur_product(B, B).weight_hierarchy() == S.weight_hierarchy()
+        assert B.schur_product(B).weight_hierarchy() == S.weight_hierarchy()
         assert not is_semistable(S)
         W = semistability_witness(S)
         assert W.dim == 1 and W.weight == 1
@@ -240,8 +239,8 @@ def test_criterion_10_matroid_suite():
     n <= 10, checking the rank-difference formula, gap counts of exactly
     n - k, the partition of gaps against the dual, double-dual involution,
     and agreement of matroid h0 with the code's subset dimensions."""
-    from hncodes import (dual_matroid, gap_counts_check, gap_duality_check,
-                         h0_matroid, matroid_from_code, rr_matroid_check,
+    from hncodes import (gap_counts_check, gap_duality_check,
+                         matroid_from_code, rr_matroid_check,
                          uniform_matroid, wei_partition_check)
 
     def body():
@@ -252,7 +251,7 @@ def test_criterion_10_matroid_suite():
                 assert rr_matroid_check(M) and gap_counts_check(M)
                 assert wei_partition_check(M) and gap_duality_check(M)
                 assert len(M.gaps()) == n - len(M.hierarchy())
-                assert dual_matroid(dual_matroid(M)) == M
+                assert M.dual().dual() == M
                 counted += 1
         rng = random.Random(2030)
         lookup = [GF2, GF3, GF4]
@@ -265,9 +264,9 @@ def test_criterion_10_matroid_suite():
             assert wei_partition_check(M) and gap_duality_check(M)
             assert M.hierarchy() == C.weight_hierarchy()[1:]
             assert len(M.gaps()) == C.n - C.k
-            assert dual_matroid(dual_matroid(M)) == M
+            assert M.dual().dual() == M
             for J in range(1 << n):
-                assert h0_matroid(M, J) == C.subset_dim(J)
+                assert M.h0(J) == C.subset_dim(J)
             counted += 1
         return f"{counted} matroids, all subsets each"
     run_criterion(10, None, body)

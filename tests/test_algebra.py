@@ -9,12 +9,9 @@ from hncodes import (
     NonPrime,
     ReducibleModulus,
     SizeLimitExceeded,
-    field_make,
-    scalar_add,
-    scalar_inv,
-    scalar_mul,
 )
 from hncodes.algebra import (
+    FieldSpec,
     Matrix,
     column_rank_table,
     iter_rref_matrices,
@@ -24,9 +21,9 @@ from hncodes.algebra import (
 
 import oracles
 
-FIELDS = [field_make(2), field_make(3), field_make(5),
-          field_make(2, 2, 0b111), field_make(2, 3, 0b1011),
-          field_make(3, 2, 10)]  # 10 = 1 + 0*3 + 1*9, i.e. x^2 + 1
+FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5),
+          FieldSpec(2, 2, 0b111), FieldSpec(2, 3, 0b1011),
+          FieldSpec(3, 2, 10)]  # 10 = 1 + 0*3 + 1*9, i.e. x^2 + 1
 
 
 def gauss_binom(q, n, k):
@@ -65,7 +62,7 @@ def test_field_axioms_exhaustive(field):
 
 def test_gf4_sample_products():
     # elements are little-endian p-digit encodings: 2 = x, 3 = x + 1
-    f4 = field_make(2, 2, 0b111)
+    f4 = FieldSpec(2, 2, 0b111)
     assert f4.mul(2, 3) == 1          # x * (x + 1) = x^2 + x = 1
     assert f4.mul(2, 2) == 3          # x^2 = x + 1
     assert f4.add(2, 3) == 1
@@ -74,43 +71,43 @@ def test_gf4_sample_products():
 
 
 def test_gf8_and_gf9_powers():
-    f8 = field_make(2, 3, 0b1011)
+    f8 = FieldSpec(2, 3, 0b1011)
     seen = {f8.pow(2, i) for i in range(7)}
     assert len(seen) == 7             # x generates the multiplicative group
-    f9 = field_make(3, 2, 10)
+    f9 = FieldSpec(3, 2, 10)
     assert f9.mul(2, 2) == 1          # 2 * 2 = 4 = 1 mod 3
-    assert scalar_inv(f9, 2) == 2
+    assert f9.inv(2) == 2
 
 
 def test_scalar_module_helpers():
-    f3 = field_make(3)
-    assert scalar_add(f3, 2, 2) == 1
-    assert scalar_mul(f3, 2, 2) == 1
-    assert scalar_inv(f3, 2) == 2
+    f3 = FieldSpec(3)
+    assert f3.add(2, 2) == 1
+    assert f3.mul(2, 2) == 1
+    assert f3.inv(2) == 2
 
 
 def test_field_construction_errors():
     with pytest.raises(NonPrime):
-        field_make(6)
+        FieldSpec(6)
     with pytest.raises(NonPrime):
-        field_make(4)
+        FieldSpec(4)
     with pytest.raises(FieldTooLarge):
-        field_make(2, 9)
+        FieldSpec(2, 9)
     with pytest.raises(FieldTooLarge):
-        field_make(257)
+        FieldSpec(257)
     with pytest.raises(ReducibleModulus):
-        field_make(2, 2, 0b110)       # x^2 + x
+        FieldSpec(2, 2, 0b110)        # x^2 + x
     with pytest.raises(ReducibleModulus):
-        field_make(3, 2, 9)           # x^2 = x * x
+        FieldSpec(3, 2, 9)            # x^2 = x * x
     with pytest.raises(InvariantViolation):
-        field_make(2, 2)              # modulus required for extensions
+        FieldSpec(2, 2)               # modulus required for extensions
     with pytest.raises(DivisionByZero):
-        field_make(5).inv(0)
-    assert field_make(2, 8, 0b100011011).q == 256   # largest allowed order
+        FieldSpec(5).inv(0)
+    assert FieldSpec(2, 8, 0b100011011).q == 256    # largest allowed order
 
 
 def test_field_rebuild_agrees():
-    a, b = field_make(2, 2, 0b111), field_make(2, 2, 0b111)
+    a, b = FieldSpec(2, 2, 0b111), FieldSpec(2, 2, 0b111)
     assert (a.p, a.m, a.q, a.modulus) == (b.p, b.m, b.q, b.modulus)
     assert all(a.mul(x, y) == b.mul(x, y) for x in range(4) for y in range(4))
 
@@ -120,7 +117,7 @@ def test_field_rebuild_agrees():
 # ---------------------------------------------------------------------------
 
 def test_matrix_validation():
-    f2 = field_make(2)
+    f2 = FieldSpec(2)
     with pytest.raises(InvariantViolation):
         Matrix.from_rows(f2, [(1, 0), (1,)])
     with pytest.raises(InvariantViolation):
@@ -128,7 +125,7 @@ def test_matrix_validation():
 
 
 def test_rref_small_example():
-    f2 = field_make(2)
+    f2 = FieldSpec(2)
     M = Matrix.from_rows(f2, [(1, 1, 0), (1, 1, 1), (0, 0, 1)])
     R, piv = M.rref()
     assert piv == (0, 2)
@@ -178,7 +175,7 @@ def test_nullspace():
 
 
 def test_kron_entries():
-    f3 = field_make(3)
+    f3 = FieldSpec(3)
     A = Matrix.from_rows(f3, [(1, 2), (0, 1)])
     B = Matrix.from_rows(f3, [(2, 1, 0)])
     K = A.kron(B)
@@ -192,14 +189,14 @@ def test_kron_entries():
 
 
 def test_row_space_intersection():
-    f2 = field_make(2)
+    f2 = FieldSpec(2)
     A = Matrix.from_rows(f2, [(1, 0, 0, 0), (0, 1, 0, 0)])
     B = Matrix.from_rows(f2, [(0, 1, 0, 0), (0, 0, 1, 0)])
     I = row_space_intersection(A, B)
     assert I.rows == 1
     assert I.row(0) == (0, 1, 0, 0)
     # brute cross-check: exactly the words lying in both spans
-    for field in [f2, field_make(3)]:
+    for field in [f2, FieldSpec(3)]:
         import random
         rng = random.Random(3)
         for _ in range(20):
@@ -223,7 +220,7 @@ def test_row_space_intersection():
 def test_column_rank_table_matches_direct_ranks():
     import random
     rng = random.Random(23)
-    for field in [field_make(2), field_make(3), field_make(2, 2, 0b111)]:
+    for field in [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111)]:
         for _ in range(8):
             r = rng.randrange(1, 4)
             c = rng.randrange(1, 7)
@@ -240,7 +237,7 @@ def test_column_rank_table_matches_direct_ranks():
 def test_min_column_rank_by_size():
     import random
     rng = random.Random(29)
-    f2 = field_make(2)
+    f2 = FieldSpec(2)
     for _ in range(10):
         r = rng.randrange(1, 5)
         c = rng.randrange(1, 8)
@@ -259,7 +256,7 @@ def test_min_column_rank_by_size():
 
 
 def test_rank_machinery_cap():
-    f2 = field_make(2)
+    f2 = FieldSpec(2)
     M = Matrix.from_rows(f2, [[1] * 21])
     with pytest.raises(SizeLimitExceeded):
         column_rank_table(M)
@@ -269,8 +266,8 @@ def test_rank_machinery_cap():
 
 
 def test_iter_rref_matrices_counts():
-    for q, field in [(2, field_make(2)), (3, field_make(3)),
-                     (4, field_make(2, 2, 0b111))]:
+    for q, field in [(2, FieldSpec(2)), (3, FieldSpec(3)),
+                     (4, FieldSpec(2, 2, 0b111))]:
         for c in range(1, 4):
             for r in range(0, c + 1):
                 mats = list(iter_rref_matrices(field, r, c))

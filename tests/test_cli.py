@@ -62,6 +62,8 @@ def test_byte_identical_reruns():
 def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("weights").returncode == 2
+    assert run_cli("weights", "data/binary_5_2.code",
+                   "--max-enum", "-1").returncode == 2
     proc = run_cli("weights", "data/absent.code")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")

@@ -12,14 +12,14 @@ from hncodes import (
     LinearCode,
     NotFullSupport,
     SizeLimitExceeded,
-    affine_transform,
     canonical_filtration,
     code_polygon,
     gap_condition_check,
     graded_pieces,
     is_semistable,
     is_stable,
-    opposite_polygon,
+    mask_of,
+    matroid_from_code,
     polygon_from_profile,
     semistability_witness,
     subset_polygon,
@@ -36,7 +36,7 @@ from hncodes.hn import (
 
 import oracles
 
-GF2, GF3 = zoo.gf2(), zoo.gf3()
+GF2, GF3, GF4 = zoo.gf2(), zoo.gf3(), zoo.gf4()
 
 
 def small_codes(rng, count, fields=(GF2, GF3), nmax=7, kmax=4):
@@ -100,23 +100,23 @@ def test_polygon_value_at_interpolates():
 
 def test_affine_transform():
     P = polygon_from_profile([0, 2, 3, 3])
-    Q = affine_transform(P, 1, Fraction(1, 2), 2)
+    Q = P.affine(1, Fraction(1, 2), 2)
     # pointwise y -> a + b*x + c*y
     for x in range(4):
         assert Q.value_at(x) == 1 + Fraction(x, 2) + 2 * P.value_at(x)
     assert Q.slopes == tuple(Fraction(1, 2) + 2 * mu for mu in P.slopes)
     with pytest.raises(InvariantViolation):
-        affine_transform(P, 0, 0, 0)             # c must be positive
+        P.affine(0, 0, 0)             # c must be positive
     with pytest.raises(InvariantViolation):
-        affine_transform(P, 0, 0, -1)
+        P.affine(0, 0, -1)
 
 
 def test_opposite_and_reflected():
     P = polygon_from_profile([0, 2, 3, 3])
-    O = opposite_polygon(P)
+    O = P.opposite()
     assert O.vertices == ((0, Fraction(3)), (1, Fraction(3)),
                           (2, Fraction(2)), (3, Fraction(0)))
-    assert opposite_polygon(O) == P
+    assert O.opposite() == P
     D = polygon_from_profile([9, 8, 6, 0])
     R = D.reflected()
     assert R.vertices == ((0, Fraction(3)), (6, Fraction(2)),
@@ -205,6 +205,11 @@ def test_witness_violates_the_rate():
     assert seen >= 10
 
 
+def test_witness_honours_the_cap():
+    with pytest.raises(SizeLimitExceeded):
+        semistability_witness(zoo.binary_9_7(), max_enum=8)
+
+
 def test_filtration_of_binary_9_7():
     C = zoo.binary_9_7()
     filt = canonical_filtration(C)
@@ -233,6 +238,68 @@ def test_filtration_structure_random():
             assert Fraction(C.n - s.weight) == y
         if is_semistable(C):
             assert len(filt.steps) == 2 or C.k == 0
+
+
+def filtration_codes(rng, count):
+    """Random q in {2, 3, 4}, n <= 8 codes: plain, padded with zero
+    columns, and direct sums of two blocks (often multi-slope)."""
+    out = []
+    for _ in range(count):
+        field = rng.choice((GF2, GF3, GF4))
+        kmax = 4 if field.q == 2 else 3
+        shape = rng.choice(("plain", "zeros", "sum"))
+        if shape == "sum":
+            n1 = rng.randrange(1, 5)
+            n2 = rng.randrange(1, 9 - n1)
+            k1 = rng.randrange(1, min(n1, kmax - 1) + 1)
+            k2 = rng.randrange(1, min(n2, kmax - k1) + 1)
+            A = zoo.random_code(rng, field, n1, k1)
+            B = zoo.random_code(rng, field, n2, k2)
+            rows = ([r + (0,) * n2 for r in oracles.rows_of(A)]
+                    + [(0,) * n1 + r for r in oracles.rows_of(B)])
+        else:
+            n = rng.randrange(2 if shape == "zeros" else 1, 9)
+            zeros = rng.randrange(1, n) if shape == "zeros" else 0
+            k = rng.randrange(1, min(kmax, n - zeros) + 1)
+            base = oracles.rows_of(zoo.random_code(rng, field, n - zeros, k))
+            dead = set(rng.sample(range(n), zeros))
+            rows = []
+            for r in base:
+                it = iter(r)
+                rows.append(tuple(0 if j in dead else next(it)
+                                  for j in range(n)))
+        out.append(LinearCode.from_rows(field, rows))
+    return out
+
+
+def test_filtration_against_oracle():
+    rng = random.Random(251)
+    multi = padded = 0
+    for C in filtration_codes(rng, 80):
+        rows = oracles.rows_of(C)
+        expect = oracles.brute_filtration(C.field, rows)
+        filt = canonical_filtration(C)
+        got = [frozenset(oracles.codewords(C.field, s.basis.row_list()))
+               if s.dim else frozenset([(0,) * C.n]) for s in filt.steps]
+        assert got == expect
+        multi += filt.polygon.N >= 2
+        padded += not C.is_full_support
+    assert multi >= 10 and padded >= 10
+
+
+def test_matroid_filtration_is_the_galois_preimage():
+    rng = random.Random(257)
+    seen = 0
+    for C in filtration_codes(rng, 80):
+        if not C.is_full_support:
+            continue
+        seen += 1
+        full = (1 << C.n) - 1
+        expect = oracles.brute_filtration(C.field, oracles.rows_of(C))
+        cosupports = tuple(full ^ mask_of(oracles.support_of(S))
+                           for S in reversed(expect))
+        assert matroid_from_code(C).filtration().steps == cosupports
+    assert seen >= 20
 
 
 def test_graded_pieces():

@@ -9,15 +9,11 @@ from hncodes import (
     InvariantViolation,
     Matroid,
     SizeLimitExceeded,
-    dual_matroid,
     dual_polygon_check,
     gap_counts_check,
     gap_duality_check,
-    h0_matroid,
-    h1_matroid,
     matroid_from_bases,
     matroid_from_code,
-    matroid_hierarchy,
     rr_matroid_check,
     subset_polygon,
     uniform_matroid,
@@ -119,10 +115,10 @@ def test_matroid_cohomology_matches_code():
         rows = oracles.rows_of(C)
         for J in range(1 << n):
             bits = [i for i in range(n) if (J >> i) & 1]
-            assert h0_matroid(M, J) == oracles.brute_h0(field, rows, bits)
-            assert h1_matroid(M, J) == oracles.brute_h1(field, rows, bits)
+            assert M.h0(J) == oracles.brute_h0(field, rows, bits)
+            assert M.h1(J) == oracles.brute_h1(field, rows, bits)
             # h1 here is h0 of the dual matroid on the complement
-            assert h1_matroid(M, J) == h0_matroid(M.dual(), ((1 << n) - 1) ^ J)
+            assert M.h1(J) == M.dual().h0(((1 << n) - 1) ^ J)
 
 
 def test_matroid_invariants_match_code_invariants():
@@ -141,7 +137,7 @@ def test_matroid_invariants_match_code_invariants():
 
 def test_simplex_matroid_hierarchy():
     M = matroid_from_code(zoo.simplex(3))
-    d, kj, gaps, nongaps = matroid_hierarchy(M)
+    d, kj, gaps, nongaps = M.hierarchy(), M.profile(), M.gaps(), M.nongaps()
     assert d == (4, 6, 7)
     assert kj == (0, 0, 0, 0, 1, 1, 2, 3)
     assert gaps == (1, 2, 3, 5)
@@ -155,10 +151,10 @@ def test_simplex_matroid_hierarchy():
 def test_dual_involution_and_uniform_dual():
     rng = random.Random(331)
     for M in random_matroids(rng, 12, nmax=8) + [uniform_matroid(2, 5)]:
-        D = dual_matroid(M)
-        assert dual_matroid(D) == M
+        D = M.dual()
+        assert D.dual() == M
         assert D.k == M.n - M.k
-    assert dual_matroid(uniform_matroid(2, 5)) == uniform_matroid(3, 5)
+    assert uniform_matroid(2, 5).dual() == uniform_matroid(3, 5)
 
 
 def test_dual_matches_code_dual():
