@@ -248,9 +248,8 @@ def cmd_filtration(args):
 def cmd_semistable(args):
     C = parse_code_file(args.file)
     cap = _cap(args, SUBSET_ENUM_CAP)
-    _check_cap(C.n, cap)
     P = code_polygon(C, cap)
-    ss = is_semistable(C)
+    ss = is_semistable(C, cap)
     witness_obj = None
     if not ss:
         W = semistability_witness(C, cap)
@@ -265,7 +264,7 @@ def cmd_semistable(args):
         "k": C.k,
         "rate": _rat(C.effective_rate),
         "semistable": ss,
-        "stable": is_stable(C),
+        "stable": is_stable(C, cap),
         "mu_max": _rat(P.mu_max),
         "mu_min": _rat(P.mu_min),
         "witness": witness_obj,
@@ -276,13 +275,12 @@ def cmd_semistable(args):
 def cmd_dual(args):
     C = parse_code_file(args.file)
     cap = _cap(args, SUBSET_ENUM_CAP)
-    _check_cap(C.n, cap)
     D = C.dual()
-    subset_ok = dual_subset_polygon_check(C)
+    subset_ok = dual_subset_polygon_check(C, cap)
     violated = not subset_ok
     slope_map: dict
     try:
-        slopes = dual_code_slopes(C)
+        slopes = dual_code_slopes(C, cap)
         slope_map = {
             "applicable": True,
             "ok": True,
@@ -308,7 +306,7 @@ def cmd_dual(args):
         "k": C.k,
         "dual_k": D.k,
         "dual_generator": [list(D.gen.row(i)) for i in range(D.k)],
-        "dual_polygon": _polygon_obj(dual_polygon(C)),
+        "dual_polygon": _polygon_obj(dual_polygon(C, cap)),
         "subset_polygon_duality_ok": subset_ok,
         "slope_map": slope_map,
     }
@@ -320,8 +318,8 @@ def cmd_rr(args):
     cap = _cap(args, SUBSET_ENUM_CAP)
     if args.all:
         _check_cap(C.n, cap)
-        ok_rr = rr_check(C)
-        ok_serre = serre_check(C)
+        ok_rr = rr_check(C, exhaustive_limit=cap)
+        ok_serre = serre_check(C, exhaustive_limit=cap)
         results = {
             "n": C.n,
             "k": C.k,
@@ -373,14 +371,14 @@ def cmd_tensor(args):
     cap = _cap(args, TENSOR_ENUM_CAP)
     _check_cap(A.n * B.n, cap)
     T = A.tensor(B)
-    d = T.weight_hierarchy(max(cap, SUBSET_ENUM_CAP))
+    d = T.weight_hierarchy(cap)
     star = schaathun_bound_table(A, B)
     bound_ok = all(d[r] >= star[r] for r in range(T.k + 1))
-    chained_a, chained_b = is_chained(A), is_chained(B)
+    chained_a, chained_b = is_chained(A, cap), is_chained(B, cap)
     wei_yang = {"applicable": chained_a and chained_b, "ok": None}
     if wei_yang["applicable"]:
         wei_yang["ok"] = tuple(d) == star
-    ss_a, ss_b = is_semistable(A), is_semistable(B)
+    ss_a, ss_b = is_semistable(A, cap), is_semistable(B, cap)
     preservation = {"applicable": ss_a and ss_b, "ok": None}
     if preservation["applicable"]:
         preservation["ok"] = tensor_semistable_check(A, B, max_enum=cap)
@@ -395,7 +393,7 @@ def cmd_tensor(args):
         "chained": {"A": chained_a, "B": chained_b},
         "wei_yang": wei_yang,
         "semistable": {"A": ss_a, "B": ss_b,
-                       "product": is_semistable(T),
+                       "product": is_semistable(T, cap),
                        "preservation": preservation},
     }
     violated = (not bound_ok

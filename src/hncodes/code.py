@@ -19,6 +19,7 @@ from .algebra import (
     SUBSET_ENUM_CAP,
     FieldSpec,
     Matrix,
+    _check_cap,
     min_column_rank_by_size,
     column_rank_table,
     row_space_intersection,
@@ -155,7 +156,11 @@ class LinearCode:
 
     # -- weight data ---------------------------------------------------------
 
+    # Both memos check the cap on every call, so whether a cap is honoured
+    # does not depend on what was computed before.
+
     def _min_ranks(self, max_enum: int, witness: bool = False):
+        _check_cap(self.n, max_enum)
         if self._minr is None or (witness and self._minr_wit is None):
             best, wit = min_column_rank_by_size(self.gen, max_enum,
                                                 witness=True)
@@ -164,6 +169,7 @@ class LinearCode:
 
     def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
+        _check_cap(self.n, max_enum)
         if self._rtab is None:
             self._rtab = column_rank_table(self.gen, max_enum)
         return self._rtab

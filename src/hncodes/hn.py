@@ -10,6 +10,12 @@ lattice of subcodes, degree n - w) and exposes the generic lattice checks
 (modularity parallelogram, Galois-connection laws, vertex gap condition)
 used by the verification suites.
 
+A code is semistable exactly when its polygon has one side: no subcode
+beats the code's rate, d_i k >= i w(C) for 0 < i < k.  Stability is the
+strict form.  Both verdicts read the weight hierarchy, i.e. the same
+pruned, memoized min-rank search the polygon uses, and take `max_enum`
+like every other enumerating function.
+
 All slopes and polygon values are exact `fractions.Fraction`s.
 """
 
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import SUBSET_ENUM_CAP, Matrix, echelon_inserter, iter_rref_matrices
+from .algebra import SUBSET_ENUM_CAP, Matrix, iter_rref_matrices
 from .code import LinearCode, Subcode, bits_of
 from .errors import (
     EmptyProfile,
@@ -282,68 +288,25 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 
 # -- semistability ----------------------------------------------------------
 
-def _rate_violation(C: LinearCode, strict: bool):
-    """Mask of a coordinate set J whose subcode C_J beats the code's rate.
-
-    strict=False looks for dim/w > k/w(C) (semistability failure),
-    strict=True for a proper subcode with dim/w >= k/w(C) (stability
-    failure).  Returns None when no violation exists.  The search walks
-    complements S = [n] - J, pruning branches whose optimistic margin
-    cannot reach a violation (rank only grows along extensions).
-    """
-    n, k, w = C.n, C.k, C.weight
-    insert, cols = echelon_inserter(C.gen)
-    full = (1 << n) - 1
-    found = []
-
-    def rec(start, mask, size, rk, basis):
-        if found:
-            return
-        dim = k - rk
-        lhs = dim * w
-        rem = n - start
-        floor = (n - size - rem) * k
-        # optimistic margin for the whole subtree: dim cannot grow, the
-        # complement cannot exceed n - size - rem elements fewer
-        if (lhs < floor) if strict else (lhs <= floor):
-            return
-        if dim > 0:
-            rhs = (n - size) * k
-            hit = (dim < k and lhs >= rhs) if strict else (lhs > rhs)
-            if hit:
-                found.append(full ^ mask)
-                return
-        for j in range(start, n):
-            nb = insert(basis, cols[j])
-            if nb is None:
-                rec(j + 1, mask | (1 << j), size + 1, rk, basis)
-            else:
-                rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
-            if found:
-                return
-
-    rec(0, 0, 0, 0, ())
-    return found[0] if found else None
+def is_semistable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """True when every nonzero subcode C' has w(C') >= dim(C')/R(C):
+    d_i k >= i w(C) for 0 < i < k, i.e. the code polygon has one side."""
+    d, k, w = C.weight_hierarchy(max_enum), C.k, C.weight
+    return all(d[i] * k >= i * w for i in range(1, k))
 
 
-def is_semistable(C: LinearCode) -> bool:
-    """True when every nonzero subcode C' has w(C') >= dim(C')/R(C)."""
-    return _rate_violation(C, strict=False) is None
-
-
-def is_stable(C: LinearCode) -> bool:
-    """True when every proper nonzero subcode has strictly smaller rate
-    (vacuously true for k = 1)."""
-    if C.k == 1:
-        return True
-    return _rate_violation(C, strict=True) is None
+def is_stable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """True when every proper nonzero subcode has strictly smaller rate:
+    d_i k > i w(C) for 0 < i < k (vacuously true for k = 1)."""
+    d, k, w = C.weight_hierarchy(max_enum), C.k, C.weight
+    return all(d[i] * k > i * w for i in range(1, k))
 
 
 def semistability_witness(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                           ) -> Subcode | None:
     """A subcode violating semistability, or None; the first filtration
     step is returned (the maximal-slope destabilizer) when one exists."""
-    if is_semistable(C):
+    if is_semistable(C, max_enum):
         return None
     filt = canonical_filtration(C, max_enum)
     return filt.steps[1]
@@ -372,7 +335,8 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
         if piece.n != T.bit_count() or piece.k != exp_k:
             raise InvariantViolation("graded piece has wrong parameters")
         mu = filt.slopes[a - 1]
-        if Fraction(-piece.n, piece.k) != mu or not is_semistable(piece):
+        if (Fraction(-piece.n, piece.k) != mu
+                or not is_semistable(piece, max_enum)):
             raise InvariantViolation(
                 "graded piece is not semistable of the side slope")
         pieces.append(piece)

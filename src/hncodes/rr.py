@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .algebra import SUBSET_ENUM_CAP
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import CanonicalPolygon, canonical_filtration, code_polygon, subset_polygon
@@ -73,12 +74,12 @@ def _subset_iter(n: int, exhaustive_limit: int, samples: int, seed: int):
     return [rng.randrange(1 << n) for _ in range(samples)]
 
 
-def _outside_rank(C: LinearCode, exhaustive: bool):
-    """J -> rank of the generator columns outside J; table-backed when the
-    length permits full enumeration, direct elimination otherwise."""
+def _outside_rank(C: LinearCode, exhaustive_limit: int):
+    """J -> rank of the generator columns outside J; table-backed when
+    n <= exhaustive_limit (the table's cap), direct elimination otherwise."""
     full = (1 << C.n) - 1
-    if exhaustive:
-        tab = C.rank_table()
+    if C.n <= exhaustive_limit:
+        tab = C.rank_table(exhaustive_limit)
         return lambda J: tab[full ^ J]
 
     def direct(J: int) -> int:
@@ -91,9 +92,8 @@ def rr_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
              samples: int = _SAMPLES) -> bool:
     """h0(C, J) - h0(C-dual, [n]-J) == #J + k - n over all (or sampled) J."""
     D = C.dual()
-    exhaustive = C.n <= exhaustive_limit
-    rC = _outside_rank(C, exhaustive)
-    rD = _outside_rank(D, exhaustive)
+    rC = _outside_rank(C, exhaustive_limit)
+    rD = _outside_rank(D, exhaustive_limit)
     full = (1 << C.n) - 1
     for J in _subset_iter(C.n, exhaustive_limit, samples, 0xFE11):
         h0 = C.k - rC(J)
@@ -107,9 +107,8 @@ def serre_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
                 samples: int = _SAMPLES) -> bool:
     """h1(C, J) == h0(C-dual, [n]-J) over all (or sampled) J."""
     D = C.dual()
-    exhaustive = C.n <= exhaustive_limit
-    rC = _outside_rank(C, exhaustive)
-    rD = _outside_rank(D, exhaustive)
+    rC = _outside_rank(C, exhaustive_limit)
+    rD = _outside_rank(D, exhaustive_limit)
     full = (1 << C.n) - 1
     for J in _subset_iter(C.n, exhaustive_limit, samples, 0x5E44E):
         comp = full ^ J
@@ -157,7 +156,7 @@ def clifford_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
     """For a self-dual code, h0(C, J) <= #J / 2 for every subset."""
     if C.dual() != C:
         raise InvariantViolation("Clifford bound applies to self-dual codes")
-    rC = _outside_rank(C, C.n <= exhaustive_limit)
+    rC = _outside_rank(C, exhaustive_limit)
     for J in _subset_iter(C.n, exhaustive_limit, samples, 0xC11F):
         if 2 * (C.k - rC(J)) > J.bit_count():
             return False
@@ -183,7 +182,7 @@ def full_support_status(C: LinearCode) -> tuple[bool, bool]:
     """(primal full support, dual full support); the dual side fails
     exactly when C contains a weight-1 codeword."""
     primal = C.is_full_support
-    dual_full = C.k < C.n and C.weight_hierarchy()[1] >= 2
+    dual_full = C.k < C.n and C.dual().is_full_support
     return primal, dual_full
 
 
@@ -249,18 +248,21 @@ def dual_dlp_check(C: LinearCode) -> bool:
     return True
 
 
-def dual_polygon(C: LinearCode) -> CanonicalPolygon:
+def dual_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
+                 ) -> CanonicalPolygon:
     """Subset polygon of the dual code."""
-    return subset_polygon(C.dual())
+    return subset_polygon(C.dual(), max_enum)
 
 
-def dual_subset_polygon_check(C: LinearCode) -> bool:
+def dual_subset_polygon_check(C: LinearCode,
+                              max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """P_subset(C-dual)(x) = P_subset(C)(n - x) + n - x - k, exactly."""
-    expect = subset_polygon(C).opposite().affine(C.n - C.k, -1, 1)
-    return dual_polygon(C) == expect
+    expect = subset_polygon(C, max_enum).opposite().affine(C.n - C.k, -1, 1)
+    return dual_polygon(C, max_enum) == expect
 
 
-def dual_code_slopes(C: LinearCode) -> tuple[Fraction, ...]:
+def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
+                     ) -> tuple[Fraction, ...]:
     """Slopes of the dual code's polygon; requires both codes full
     support, in which case they are -1 + 1/(mu + 1) for the primal slopes
     mu in reverse order, and the dual filtration is obtained by shortening
@@ -280,14 +282,14 @@ def dual_code_slopes(C: LinearCode) -> tuple[Fraction, ...]:
             "words, i.e. mu_max = -1)", side="dual",
             weight_one_span=weight_one_span(C))
     D = C.dual()
-    got = code_polygon(D).slopes
-    mus = code_polygon(C).slopes
+    got = code_polygon(D, max_enum).slopes
+    mus = code_polygon(C, max_enum).slopes
     expect = tuple(-1 + 1 / (mu + 1) for mu in reversed(mus))
     if got != expect:
         raise InvariantViolation(
             f"dual slope law fails: expected {expect}, got {got}")
-    filt = canonical_filtration(C)
-    dual_filt = canonical_filtration(D)
+    filt = canonical_filtration(C, max_enum)
+    dual_filt = canonical_filtration(D, max_enum)
     full = (1 << C.n) - 1
     expect_steps = [D.zero_subcode()]
     expect_steps += [D.shorten(full ^ s.support_mask)

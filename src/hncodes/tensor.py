@@ -199,7 +199,7 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
     w(D) >= dim(D) / R(A (x) B) is rechecked on each.
     """
     from .zoo import random_subcode
-    if not (is_semistable(A) and is_semistable(B)):
+    if not (is_semistable(A, max_enum) and is_semistable(B, max_enum)):
         raise InvariantViolation("both factors must be semistable")
     _check_cap(A.n * B.n, max_enum)
     C = A.tensor(B)
@@ -211,14 +211,14 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
         if Fraction(cert.weight) < Fraction(cert.r) / rate:
             raise InvariantViolation(
                 "a sampled subcode violates the semistability inequality")
-    return is_semistable(C)
+    return is_semistable(C, max_enum)
 
 
-def _levels(C: LinearCode):
+def _levels(C: LinearCode, max_enum: int):
     """For each i, the supports of the minimum-weight i-dimensional
     subcodes: {J : #J = d_i, dim of the shortening to J is i}."""
-    d = C.weight_hierarchy()
-    tab = C.rank_table(max(C.n, SUBSET_ENUM_CAP))
+    d = C.weight_hierarchy(max_enum)
+    tab = C.rank_table(max_enum)
     full = (1 << C.n) - 1
     out = []
     for i in range(1, C.k + 1):
@@ -231,12 +231,11 @@ def _levels(C: LinearCode):
     return out
 
 
-def is_chained(C: LinearCode) -> bool:
+def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """Chain condition: nested subcodes D_1 < ... < D_k with each D_i of
     dimension i and weight d_i.  Decided by reachability through the
     levels of minimum supports ordered by inclusion."""
-    _check_cap(C.n, SUBSET_ENUM_CAP)
-    levels = _levels(C)
+    levels = _levels(C, max_enum)
     reach = None
     for lvl in levels:
         if reach is None:

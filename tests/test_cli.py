@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import hncodes.cli as cli
+import hncodes.rr as rr
+from hncodes import zoo
 from conftest import SRC, run_cli, run_python
 
 HERE = Path(__file__).resolve().parent
@@ -92,8 +95,44 @@ def test_cap_exceeded_exits_4():
     assert "error:" in proc.stderr
 
 
+def write_random_binary_code(path, seed, n, k):
+    C = zoo.random_code(random.Random(seed), zoo.gf2(), n, k)
+    rows = ["".join(map(str, C.gen.row(i))) for i in range(k)]
+    path.write_text("\n".join(["field 2 1", f"code {n} {k}", *rows]) + "\n")
+    return str(path)
+
+
+def test_dual_honours_a_raised_cap(tmp_path, capsys):
+    path = write_random_binary_code(tmp_path / "b21.code", 2101, 21, 11)
+    assert cli.main(["dual", path]) == 4
+    capsys.readouterr()
+    assert cli.main(["dual", path, "--max-enum", "22"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["subset_polygon_duality_ok"] is True
+    assert results["slope_map"]["ok"] is True
+
+
+def test_rr_all_checks_every_subset_it_reports(tmp_path, capsys,
+                                                monkeypatch):
+    # n = 17 is past the library's default exhaustive limit of 16
+    seen = []
+    subset_iter = rr._subset_iter
+
+    def spy(*args):
+        subsets = subset_iter(*args)
+        seen.append(len(subsets))
+        return subsets
+    monkeypatch.setattr(rr, "_subset_iter", spy)
+    path = write_random_binary_code(tmp_path / "b17.code", 1701, 17, 6)
+    assert cli.main(["rr", path, "--all"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["subsets"] == 1 << 17
+    assert seen == [1 << 17, 1 << 17]
+
+
 def test_check_violation_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "dual_subset_polygon_check", lambda C: False)
+    monkeypatch.setattr(cli, "dual_subset_polygon_check",
+                        lambda C, max_enum: False)
     rc = cli.main(["dual", str(HERE / "data" / "binary_5_2.code")])
     assert rc == 1
     report = json.loads(capsys.readouterr().out)

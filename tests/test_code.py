@@ -11,6 +11,7 @@ from hncodes import (
     InvariantViolation,
     LinearCode,
     NotASubcode,
+    SizeLimitExceeded,
     Subcode,
     ZeroSubcode,
     bits_of,
@@ -120,6 +121,19 @@ def test_repetition_parity_full():
 # ---------------------------------------------------------------------------
 # hierarchies and DLPs against the naive oracles
 # ---------------------------------------------------------------------------
+
+
+def test_memo_honours_the_cap():
+    # a smaller cap raises whatever the code has already computed
+    C = zoo.binary_9_7()
+    assert C.weight_hierarchy(20) == (0, 2, 3, 4, 5, 7, 8, 9)
+    C.rank_table(20)
+    C.dlp_witnesses(20)
+    for call in (C.weight_hierarchy, C.dlp, C.dlp_witnesses, C.rank_table):
+        with pytest.raises(SizeLimitExceeded):
+            call(5)
+    assert C.weight_hierarchy(9) == (0, 2, 3, 4, 5, 7, 8, 9)
+
 
 def test_hierarchy_against_oracle():
     rng = random.Random(101)

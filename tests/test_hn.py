@@ -210,6 +210,13 @@ def test_witness_honours_the_cap():
         semistability_witness(zoo.binary_9_7(), max_enum=8)
 
 
+def test_verdicts_honour_the_cap():
+    for verdict in (is_semistable, is_stable):
+        with pytest.raises(SizeLimitExceeded):
+            verdict(zoo.binary_9_7(), max_enum=8)
+        assert verdict(zoo.binary_9_7(), max_enum=9) is False
+
+
 def test_filtration_of_binary_9_7():
     C = zoo.binary_9_7()
     filt = canonical_filtration(C)
@@ -274,7 +281,7 @@ def filtration_codes(rng, count):
 
 def test_filtration_against_oracle():
     rng = random.Random(251)
-    multi = padded = 0
+    multi = padded = unstable = 0
     for C in filtration_codes(rng, 80):
         rows = oracles.rows_of(C)
         expect = oracles.brute_filtration(C.field, rows)
@@ -282,9 +289,14 @@ def test_filtration_against_oracle():
         got = [frozenset(oracles.codewords(C.field, s.basis.row_list()))
                if s.dim else frozenset([(0,) * C.n]) for s in filt.steps]
         assert got == expect
+        levels = oracles.subspaces_by_dim(C.field, rows)
+        ss = oracles.brute_semistable(C.field, rows, levels)
+        assert is_semistable(C) == ss
+        assert is_stable(C) == oracles.brute_stable(C.field, rows, levels)
         multi += filt.polygon.N >= 2
         padded += not C.is_full_support
-    assert multi >= 10 and padded >= 10
+        unstable += not ss
+    assert multi >= 10 and padded >= 10 and unstable >= 10
 
 
 def test_matroid_filtration_is_the_galois_preimage():

@@ -11,6 +11,7 @@ from hncodes import (
     InvariantViolation,
     LinearCode,
     NotASubcode,
+    SizeLimitExceeded,
     Subcode,
     is_chained,
     is_semistable,
@@ -166,6 +167,14 @@ def test_is_chained_known_examples():
                                        (0, 0, 0, 1, 1, 1)])
     assert is_chained(block)
     assert not is_chained(NON_CHAINED_GF3)
+
+
+
+def test_is_chained_honours_the_cap():
+    with pytest.raises(SizeLimitExceeded):
+        is_chained(zoo.binary_9_7(), max_enum=8)
+    assert is_chained(zoo.binary_9_7(), max_enum=9) == is_chained(
+        zoo.binary_9_7())
 
 
 def test_is_chained_against_oracle():
