@@ -412,10 +412,15 @@ class Matrix:
         return len(self.rref()[1])
 
     def rref_nonzero(self) -> "Matrix":
-        """RREF with zero rows dropped (rank many rows)."""
+        """RREF with zero rows dropped (rank many rows); the result is its
+        own RREF, so reducing it again costs nothing."""
         R, piv = self.rref()
         r = len(piv)
-        return Matrix(self.field, r, self.cols, R.entries[:r * self.cols])
+        if r == self.rows:
+            return R
+        out = Matrix(self.field, r, self.cols, R.entries[:r * self.cols])
+        out._rref = (out, piv)
+        return out
 
     def right_nullspace(self) -> "Matrix":
         """Basis of {x : M x = 0}, one solution per row."""

@@ -372,7 +372,7 @@ def cmd_tensor(args):
     _check_cap(A.n * B.n, cap)
     T = A.tensor(B)
     d = T.weight_hierarchy(cap)
-    star = schaathun_bound_table(A, B)
+    star = schaathun_bound_table(A, B, cap)
     bound_ok = all(d[r] >= star[r] for r in range(T.k + 1))
     chained_a, chained_b = is_chained(A, cap), is_chained(B, cap)
     wei_yang = {"applicable": chained_a and chained_b, "ok": None}

@@ -24,10 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import SUBSET_ENUM_CAP, Matrix, iter_rref_matrices
-from .code import LinearCode, Subcode, bits_of
+from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (
     EmptyProfile,
     InvariantViolation,
+    NotASubcode,
     NotFullSupport,
     SizeLimitExceeded,
 )
@@ -347,58 +348,122 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 # -- enumerable lattice views ----------------------------------------------
 
 class SubspaceLattice:
-    """All subcodes of C, with meet/join by set algebra on codewords.
+    """Subcodes of C as subspaces of its coefficient space F^k.
 
-    Refuses codes with q^k > SUBSPACE_CAP.  Elements are Subcode objects;
-    internally each is paired with its frozenset of codewords so that
-    meet is set intersection and join is the span of a union.
+    C.gen is in RREF, so it is the identity on its pivot columns and the
+    coefficients of a codeword x G are its entries there.  Each subcode is
+    keyed by the RREF of its r x k coefficient matrix; the RREF basis of a
+    subcode, read at the pivot columns, already is that matrix, so
+    `index_of` needs no elimination.  `elements[i]` is the key matrix of
+    element i and `subcode(i)` the Subcode it stands for.
+
+    Join is the RREF of the two stacked coefficient matrices, and
+    leq(i, j) is join(i, j) == j.  The meet of comparable elements is the
+    smaller one; otherwise it is U & W = (U^perp + W^perp)^perp, where each
+    element's orthogonal complement (a k-column nullspace) is computed
+    once.  Every elimination has k columns.  Meets, joins, supports and
+    complements are memoized by element index.
+
+    Without `subcodes` every subcode is enumerated, and codes with
+    q^k > cap are refused.  With `subcodes` the lattice starts from those
+    alone and interns just the elements that meets, joins and `index_of`
+    reach, so it never enumerates and takes no cap.
     """
 
-    def __init__(self, C: LinearCode, cap: int = SUBSPACE_CAP):
-        if C.field.q ** C.k > cap:
-            raise SizeLimitExceeded(
-                f"subspace lattice of q^k = {C.field.q ** C.k} codewords "
-                f"exceeds the cap {cap}", limit=cap, needed=C.field.q ** C.k)
+    def __init__(self, C: LinearCode, cap: int = SUBSPACE_CAP,
+                 subcodes=None):
         self.code = C
-        self.elements: list[Subcode] = []
-        self._wordsets: list[frozenset] = []
-        self._index: dict[frozenset, int] = {}
-        f = C.field
+        self._pivots = C.gen.rref()[1]
+        self.elements: list[Matrix] = []
+        self._index: dict[tuple, int] = {}
+        self._complements: dict[int, Matrix] = {}
+        self._supports: dict[int, int] = {}
+        self._meets: dict[tuple, int] = {}
+        self._joins: dict[tuple, int] = {}
+        if subcodes is not None:
+            for S in subcodes:
+                self.index_of(S)
+            return
+        size = C.field.q ** C.k
+        if size > cap:
+            raise SizeLimitExceeded(
+                f"subspace lattice of q^k = {size} codewords exceeds the "
+                f"cap {cap}", limit=cap, needed=size)
         for r in range(C.k + 1):
-            for coeff in iter_rref_matrices(f, r, C.k):
-                basis = coeff.matmul(C.gen) if r else Matrix(f, 0, C.n, ())
-                sub = Subcode(C, basis, check=False)
-                words = frozenset(basis.row_space_words())
-                self._index[words] = len(self.elements)
-                self.elements.append(sub)
-                self._wordsets.append(words)
+            for X in iter_rref_matrices(C.field, r, C.k):
+                self._intern(X)
 
     def __len__(self):
         return len(self.elements)
 
+    def _intern(self, X: Matrix) -> int:
+        i = self._index.get(X.entries)
+        if i is None:
+            i = self._index[X.entries] = len(self.elements)
+            self.elements.append(X)
+        return i
+
     def index_of(self, S: Subcode) -> int:
-        return self._index[frozenset(S.basis.row_space_words())]
+        if S.parent != self.code:
+            raise NotASubcode("subcode of another code")
+        B, piv = S.basis, self._pivots
+        X = Matrix(B.field, S.dim, len(piv),
+                   tuple(B.entry(i, p) for i in range(S.dim) for p in piv))
+        return self._intern(X)
+
+    def subcode(self, i: int) -> Subcode:
+        X = self.elements[i]
+        return Subcode(self.code, X.matmul(self.code.gen), check=False)
 
     def rank(self, i: int) -> int:
-        return self.elements[i].dim
+        return self.elements[i].rows
+
+    def support(self, i: int) -> int:
+        s = self._supports.get(i)
+        if s is None:
+            X = self.elements[i]
+            s = self._supports[i] = _support_of_matrix(X.matmul(self.code.gen))
+        return s
+
+    def cosupport(self, i: int) -> int:
+        return ((1 << self.code.n) - 1) ^ self.support(i)
 
     def degree(self, i: int) -> int:
-        return self.elements[i].degree
+        return self.code.n - self.support(i).bit_count()
 
     def leq(self, i: int, j: int) -> bool:
-        return self._wordsets[i] <= self._wordsets[j]
+        return self.join(i, j) == j
+
+    def _complement(self, i: int) -> Matrix:
+        N = self._complements.get(i)
+        if N is None:
+            N = self._complements[i] = self.elements[i].right_nullspace()
+        return N
 
     def meet(self, i: int, j: int) -> int:
-        return self._index[self._wordsets[i] & self._wordsets[j]]
+        if i == j:
+            return i
+        key = (i, j) if i < j else (j, i)
+        m = self._meets.get(key)
+        if m is None:
+            v = self.join(i, j)
+            if v in key:                 # comparable: the smaller one
+                m = i if v == j else j
+            else:
+                N = self._complement(i).stack(self._complement(j))
+                m = self._intern(N.right_nullspace().rref_nonzero())
+            self._meets[key] = m
+        return m
 
     def join(self, i: int, j: int) -> int:
-        f = self.code.field
-        union = self._wordsets[i] | self._wordsets[j]
-        rows = [list(wv) for wv in union if any(wv)]
-        if not rows:
-            return self._index[union]
-        B = Matrix.from_rows(f, rows).rref_nonzero()
-        return self._index[frozenset(B.row_space_words())]
+        if i == j:
+            return i
+        key = (i, j) if i < j else (j, i)
+        v = self._joins.get(key)
+        if v is None:
+            X = self.elements[i].stack(self.elements[j])
+            v = self._joins[key] = self._intern(X.rref_nonzero())
+        return v
 
 
 class SubsetLattice:
@@ -471,11 +536,9 @@ def gap_condition_check(C: LinearCode, cap: int = SUBSPACE_CAP) -> bool:
     for a in range(1, poly.N):
         i_a, v_a = poly.vertices[a]
         bound = Fraction(v_a) - (slopes[a - 1] - slopes[a])
-        x_a = filt.steps[a]
-        for sub in lat.elements:
-            if sub.dim != i_a or sub == x_a:
-                continue
-            if Fraction(sub.degree) > bound:
+        x_a = lat.index_of(filt.steps[a])
+        for i in range(len(lat)):
+            if i != x_a and lat.rank(i) == i_a and lat.degree(i) > bound:
                 return False
     return True
 
@@ -500,48 +563,61 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None,
     (S vanishes on J iff J avoids the support of S); the join/meet
     exchange inequalities; and degree(S) = #cosupport(S).  Exhaustive over
     the subspace lattice and all 2^n subsets when samples are omitted.
+
+    Every law is read on SubspaceLattice indices: the image
+    `subset_to_subcode(C, J)` of each subset is interned once, and meets,
+    joins and containments are the lattice's memoized k-column
+    operations.  With sampled subcodes the lattice starts from them alone
+    and interns only the meets, joins and images the laws reach, so it
+    never enumerates the subspaces of F^k and takes no cap.
     """
     if subcodes is None:
-        subcodes = SubspaceLattice(C, cap).elements
+        lat = SubspaceLattice(C, cap)
+        idx = range(len(lat))
+    else:
+        lat = SubspaceLattice(C, subcodes=subcodes)
+        idx = [lat.index_of(S) for S in subcodes]
     if subsets is None:
         if C.n > 16:
             raise SizeLimitExceeded(
                 f"exhaustive subset side needs n <= 16, got {C.n}",
                 limit=16, needed=C.n)
         subsets = range(1 << C.n)
-    subcodes = list(subcodes)
     subsets = list(subsets)
+    leq, meet, join, cos = lat.leq, lat.meet, lat.join, lat.cosupport
     img = {}
 
     def image(J):
-        if J not in img:
-            img[J] = subset_to_subcode(C, J)
-        return img[J]
+        i = img.get(J)
+        if i is None:
+            i = img[J] = lat.index_of(subset_to_subcode(C, J))
+        return i
 
-    for S in subcodes:
-        Sc = cosupport(S)
-        if not image(Sc).contains(S):
+    for s in idx:
+        Sc = cos(s)
+        if not leq(s, image(Sc)):
             return False
-        if S.degree != Sc.bit_count():
+        if lat.degree(s) != Sc.bit_count():
             return False
-    for J in subsets:
-        if J & ~cosupport(image(J)):
+    images = [(J, image(J)) for J in subsets]
+    for J, iJ in images:
+        if J & ~cos(iJ):
             return False
-    for S in subcodes:
-        Sc = cosupport(S)
-        for J in subsets:
-            if image(J).contains(S) != (J & ~Sc == 0):
+    for s in idx:
+        Sc = cos(s)
+        for J, iJ in images:
+            if leq(s, iJ) != (J & ~Sc == 0):
                 return False
-    for S in subcodes:
-        for T in subcodes:
-            if (cosupport(S) | cosupport(T)) & ~cosupport(S.meet(T)):
+    for s in idx:
+        for t in idx:
+            if (cos(s) | cos(t)) & ~cos(meet(s, t)):
                 return False
-            if cosupport(S) & cosupport(T) != cosupport(S.join(T)):
+            if cos(s) & cos(t) != cos(join(s, t)):
                 return False
-    for J in subsets:
-        for K in subsets:
-            if not image(J & K).contains(image(J).join(image(K))):
+    for J, iJ in images:
+        for K, iK in images:
+            if not leq(join(iJ, iK), image(J & K)):
                 return False
-            if image(J).meet(image(K)) != image(J | K):
+            if meet(iJ, iK) != image(J | K):
                 return False
     return True

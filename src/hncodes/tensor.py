@@ -71,10 +71,11 @@ def schaathun_bound(dA, dB, r: int, exact_sum: bool = False) -> int:
     return int(val)
 
 
-def schaathun_bound_table(A: LinearCode, B: LinearCode) -> tuple[int, ...]:
+def schaathun_bound_table(A: LinearCode, B: LinearCode,
+                          max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
     """(d*_0, ..., d*_{kA kB}) for the pair of codes."""
-    dA = A.weight_hierarchy()
-    dB = B.weight_hierarchy()
+    dA = A.weight_hierarchy(max_enum)
+    dB = B.weight_hierarchy(max_enum)
     return tuple(schaathun_bound(dA, dB, r)
                  for r in range(A.k * B.k + 1))
 
@@ -84,8 +85,8 @@ def schaathun_verify(A: LinearCode, B: LinearCode,
     """d_r(A (x) B) >= d*_r for every r, by exact computation."""
     _check_cap(A.n * B.n, max_enum)
     C = A.tensor(B)
-    d = C.weight_hierarchy()
-    star = schaathun_bound_table(A, B)
+    d = C.weight_hierarchy(max_enum)
+    star = schaathun_bound_table(A, B, max_enum)
     return all(d[r] >= star[r] for r in range(C.k + 1))
 
 
@@ -252,11 +253,11 @@ def wei_yang_check(A: LinearCode, B: LinearCode,
                    max_enum: int = 18) -> bool:
     """When both factors are chained the bound is met with equality:
     d_r(A (x) B) == d*_r for every r."""
-    if not (is_chained(A) and is_chained(B)):
+    if not (is_chained(A, max_enum) and is_chained(B, max_enum)):
         raise InvariantViolation("both factors must satisfy the chain "
                                  "condition")
     _check_cap(A.n * B.n, max_enum)
     C = A.tensor(B)
-    d = C.weight_hierarchy()
-    star = schaathun_bound_table(A, B)
+    d = C.weight_hierarchy(max_enum)
+    star = schaathun_bound_table(A, B, max_enum)
     return tuple(d) == star

@@ -37,6 +37,24 @@ def codewords(field, rows):
     return sorted(words)
 
 
+def span_words(field, rows, n) -> frozenset:
+    """The row span as a set of words; no rows give the zero space."""
+    if not rows:
+        return frozenset([(0,) * n])
+    return frozenset(codewords(field, rows))
+
+
+def least_subspace_containing(levels, words) -> frozenset:
+    """The smallest subspace in `levels` (as from subspaces_by_dim) that
+    contains every word given."""
+    for level in levels:
+        hits = [S for S in level if words <= S]
+        if hits:
+            assert len(hits) == 1, "two least subspaces"
+            return hits[0]
+    raise AssertionError("no subspace contains the words")
+
+
 def support_of(words) -> frozenset:
     return frozenset(i for w in words for i, x in enumerate(w) if x)
 

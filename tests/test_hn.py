@@ -10,6 +10,7 @@ from hncodes import (
     EmptyProfile,
     InvariantViolation,
     LinearCode,
+    NotASubcode,
     NotFullSupport,
     SizeLimitExceeded,
     canonical_filtration,
@@ -26,6 +27,7 @@ from hncodes import (
     zoo,
 )
 from hncodes.hn import (
+    SUBSPACE_CAP,
     SubsetLattice,
     SubspaceLattice,
     cosupport,
@@ -247,27 +249,28 @@ def test_filtration_structure_random():
             assert len(filt.steps) == 2 or C.k == 0
 
 
-def filtration_codes(rng, count):
-    """Random q in {2, 3, 4}, n <= 8 codes: plain, padded with zero
-    columns, and direct sums of two blocks (often multi-slope)."""
+def filtration_codes(rng, count, nmax=8, kmax=None):
+    """Random q in {2, 3, 4}, n <= nmax codes: plain, padded with zero
+    columns, and direct sums of two blocks (often multi-slope).  k is at
+    most kmax, by default 4 over GF(2) and 3 otherwise."""
     out = []
     for _ in range(count):
         field = rng.choice((GF2, GF3, GF4))
-        kmax = 4 if field.q == 2 else 3
+        kmax_f = kmax or (4 if field.q == 2 else 3)
         shape = rng.choice(("plain", "zeros", "sum"))
         if shape == "sum":
             n1 = rng.randrange(1, 5)
-            n2 = rng.randrange(1, 9 - n1)
-            k1 = rng.randrange(1, min(n1, kmax - 1) + 1)
-            k2 = rng.randrange(1, min(n2, kmax - k1) + 1)
+            n2 = rng.randrange(1, nmax + 1 - n1)
+            k1 = rng.randrange(1, min(n1, kmax_f - 1) + 1)
+            k2 = rng.randrange(1, min(n2, kmax_f - k1) + 1)
             A = zoo.random_code(rng, field, n1, k1)
             B = zoo.random_code(rng, field, n2, k2)
             rows = ([r + (0,) * n2 for r in oracles.rows_of(A)]
                     + [(0,) * n1 + r for r in oracles.rows_of(B)])
         else:
-            n = rng.randrange(2 if shape == "zeros" else 1, 9)
+            n = rng.randrange(2 if shape == "zeros" else 1, nmax + 1)
             zeros = rng.randrange(1, n) if shape == "zeros" else 0
-            k = rng.randrange(1, min(kmax, n - zeros) + 1)
+            k = rng.randrange(1, min(kmax_f, n - zeros) + 1)
             base = oracles.rows_of(zoo.random_code(rng, field, n - zeros, k))
             dead = set(rng.sample(range(n), zeros))
             rows = []
@@ -366,11 +369,74 @@ def test_subspace_lattice_structure():
     W = C.whole_subcode()
     assert L.rank(L.index_of(W)) == 2
     assert L.degree(L.index_of(W)) == 0
+    with pytest.raises(NotASubcode):
+        L.index_of(zoo.binary_9_7().whole_subcode())
 
 
 def test_subspace_lattice_cap():
     with pytest.raises(SizeLimitExceeded):
         SubspaceLattice(zoo.full_space(GF2, 13))
+
+
+def _check_lattice_pairs(C, L, pairs, levels):
+    """Meet, join, order, degree and index_of of L, and Subcode.meet/join,
+    against codeword sets on the given index pairs."""
+    f, n = C.field, C.n
+    subs, words = {}, {}
+
+    def words_of(S):
+        return oracles.span_words(f, S.basis.row_list(), n)
+
+    def element(i):
+        if i not in subs:
+            subs[i] = L.subcode(i)
+            words[i] = words_of(subs[i])
+        return subs[i], words[i]
+
+    for i, j in pairs:
+        (A, wa), (B, wb) = element(i), element(j)
+        M, meet = element(L.meet(i, j))
+        V, join = element(L.join(i, j))
+        assert meet == wa & wb
+        assert join == oracles.least_subspace_containing(levels, wa | wb)
+        assert L.leq(i, j) == (wa <= wb)
+        assert L.degree(i) == n - len(oracles.support_of(wa))
+        assert L.rank(i) == A.dim
+        assert L.index_of(A) == i
+        # the public Subcode operations (equal subcodes have equal RREF
+        # bases, and M, V were just checked against the codeword sets)
+        assert A.meet(B) == M and A.join(B) == V
+        assert A.contains(B) == (wb <= wa)
+
+
+def test_subspace_lattice_against_codeword_sets():
+    rng = random.Random(269)
+    padded = big = 0
+    for C in filtration_codes(rng, 32, nmax=6, kmax=3):
+        rows = oracles.rows_of(C)
+        levels = oracles.subspaces_by_dim(C.field, rows)
+        padded += not C.is_full_support
+        L = SubspaceLattice(C)
+        big += len(L) >= 16
+        words = [oracles.span_words(C.field, L.subcode(i).basis.row_list(),
+                                    C.n) for i in range(len(L))]
+        assert sorted(words, key=sorted) == sorted(
+            (S for level in levels for S in level), key=sorted)
+        idx = range(len(L))
+        _check_lattice_pairs(C, L, [(i, j) for i in idx for j in idx],
+                             levels)
+        # a lattice started from samples interns only what it reaches
+        samples = [zoo.random_subcode(rng, C, rng.randrange(1, C.k + 1))
+                   for _ in range(3)] + [C.zero_subcode()]
+        P = SubspaceLattice(C, subcodes=samples)
+        assert len(P) == len(set(samples))
+        got = [P.index_of(S) for S in samples]
+        assert len(P) == len(set(samples))      # known keys intern nothing
+        assert [P.subcode(i) for i in got] == samples
+        _check_lattice_pairs(C, P, [(i, j) for i in got for j in got],
+                             levels)
+        assert len(P) <= len(L)
+    assert padded >= 5 and big >= 5
 
 
 def test_parallelogram_exhaustive_small():
@@ -409,6 +475,19 @@ def test_galois_adjunction_sampled_on_larger_code():
     subcodes = [C.zero_subcode(), C.whole_subcode()]
     subcodes += [zoo.random_subcode(rng, C, rng.randrange(1, 4)) for _ in range(8)]
     subsets = [rng.randrange(1 << C.n) for _ in range(40)] + [0, (1 << C.n) - 1]
+    assert verify_galois(C, subcodes=subcodes, subsets=subsets)
+
+
+def test_galois_sampled_never_enumerates_the_lattice():
+    # q^k = 2^13 exceeds SUBSPACE_CAP: sampled mode must not enumerate
+    rng = random.Random(271)
+    C = zoo.parity(GF2, 14)
+    assert C.field.q ** C.k > SUBSPACE_CAP
+    subcodes = [C.zero_subcode(), C.whole_subcode()]
+    subcodes += [zoo.random_subcode(rng, C, rng.randrange(1, 4))
+                 for _ in range(8)]
+    subsets = [rng.randrange(1 << C.n) for _ in range(28)]
+    subsets += [0, (1 << C.n) - 1]
     assert verify_galois(C, subcodes=subcodes, subsets=subsets)
 
 

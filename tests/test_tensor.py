@@ -202,6 +202,18 @@ def test_wei_yang_equality_on_chained_pairs():
         wei_yang_check(NON_CHAINED_GF3, A)
 
 
+def test_tensor_checks_honour_a_raised_cap():
+    # n = 21 product: every hierarchy these checks read must be read at
+    # the cap they were given, not at the default of 20
+    A, B = zoo.repetition(GF2, 7), zoo.repetition(GF2, 3)
+    assert schaathun_verify(A, B, max_enum=22)
+    assert wei_yang_check(A, B, max_enum=22)
+    with pytest.raises(SizeLimitExceeded):
+        schaathun_verify(A, B, max_enum=20)
+    with pytest.raises(SizeLimitExceeded):
+        schaathun_bound_table(A, B, max_enum=6)
+
+
 # ---------------------------------------------------------------------------
 # semistability of products
 # ---------------------------------------------------------------------------
