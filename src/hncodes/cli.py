@@ -27,9 +27,9 @@ from .code import bits_of
 from .errors import (Error, InvariantViolation, NotFullSupport, ParseError,
                      SizeLimitExceeded)
 from .formats import parse_code_file, parse_matroid_file
-from .hn import (SubspaceLattice, canonical_filtration, code_polygon,
-                 gap_condition_check, is_semistable, is_stable,
-                 semistability_witness, subset_polygon, verify_galois,
+from .hn import (canonical_filtration, code_polygon, gap_condition_check,
+                 is_semistable, is_stable, semistability_witness,
+                 subcode_lattice, subset_polygon, verify_galois,
                  verify_parallelogram)
 from .matroid import (dual_polygon_check, gap_counts_check,
                       gap_duality_check, matroid_from_code,
@@ -347,7 +347,7 @@ def cmd_rr(args):
         h0_dual = None
         rr_ok = euler_ok
         serre_ok = None
-    deg_term, genus = rr_normalized(C, J)
+    deg_term, genus = rr_normalized(C, J, cap)
     results = {
         "n": C.n,
         "k": C.k,
@@ -503,7 +503,7 @@ def _selftest_checks():
     def galois_engine():
         for n in range(1, 5):
             for C in zoo.iter_all_codes(f2, n, kmax=min(2, n)):
-                if not (verify_parallelogram(SubspaceLattice(C))
+                if not (verify_parallelogram(subcode_lattice(C))
                         and verify_galois(C)
                         and gap_condition_check(C)):
                     return False

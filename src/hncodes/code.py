@@ -64,8 +64,11 @@ def _support_of_matrix(M: Matrix) -> int:
 class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
+    # Memos of the code's own analysis: the min-rank search, the rank
+    # table, the dual, the canonical filtration and the subcode lattice (both
+    # filled by hn.py), and the last tensor product as (other, product).
     __slots__ = ("field", "n", "k", "gen", "_minr", "_minr_wit", "_rtab",
-                 "_dual")
+                 "_dual", "_filt", "_lattice", "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -84,6 +87,9 @@ class LinearCode:
         self._minr_wit = None
         self._rtab = None
         self._dual = None
+        self._filt = None
+        self._lattice = None
+        self._tensor = None
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "LinearCode":
@@ -201,10 +207,15 @@ class LinearCode:
 
     def tensor(self, other: "LinearCode") -> "LinearCode":
         """Tensor product code: all n_A x n_B arrays with columns in self
-        and rows in other, flattened row-major."""
+        and rows in other, flattened row-major.  The last product is kept,
+        so repeated calls with an equal factor share one code and its
+        memos."""
         if self.field != other.field:
             raise FieldMismatch("tensor factors live over different fields")
-        return LinearCode(self.gen.kron(other.gen).rref_nonzero())
+        if self._tensor is None or self._tensor[0] != other:
+            T = LinearCode(self.gen.kron(other.gen).rref_nonzero())
+            self._tensor = (other, T)
+        return self._tensor[1]
 
     def schur_product(self, other: "LinearCode") -> "LinearCode":
         """Componentwise (Schur) product code."""

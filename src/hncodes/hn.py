@@ -16,6 +16,12 @@ strict form.  Both verdicts read the weight hierarchy, i.e. the same
 pruned, memoized min-rank search the polygon uses, and take `max_enum`
 like every other enumerating function.
 
+The canonical filtration and the exhaustive subcode lattice belong to the
+code: both are built once per LinearCode and kept on it, so every check
+that reads them shares one vertex scan and one lattice.  The lattice
+enumerates every subcode and is refused when q^k exceeds the constant
+SUBSPACE_CAP.
+
 All slopes and polygon values are exact `fractions.Fraction`s.
 """
 
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import SUBSET_ENUM_CAP, Matrix, iter_rref_matrices
+from .algebra import SUBSET_ENUM_CAP, Matrix, _check_cap, iter_rref_matrices
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (
     EmptyProfile,
@@ -275,16 +281,22 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     vanishing on the attaining subset S, C_{[n]-S}.  The chain property
     follows from the nesting of the subsets.  The rank table is built only
     when the polygon has an interior vertex.
+
+    The filtration is memoized on C; the cap is checked on every call, as
+    the code's other memos do.
     """
-    poly = code_polygon(C, max_enum)
-    inner = poly.vertices[-2:0:-1]           # interior, increasing v
-    ranks = C.rank_table(max_enum) if inner else None
-    subsets = vertex_subsets(C.n, C.k, ranks,
-                             [(int(v), i) for i, v in inner])
-    steps = [C.zero_subcode()]
-    steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
-    steps.append(C.whole_subcode())
-    return Filtration(steps, poly)
+    _check_cap(C.n, max_enum)
+    if C._filt is None:
+        poly = code_polygon(C, max_enum)
+        inner = poly.vertices[-2:0:-1]           # interior, increasing v
+        ranks = C.rank_table(max_enum) if inner else None
+        subsets = vertex_subsets(C.n, C.k, ranks,
+                                 [(int(v), i) for i, v in inner])
+        steps = [C.zero_subcode()]
+        steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
+        steps.append(C.whole_subcode())
+        C._filt = Filtration(steps, poly)
+    return C._filt
 
 
 # -- semistability ----------------------------------------------------------
@@ -365,13 +377,13 @@ class SubspaceLattice:
     complements are memoized by element index.
 
     Without `subcodes` every subcode is enumerated, and codes with
-    q^k > cap are refused.  With `subcodes` the lattice starts from those
+    q^k > SUBSPACE_CAP are refused; `subcode_lattice(C)` is that lattice,
+    built once per code.  With `subcodes` the lattice starts from those
     alone and interns just the elements that meets, joins and `index_of`
-    reach, so it never enumerates and takes no cap.
+    reach, so it never enumerates and has no cap.
     """
 
-    def __init__(self, C: LinearCode, cap: int = SUBSPACE_CAP,
-                 subcodes=None):
+    def __init__(self, C: LinearCode, subcodes=None):
         self.code = C
         self._pivots = C.gen.rref()[1]
         self.elements: list[Matrix] = []
@@ -385,10 +397,10 @@ class SubspaceLattice:
                 self.index_of(S)
             return
         size = C.field.q ** C.k
-        if size > cap:
+        if size > SUBSPACE_CAP:
             raise SizeLimitExceeded(
                 f"subspace lattice of q^k = {size} codewords exceeds the "
-                f"cap {cap}", limit=cap, needed=size)
+                f"cap {SUBSPACE_CAP}", limit=SUBSPACE_CAP, needed=size)
         for r in range(C.k + 1):
             for X in iter_rref_matrices(C.field, r, C.k):
                 self._intern(X)
@@ -466,6 +478,13 @@ class SubspaceLattice:
         return v
 
 
+def subcode_lattice(C: LinearCode) -> SubspaceLattice:
+    """The exhaustive subcode lattice of C, built once and kept on C."""
+    if C._lattice is None:
+        C._lattice = SubspaceLattice(C)
+    return C._lattice
+
+
 class SubsetLattice:
     """The boolean lattice of coordinate subsets with a supplied degree."""
 
@@ -523,7 +542,7 @@ def verify_parallelogram(lattice, pairs=None) -> bool:
     return True
 
 
-def gap_condition_check(C: LinearCode, cap: int = SUBSPACE_CAP) -> bool:
+def gap_condition_check(C: LinearCode) -> bool:
     """At every interior polygon vertex, every non-filtration subcode of
     that rank keeps a degree gap of at least mu_a - mu_{a+1} below the
     polygon."""
@@ -531,7 +550,7 @@ def gap_condition_check(C: LinearCode, cap: int = SUBSPACE_CAP) -> bool:
     poly = filt.polygon
     if poly.N < 2:
         return True
-    lat = SubspaceLattice(C, cap)
+    lat = subcode_lattice(C)
     slopes = poly.slopes
     for a in range(1, poly.N):
         i_a, v_a = poly.vertices[a]
@@ -555,8 +574,7 @@ def subset_to_subcode(C: LinearCode, J: int) -> Subcode:
     return C.shorten(full ^ J)
 
 
-def verify_galois(C: LinearCode, subcodes=None, subsets=None,
-                  cap: int = SUBSPACE_CAP) -> bool:
+def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     """Check the order-reversing correspondence laws on sampled elements.
 
     Laws: both closure inclusions x <= x-circ-circ; the adjunction
@@ -567,12 +585,13 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None,
     Every law is read on SubspaceLattice indices: the image
     `subset_to_subcode(C, J)` of each subset is interned once, and meets,
     joins and containments are the lattice's memoized k-column
-    operations.  With sampled subcodes the lattice starts from them alone
-    and interns only the meets, joins and images the laws reach, so it
-    never enumerates the subspaces of F^k and takes no cap.
+    operations.  Exhaustively the code's own lattice (`subcode_lattice`) is
+    read.  With sampled subcodes a fresh lattice starts from them alone and
+    interns only the meets, joins and images the laws reach, so it never
+    enumerates the subspaces of F^k.
     """
     if subcodes is None:
-        lat = SubspaceLattice(C, cap)
+        lat = subcode_lattice(C)
         idx = range(len(lat))
     else:
         lat = SubspaceLattice(C, subcodes=subcodes)

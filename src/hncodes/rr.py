@@ -119,12 +119,13 @@ def serre_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
     return True
 
 
-def rr_normalized(C: LinearCode, J: int) -> tuple[int, int]:
+def rr_normalized(C: LinearCode, J: int,
+                  max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, int]:
     """(deg, g) normal form of the identity: h0 - h1 = deg - g + 1 with
     deg = #J - d_1(C) + 1 shifted so that g = n - k - d_1 + 1 >= 0 exactly
     measures the defect from Singleton.  Returns (#J - d_1 + 1 - 1, g)
     packaged as (degree-like term, genus-like term)."""
-    d1 = C.weight_hierarchy()[1]
+    d1 = C.weight_hierarchy(max_enum)[1]
     g = C.n - C.k - d1 + 1
     return (J.bit_count() - d1, g)
 

@@ -126,7 +126,8 @@ def _column_projection(D: Subcode, nA: int, nB: int, j: int):
     return [R.row(i) for i in range(len(piv))]
 
 
-def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
+def witness(D: Subcode, A: LinearCode, B: LinearCode,
+            max_enum: int = SUBSET_ENUM_CAP) -> SchaathunWitness:
     """Build and check the weight certificate for a subcode of A (x) B."""
     nA, nB = A.n, B.n
     C = D.parent
@@ -146,8 +147,8 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
                 raise NotASubcode(f"matrix column {j} of basis vector {b} "
                                   "is outside the first factor")
     r = D.dim
-    dA = A.weight_hierarchy()
-    dB = B.weight_hierarchy()
+    dA = A.weight_hierarchy(max_enum)
+    dB = B.weight_hierarchy(max_enum)
     col_spans = [_column_projection(D, nA, nB, j) for j in range(nB)]
     column_dims = tuple(len(s) for s in col_spans)
     # per-column support decomposition of the weight, each piece bounded
@@ -208,7 +209,7 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
     rate = Fraction(C.k, C.weight)
     for _ in range(samples):
         D = random_subcode(rng, C, rng.randrange(1, C.k + 1))
-        cert = witness(D, A, B)
+        cert = witness(D, A, B, max_enum)
         if Fraction(cert.weight) < Fraction(cert.r) / rate:
             raise InvariantViolation(
                 "a sampled subcode violates the semistability inequality")

@@ -11,28 +11,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from hncodes import (
-    SubspaceLattice,
     canonical_filtration,
     code_polygon,
-    dual_code_slopes,
     dual_dlp_check,
-    full_support_status,
     gap_condition_check,
     is_chained,
     is_semistable,
     is_stable,
     rr_check,
-    schaathun_bound,
-    schaathun_verify,
     semistability_witness,
     serre_check,
     subset_polygon,
     verify_parallelogram,
     wei_duality_check,
-    wei_yang_check,
     zoo,
 )
-from hncodes.tensor import witness as schaathun_witness
+from hncodes.hn import subcode_lattice
+from hncodes.rr import dual_code_slopes, full_support_status
+from hncodes.tensor import (schaathun_bound, schaathun_verify,
+                            wei_yang_check, witness as schaathun_witness)
 
 import oracles
 from conftest import run_cli, run_criterion
@@ -161,7 +158,7 @@ def test_criterion_07_lattice_and_filtration_engine():
         count = 0
         for n in range(1, 7):
             for C in zoo.iter_all_codes(GF2, n, kmax=min(3, n)):
-                assert verify_parallelogram(SubspaceLattice(C))
+                assert verify_parallelogram(subcode_lattice(C))
                 P = code_polygon(C)
                 if C.is_full_support:
                     assert subset_polygon(C) == P.reflected()
@@ -239,9 +236,10 @@ def test_criterion_10_matroid_suite():
     n <= 10, checking the rank-difference formula, gap counts of exactly
     n - k, the partition of gaps against the dual, double-dual involution,
     and agreement of matroid h0 with the code's subset dimensions."""
-    from hncodes import (gap_counts_check, gap_duality_check,
-                         matroid_from_code, rr_matroid_check,
-                         uniform_matroid, wei_partition_check)
+    from hncodes import matroid_from_code
+    from hncodes.matroid import (gap_counts_check, gap_duality_check,
+                                 rr_matroid_check, uniform_matroid,
+                                 wei_partition_check)
 
     def body():
         counted = 0

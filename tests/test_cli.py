@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hncodes.cli as cli
+import hncodes.code as code
 import hncodes.rr as rr
 from hncodes import zoo
 from conftest import SRC, run_cli, run_python
@@ -110,6 +111,35 @@ def test_dual_honours_a_raised_cap(tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["subset_polygon_duality_ok"] is True
     assert results["slope_map"]["ok"] is True
+
+
+def test_rr_honours_a_raised_cap(tmp_path, capsys):
+    path = write_random_binary_code(tmp_path / "b21.code", 2106, 21, 6)
+    assert cli.main(["rr", path, "--J", "5"]) == 4
+    capsys.readouterr()
+    assert cli.main(["rr", path, "--J", "5", "--max-enum", "22"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    C = zoo.random_code(random.Random(2106), zoo.gf2(), 21, 6)
+    d1 = min(sum(x != 0 for x in w) for w in C.codewords() if any(w))
+    assert results["genus"] == 21 - 6 - d1 + 1
+    assert results["normalized_degree"] == 2 - d1
+
+
+def test_tensor_searches_each_code_once(monkeypatch, capsys):
+    # cmd_tensor and tensor_semistable_check share one product code
+    lengths = []
+    search = code.min_column_rank_by_size
+
+    def spy(M, *args, **kwargs):
+        lengths.append(M.cols)
+        return search(M, *args, **kwargs)
+    monkeypatch.setattr(code, "min_column_rank_by_size", spy)
+    data = HERE / "data"
+    assert cli.main(["tensor", str(data / "binary_3_2_2.code"),
+                     str(data / "binary_5_2.code")]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report["semistable"]["preservation"]["ok"] is True
+    assert sorted(lengths) == [3, 5, 15]
 
 
 def test_rr_all_checks_every_subset_it_reports(tmp_path, capsys,

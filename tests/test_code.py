@@ -7,17 +7,16 @@ import pytest
 
 from hncodes import (
     FieldMismatch,
-    Matrix,
     InvariantViolation,
     LinearCode,
     NotASubcode,
     SizeLimitExceeded,
-    Subcode,
     ZeroSubcode,
-    bits_of,
-    mask_of,
+    canonical_filtration,
     zoo,
 )
+from hncodes.algebra import Matrix
+from hncodes.code import Subcode, bits_of, mask_of
 
 import oracles
 
@@ -133,6 +132,9 @@ def test_memo_honours_the_cap():
         with pytest.raises(SizeLimitExceeded):
             call(5)
     assert C.weight_hierarchy(9) == (0, 2, 3, 4, 5, 7, 8, 9)
+    assert canonical_filtration(C, 20).ranks == (0, 4, 7)
+    with pytest.raises(SizeLimitExceeded):
+        canonical_filtration(C, 5)
 
 
 def test_hierarchy_against_oracle():

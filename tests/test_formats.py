@@ -4,13 +4,14 @@ import os
 
 import pytest
 
-from hncodes import InvariantViolation, ParseError, uniform_matroid, zoo
+from hncodes import InvariantViolation, ParseError, zoo
 from hncodes.formats import (
     parse_code_file,
     parse_code_text,
     parse_matroid_file,
     parse_matroid_text,
 )
+from hncodes.matroid import uniform_matroid
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from hncodes import (
-    CanonicalPolygon,
     EmptyProfile,
     InvariantViolation,
     LinearCode,
@@ -19,23 +18,25 @@ from hncodes import (
     graded_pieces,
     is_semistable,
     is_stable,
-    mask_of,
     matroid_from_code,
-    polygon_from_profile,
     semistability_witness,
     subset_polygon,
     zoo,
 )
+from hncodes.code import mask_of
 from hncodes.hn import (
     SUBSPACE_CAP,
+    CanonicalPolygon,
     SubsetLattice,
     SubspaceLattice,
     cosupport,
+    polygon_from_profile,
     subset_to_subcode,
     verify_galois,
     verify_parallelogram,
 )
 
+import hncodes.hn as hn
 import oracles
 
 GF2, GF3, GF4 = zoo.gf2(), zoo.gf3(), zoo.gf4()
@@ -500,6 +501,36 @@ def test_subset_to_subcode_and_cosupport():
     # adjunction: S' vanishes on J iff J inside cosupport(S')
     T = subset_to_subcode(C, 0b11)
     assert cosupport(T) & 0b11 == 0b11
+
+
+def test_one_analysis_per_code(monkeypatch):
+    # the filtration and the subcode lattice are built once per code and
+    # read by every check that needs them
+    scans, builds = [], []
+    scan, build = hn.vertex_subsets, hn.SubspaceLattice.__init__
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+    monkeypatch.setattr(hn, "vertex_subsets", counted_scan)
+    monkeypatch.setattr(hn.SubspaceLattice, "__init__", counted_build)
+    C = zoo.binary_9_7()                 # unstable, full support
+    W = semistability_witness(C)
+    filt = canonical_filtration(C)
+    assert W == filt.steps[1]
+    assert [(P.n, P.k) for P in graded_pieces(C)] == [(5, 4), (4, 3)]
+    assert gap_condition_check(C)
+    assert len(scans) == 1 and len(builds) == 1
+    # the exhaustive Galois laws on a q^k = 8 code read the same lattice
+    # as its gap condition (the [9,7] lattice has 29,212 elements)
+    S = zoo.binary_5_2_square()
+    assert not is_semistable(S) and S.is_full_support
+    assert gap_condition_check(S) and verify_galois(S)
+    assert len(builds) == 2
 
 
 def test_gap_condition():

@@ -7,18 +7,20 @@ import pytest
 
 from hncodes import (
     InvariantViolation,
-    Matroid,
     SizeLimitExceeded,
+    matroid_from_bases,
+    matroid_from_code,
+    subset_polygon,
+    zoo,
+)
+from hncodes.matroid import (
+    Matroid,
     dual_polygon_check,
     gap_counts_check,
     gap_duality_check,
-    matroid_from_bases,
-    matroid_from_code,
     rr_matroid_check,
-    subset_polygon,
     uniform_matroid,
     wei_partition_check,
-    zoo,
 )
 
 import oracles

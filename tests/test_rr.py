@@ -10,24 +10,26 @@ from hncodes import (
     LinearCode,
     NotFullSupport,
     canonical_filtration,
-    clifford_check,
     code_polygon,
     cohomology,
-    dual_code_slopes,
     dual_dlp_check,
     dual_polygon,
-    dual_subset_polygon_check,
-    full_support_status,
-    les_check,
     rr_check,
-    rr_normalized,
     serre_check,
     subset_polygon,
     wei_duality_check,
-    weight_one_span,
     zoo,
 )
 from hncodes.code import bits_of
+from hncodes.rr import (
+    clifford_check,
+    dual_code_slopes,
+    dual_subset_polygon_check,
+    full_support_status,
+    les_check,
+    rr_normalized,
+    weight_one_span,
+)
 
 import oracles
 

@@ -12,16 +12,18 @@ from hncodes import (
     LinearCode,
     NotASubcode,
     SizeLimitExceeded,
-    Subcode,
     is_chained,
     is_semistable,
-    schaathun_bound,
     schaathun_bound_table,
-    schaathun_verify,
     tensor_semistable_check,
+    zoo,
+)
+from hncodes.code import Subcode
+from hncodes.tensor import (
+    schaathun_bound,
+    schaathun_verify,
     wei_yang_check,
     witness,
-    zoo,
 )
 
 import oracles
@@ -212,6 +214,11 @@ def test_tensor_checks_honour_a_raised_cap():
         schaathun_verify(A, B, max_enum=20)
     with pytest.raises(SizeLimitExceeded):
         schaathun_bound_table(A, B, max_enum=6)
+    # the weight certificates read the factor hierarchies at the cap too
+    R21, R1 = zoo.repetition(GF2, 21), zoo.repetition(GF2, 1)
+    assert tensor_semistable_check(R21, R1, max_enum=22)
+    with pytest.raises(SizeLimitExceeded):
+        tensor_semistable_check(R21, R1, max_enum=20)
 
 
 # ---------------------------------------------------------------------------
