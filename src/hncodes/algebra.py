@@ -628,6 +628,43 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP,
     return best
 
 
+def column_subsets_attaining(M: Matrix, targets,
+                             max_enum: int = SUBSET_ENUM_CAP) -> dict:
+    """For each target (s, r), every column subset of size s and rank r.
+
+    Returns {s: [bitmask, ...]}; target sizes must be distinct.  Walks the
+    DFS tree of `column_rank_table`, but descends from a subset only while
+    some larger target size is reachable with the columns left at a rank
+    no greater than its target (subset ranks only grow along extensions),
+    so it visits a subtree of the table's walk.
+    """
+    n = M.cols
+    _check_cap(n, max_enum)
+    want = dict(targets)
+    hits = {s: [] for s in want}
+    exact = [want.get(s, -1) for s in range(n + 1)]
+    # reach[size][rk]: the least target size above `size` whose rank is at
+    # least rk (n + 1 when there is none)
+    reach = [[next((s for s in range(size + 1, n + 1) if exact[s] >= rk),
+                   n + 1) for rk in range(M.rows + 1)]
+             for size in range(n + 1)]
+    insert, cols = echelon_inserter(M)
+
+    def rec(start, mask, size, rk, basis):
+        if exact[size] == rk:
+            hits[size].append(mask)
+        # a child at column j still has n - j - 1 columns to grow by
+        for j in range(start, n + size + 1 - reach[size][rk]):
+            nb = insert(basis, cols[j])
+            if nb is None:
+                rec(j + 1, mask | (1 << j), size + 1, rk, basis)
+            else:
+                rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
+
+    rec(0, 0, 0, 0, ())
+    return hits
+
+
 def iter_rref_matrices(field: FieldSpec, r: int, c: int):
     """Yield every r x c matrix over `field` in reduced row echelon form
     with exactly r pivots (i.e. every r-dimensional subspace of F^c once).

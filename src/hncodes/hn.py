@@ -16,6 +16,11 @@ strict form.  Both verdicts read the weight hierarchy, i.e. the same
 pruned, memoized min-rank search the polygon uses, and take `max_enum`
 like every other enumerating function.
 
+The filtration's element at a vertex is the unique subset of least rank
+for its size, so it is found by a column search that walks only the
+subsets staying at or below the vertex ranks; no code builds its 2^n rank
+table for a filtration.
+
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it, so every check
 that reads them shares one vertex scan and one lattice.  The lattice
@@ -29,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import SUBSET_ENUM_CAP, Matrix, _check_cap, iter_rref_matrices
+from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap,
+                      column_subsets_attaining, iter_rref_matrices)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (
     EmptyProfile,
@@ -166,8 +172,9 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 #
 # Codes and matroids share everything below: it sees only n, k = r(E), the
 # least rank of an s-element subset for each s ("minima"), and, for
-# filtrations, the rank of every subset indexed by bitmask.  A subset S has
-# degree k - r(S); for a code that is dim C_{[n]-S}.
+# filtrations, the subsets of least rank at each vertex size (a code finds
+# them with the pruned column search, a matroid in its stored table).  A
+# subset S has degree k - r(S); for a code that is dim C_{[n]-S}.
 
 def subset_profile(n: int, k: int, minr) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
@@ -198,30 +205,24 @@ def minima_polygon(k: int, minr) -> CanonicalPolygon:
     return polygon_from_profile([k - m for m in minr])
 
 
-def vertex_subsets(n: int, k: int, ranks, vertices) -> list[int]:
-    """The subset attaining each subset-lattice vertex (s, t), in order.
+def vertex_subsets(sizes, hits) -> list[int]:
+    """The subset attaining each subset-lattice vertex, in order.
 
-    For each (s, t) this is the unique S with #S = s and k - r(S) = t;
-    `ranks` is read only for 0 < s < n, where it must be the full rank
-    table.  Uniqueness is a theorem at polygon vertices, so a second
-    attaining subset raises, as does a missing one or a chain that does
-    not nest (vertices must come in increasing s).
+    `sizes` are the vertex sizes s, increasing, and `hits[s]` lists every
+    s-subset whose rank is the least rank of an s-subset, i.e. every
+    subset on the polygon at that size.  Uniqueness is a theorem at
+    polygon vertices, so a second attaining subset raises, as does a
+    missing one or a chain that does not nest.
     """
-    full = (1 << n) - 1
     out = []
-    for s, t in vertices:
-        if s in (0, n):              # a single subset has this size
-            out.append(full if s else 0)
-            continue
-        need = k - t
-        hits = [S for S in range(full + 1)
-                if ranks[S] == need and S.bit_count() == s]
-        if not hits:
+    for s in sizes:
+        found = hits[s]
+        if not found:
             raise InvariantViolation(f"no subset attains vertex size {s}")
-        if len(hits) > 1:
+        if len(found) > 1:
             raise InvariantViolation(
                 f"polygon vertex at size {s} attained twice")
-        out.append(hits[0])
+        out.append(found[0])
     for A, B in zip(out, out[1:]):
         if A & ~B:
             raise InvariantViolation("filtration subsets do not nest")
@@ -279,8 +280,9 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     This is the Galois image of the subset-lattice filtration: the code
     vertex (i, v) is the subset vertex (v, i), and its step is the subcode
     vanishing on the attaining subset S, C_{[n]-S}.  The chain property
-    follows from the nesting of the subsets.  The rank table is built only
-    when the polygon has an interior vertex.
+    follows from the nesting of the subsets.  The attaining subsets come
+    from `column_subsets_attaining`, which walks only the column subsets
+    that stay at or below a vertex's rank; no rank table is built.
 
     The filtration is memoized on C; the cap is checked on every call, as
     the code's other memos do.
@@ -289,9 +291,9 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     if C._filt is None:
         poly = code_polygon(C, max_enum)
         inner = poly.vertices[-2:0:-1]           # interior, increasing v
-        ranks = C.rank_table(max_enum) if inner else None
-        subsets = vertex_subsets(C.n, C.k, ranks,
-                                 [(int(v), i) for i, v in inner])
+        targets = [(int(v), C.k - i) for i, v in inner]
+        hits = column_subsets_attaining(C.gen, targets, max_enum)
+        subsets = vertex_subsets([s for s, _ in targets], hits)
         steps = [C.zero_subcode()]
         steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
         steps.append(C.whole_subcode())
@@ -542,11 +544,12 @@ def verify_parallelogram(lattice, pairs=None) -> bool:
     return True
 
 
-def gap_condition_check(C: LinearCode) -> bool:
+def gap_condition_check(C: LinearCode,
+                        max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """At every interior polygon vertex, every non-filtration subcode of
     that rank keeps a degree gap of at least mu_a - mu_{a+1} below the
     polygon."""
-    filt = canonical_filtration(C)
+    filt = canonical_filtration(C, max_enum)
     poly = filt.polygon
     if poly.N < 2:
         return True

@@ -28,7 +28,8 @@ _VALIDATE_EXHAUSTIVE = 12
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
-    __slots__ = ("n", "k", "ranks", "_minr")
+    # Memos: the least rank per subset size, the filtration and the dual.
+    __slots__ = ("n", "k", "ranks", "_minr", "_filt", "_dual")
 
     def __init__(self, n: int, ranks, validate: bool = True):
         if n > MATROID_CAP:
@@ -43,6 +44,8 @@ class Matroid:
         self.ranks = ranks
         self.k = ranks[(1 << n) - 1]
         self._minr = None
+        self._filt = None
+        self._dual = None
         if validate:
             self._validate()
 
@@ -89,11 +92,15 @@ class Matroid:
         return comp.bit_count() - self.ranks[comp]
 
     def dual(self) -> "Matroid":
-        full = (1 << self.n) - 1
-        r = self.ranks
-        table = bytes(J.bit_count() + r[full ^ J] - self.k
-                      for J in range(1 << self.n))
-        return Matroid(self.n, table, validate=False)
+        """The dual matroid, built once; its dual is this matroid."""
+        if self._dual is None:
+            full = (1 << self.n) - 1
+            r = self.ranks
+            table = bytes(J.bit_count() + r[full ^ J] - self.k
+                          for J in range(1 << self.n))
+            self._dual = Matroid(self.n, table, validate=False)
+            self._dual._dual = self
+        return self._dual
 
     def restrict(self, T: int) -> "Matroid":
         """Restriction to the elements of T, reindexed in ascending order."""
@@ -149,10 +156,23 @@ class Matroid:
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
-        vertex; a second attaining subset raises)."""
-        poly = self.polygon()
-        steps = vertex_subsets(self.n, self.k, self.ranks, poly.vertices)
-        return Filtration(steps, poly)
+        vertex; a second attaining subset raises).  One pass over the
+        table finds every interior vertex; the result is kept."""
+        if self._filt is None:
+            poly = self.polygon()
+            want = {s: self.k - int(t) for s, t in poly.vertices[1:-1]}
+            hits = {0: [0], self.n: [(1 << self.n) - 1]}
+            hits.update((s, []) for s in want)
+            if want:
+                vertex_ranks = set(want.values())
+                for J, r in enumerate(self.ranks):
+                    if r in vertex_ranks:
+                        s = J.bit_count()
+                        if want.get(s) == r:
+                            hits[s].append(J)
+            steps = vertex_subsets([s for s, _ in poly.vertices], hits)
+            self._filt = Filtration(steps, poly)
+        return self._filt
 
     def graded(self) -> list["Matroid"]:
         """Minors between consecutive filtration steps (contract the

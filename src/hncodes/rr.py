@@ -202,7 +202,8 @@ def _standard_core(C: LinearCode):
     return core, zero_mask, wmask
 
 
-def wei_duality_check(C: LinearCode) -> bool:
+def wei_duality_check(C: LinearCode,
+                      max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """Wei's partition: {d_i(C)} and {n + 1 - d_i(C-dual)} tile [n].
 
     Checked directly when C and its dual both have full support; otherwise
@@ -211,33 +212,33 @@ def wei_duality_check(C: LinearCode) -> bool:
     the core.
     """
     if C.k == C.n:
-        return C.weight_hierarchy() == tuple(range(C.n + 1))
+        return C.weight_hierarchy(max_enum) == tuple(range(C.n + 1))
     primal, dual_full = full_support_status(C)
     if primal and dual_full:
-        return _wei_partition(C)
+        return _wei_partition(C, max_enum)
     core, _, _ = _standard_core(C)
     if core is None:
         return True
     if core.k == core.n:
-        return core.weight_hierarchy() == tuple(range(core.n + 1))
-    return _wei_partition(core)
+        return core.weight_hierarchy(max_enum) == tuple(range(core.n + 1))
+    return _wei_partition(core, max_enum)
 
 
-def _wei_partition(C: LinearCode) -> bool:
-    d = set(C.weight_hierarchy()[1:])
-    dd = {C.n + 1 - x for x in C.dual().weight_hierarchy()[1:]}
+def _wei_partition(C: LinearCode, max_enum: int) -> bool:
+    d = set(C.weight_hierarchy(max_enum)[1:])
+    dd = {C.n + 1 - x for x in C.dual().weight_hierarchy(max_enum)[1:]}
     return (len(d) == C.k and len(dd) == C.n - C.k and not d & dd
             and d | dd == set(range(1, C.n + 1)))
 
 
-def dual_dlp_check(C: LinearCode) -> bool:
+def dual_dlp_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """k_{n-j}(C-dual) = k_j(C) + n - j - k for all j, with witness
     transfer: a maximizing J for C complements to one for the dual."""
     D = C.dual()
-    kj = C.dlp()
-    kjd = D.dlp()
+    kj = C.dlp(max_enum)
+    kjd = D.dlp(max_enum)
     full = (1 << C.n) - 1
-    wits = C.dlp_witnesses()
+    wits = C.dlp_witnesses(max_enum)
     for j in range(C.n + 1):
         if kjd[C.n - j] != kj[j] + C.n - j - C.k:
             return False

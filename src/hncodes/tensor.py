@@ -17,9 +17,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .algebra import SUBSET_ENUM_CAP, Matrix, _check_cap
+from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap,
+                      column_subsets_attaining)
 from .code import LinearCode, Subcode, mask_of
 from .errors import InvalidHierarchy, InvariantViolation, NotASubcode
 from .hn import is_semistable
@@ -218,19 +218,14 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
 
 def _levels(C: LinearCode, max_enum: int):
     """For each i, the supports of the minimum-weight i-dimensional
-    subcodes: {J : #J = d_i, dim of the shortening to J is i}."""
+    subcodes: {J : #J = d_i, dim of the shortening to J is i}, i.e. the
+    complements of the (n - d_i)-column subsets of rank k - i."""
     d = C.weight_hierarchy(max_enum)
-    tab = C.rank_table(max_enum)
-    full = (1 << C.n) - 1
-    out = []
-    for i in range(1, C.k + 1):
-        lvl = []
-        for combo in combinations(range(C.n), d[i]):
-            J = mask_of(combo)
-            if C.k - tab[full ^ J] == i:
-                lvl.append(J)
-        out.append(lvl)
-    return out
+    n, k = C.n, C.k
+    hits = column_subsets_attaining(
+        C.gen, [(n - d[i], k - i) for i in range(1, k + 1)], max_enum)
+    full = (1 << n) - 1
+    return [[full ^ S for S in hits[n - d[i]]] for i in range(1, k + 1)]
 
 
 def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:

@@ -23,6 +23,8 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
+from hncodes.algebra import (column_rank_table, column_subsets_attaining,
+                             min_column_rank_by_size)
 from hncodes.code import mask_of
 from hncodes.hn import (
     SUBSPACE_CAP,
@@ -35,7 +37,10 @@ from hncodes.hn import (
     verify_galois,
     verify_parallelogram,
 )
+from hncodes.rr import dual_dlp_check, wei_duality_check
 
+import hncodes.algebra
+import hncodes.code
 import hncodes.hn as hn
 import oracles
 
@@ -318,6 +323,59 @@ def test_matroid_filtration_is_the_galois_preimage():
     assert seen >= 20
 
 
+def table_scan(C, targets):
+    """Every column subset of each target (size, rank), read off the full
+    rank table mask by mask."""
+    tab = column_rank_table(C.gen, C.n)
+    return {s: [S for S in range(1 << C.n)
+                if S.bit_count() == s and tab[S] == r] for s, r in targets}
+
+
+def test_pruned_vertex_search_against_the_rank_table():
+    # the pruned search finds what a scan of all 2^n subsets finds: at the
+    # filtration vertices, at every size's least rank, and at random ranks
+    rng = random.Random(281)
+    codes = filtration_codes(rng, 60)
+    for C in codes:
+        expect = oracles.brute_filtration(C.field, oracles.rows_of(C))
+        got = [frozenset(oracles.codewords(C.field, s.basis.row_list()))
+               if s.dim else frozenset([(0,) * C.n])
+               for s in canonical_filtration(C).steps]
+        assert got == expect
+    for _ in range(30):
+        field = rng.choice((GF2, GF3, GF4))
+        n = rng.randrange(1, 13)
+        codes.append(zoo.random_code(rng, field, n, rng.randrange(1, min(n, 6) + 1)))
+    interior = 0
+    for C in codes:
+        minr = min_column_rank_by_size(C.gen, C.n)
+        vertices = [(int(v), C.k - i)
+                    for i, v in code_polygon(C).vertices[1:-1]]
+        interior += bool(vertices)
+        sizes = range(C.n + 1)
+        picks = rng.sample(sizes, rng.randrange(1, C.n + 2))
+        for targets in (vertices,
+                        [(s, minr[s]) for s in sizes],
+                        [(s, rng.randrange(minr[s], C.k + 1)) for s in picks]):
+            hits = column_subsets_attaining(C.gen, targets, C.n)
+            assert {s: sorted(found) for s, found in hits.items()} == \
+                table_scan(C, targets)
+    assert interior >= 20
+
+
+def test_filtration_builds_no_rank_table(monkeypatch):
+    tables = []
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return column_rank_table(*args, **kwargs)
+    monkeypatch.setattr(hncodes.algebra, "column_rank_table", counted)
+    monkeypatch.setattr(hncodes.code, "column_rank_table", counted)
+    C = zoo.binary_9_7()
+    assert canonical_filtration(C).polygon.N == 2     # an interior vertex
+    assert tables == []
+
+
 def test_graded_pieces():
     C = zoo.binary_9_7()
     pieces = graded_pieces(C)
@@ -531,6 +589,21 @@ def test_one_analysis_per_code(monkeypatch):
     assert not is_semistable(S) and S.is_full_support
     assert gap_condition_check(S) and verify_galois(S)
     assert len(builds) == 2
+
+
+def test_lattice_checks_honour_a_raised_cap():
+    # n = 21 is past the default cap, yet the subcode lattice has 5 elements
+    def long_code():
+        return LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0),
+                                          (0,) * 19 + (1, 1)])
+    C = long_code()
+    assert gap_condition_check(C, max_enum=22)
+    assert len(hn.subcode_lattice(C)) == 5
+    assert wei_duality_check(C, max_enum=22)
+    assert dual_dlp_check(C, max_enum=22)
+    for check in (gap_condition_check, wei_duality_check, dual_dlp_check):
+        with pytest.raises(SizeLimitExceeded):
+            check(long_code())
 
 
 def test_gap_condition():
