@@ -11,6 +11,11 @@ The subset-rank helpers at the bottom enumerate column subsets of a matrix
 by depth-first extension, sharing echelon bases along the search tree.  They
 are the workhorse behind weight hierarchies, dimension/length profiles and
 cohomology tables, and are capped because the enumeration is exponential.
+`column_rank_table` visits every subset; the two searches cut the walk
+down.  The least-rank search visits only subsets that are a prefix of their
+closure (the columns of a flat of the column matroid, taken in index
+order), and the attaining-subset search only subsets at or below its
+target ranks.
 """
 
 from __future__ import annotations
@@ -527,7 +532,9 @@ def echelon_inserter(M: Matrix):
     `insert(basis, v)` returns an extended immutable basis when v is
     independent of it, else None.  Bases are shared along search trees.
     Over GF(2) columns are bit-packed ints; otherwise tuples with pivot
-    normalization.
+    normalization.  In characteristic 2 (GF(4), GF(256), ...) subtracting
+    two field elements is XOR of their integer encodings, so elimination
+    skips the subtraction table there.
     """
     f = M.field
     if f.q == 2:
@@ -551,6 +558,7 @@ def echelon_inserter(M: Matrix):
         return insert, cols
 
     SUB, MUL, INV = f._sub, f._mul, f._inv
+    xor = f.p == 2
     cols = [M.column(j) for j in range(M.cols)]
 
     def insert(basis, v):
@@ -558,11 +566,14 @@ def echelon_inserter(M: Matrix):
             c = v[piv]
             if c:
                 mc = MUL[c]
-                v = tuple(SUB[x][mc[y]] for x, y in zip(v, row))
+                if xor:
+                    v = tuple([x ^ mc[y] for x, y in zip(v, row)])
+                else:
+                    v = tuple([SUB[x][mc[y]] for x, y in zip(v, row)])
         for i, x in enumerate(v):
             if x:
                 mi = MUL[INV[x]]
-                return basis + ((i, tuple(mi[y] for y in v)),)
+                return basis + ((i, tuple([mi[y] for y in v])),)
         return None
 
     return insert, cols
@@ -593,8 +604,17 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP,
     """For each s, the minimum rank over column subsets of size s.
 
     Returns the list of minima, or (minima, witnesses) with one minimizing
-    bitmask per size when witness=True.  Prunes subtrees that cannot
-    improve any entry (subset ranks only grow along extensions).
+    bitmask per size when witness=True; each witness is the first subset
+    of its size, in the lexicographic order of sorted column indices, that
+    attains the minimum.
+
+    The walk is `column_rank_table`'s DFS cut down twice.  It visits only
+    subsets S that are a prefix of their closure cl(S) (the flat they
+    span), i.e. the first #S columns of cl(S) in index order.  A least-rank
+    s-subset can always be taken so: the first s columns of its closure
+    have rank no larger, hence the same rank and the same closure.  And it
+    prunes subtrees that cannot improve any entry (subset ranks only grow
+    along extensions).
     """
     n = M.cols
     _check_cap(n, max_enum)
@@ -607,20 +627,24 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP,
         if rk < best[size]:
             best[size] = rk
             wit[size] = mask
-        rem = n - start
-        if not rem:
-            return
-        for t in range(1, rem + 1):
-            if best[size + t] > rk:
-                break
-        else:
+        # best is nondecreasing in size at every moment of the walk, since
+        # a node is always visited after its parent, whose rank is no
+        # larger.  So if the largest size this subtree reaches cannot be
+        # improved on, no smaller size can either.
+        if best[size + n - start] <= rk:
             return
         for j in range(start, n):
             nb = insert(basis, cols[j])
             if nb is None:
                 rec(j + 1, mask | (1 << j), size + 1, rk, basis)
-            else:
-                rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
+                # Closure cutoff: column j lies in span(S), so every later
+                # sibling S + {j'} (j' > j) leaves out a closure column
+                # below its last one and is not a prefix of its closure;
+                # nor is any of its descendants.  The prefixes of a closure
+                # prefix are closure prefixes, so every subset the answer
+                # needs keeps its whole DFS path and nothing it needs is cut.
+                return
+            rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
 
     rec(0, 0, 0, 0, ())
     if witness:

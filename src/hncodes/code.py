@@ -8,7 +8,10 @@ subcode deliberately has degree n.
 
 Weight hierarchies are computed through the dimension/length profile
 k_j = max {dim C_J : #J = j} rather than by enumerating subcodes, so the
-cost is governed by 2^n (with pruning), never by q^k.
+cost never depends on q^k.  The least column ranks behind the profile come
+from one search per code that walks only column subsets which are a prefix
+of their closure (the flats of the column matroid, in index order) and
+prunes what cannot improve a minimum; it is still capped at 2^n subsets.
 """
 
 from __future__ import annotations

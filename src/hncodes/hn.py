@@ -333,7 +333,9 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 
     Piece a is the projection of step a onto the coordinates its support
     adds over step a-1; it is an [n_a - n_{a-1}, i_a - i_{a-1}] code,
-    semistable of slope mu_a.  Requires full support.
+    semistable of slope mu_a.  Requires full support.  A semistable code
+    (filtration 0 < C) is its own only piece, so its checks read C's memos
+    instead of searching a copy.
     """
     if not C.is_full_support:
         raise NotFullSupport("graded pieces need a full-support code",
@@ -345,7 +347,9 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     for a in range(1, len(filt.steps)):
         step = filt.steps[a]
         T = step.support_mask & ~prev_mask
-        piece = LinearCode.span(step.basis.col_submatrix(bits_of(T)))
+        cols = bits_of(T)
+        piece = (C if len(cols) == C.n
+                 else LinearCode.span(step.basis.col_submatrix(cols)))
         exp_k = step.dim - filt.steps[a - 1].dim
         if piece.n != T.bit_count() or piece.k != exp_k:
             raise InvariantViolation("graded piece has wrong parameters")

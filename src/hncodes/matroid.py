@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .code import LinearCode
+from .code import LinearCode, bits_of
 from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, minima_polygon, profile_gaps,
                  profile_hierarchy, subset_profile, vertex_subsets)
@@ -112,16 +112,15 @@ class Matroid:
 
     def _minor(self, elems, S: int) -> "Matroid":
         """Contract S, then restrict to `elems` (disjoint from S)."""
-        base = self.ranks[S]
-        m = len(elems)
-        table = bytearray(1 << m)
-        for X in range(1 << m):
-            mask = S
-            for i in range(m):
-                if (X >> i) & 1:
-                    mask |= 1 << elems[i]
-            table[X] = self.ranks[mask] - base
-        return Matroid(m, bytes(table), validate=False)
+        # masks[X] = S | {elems[i] : bit i of X}; the subsets holding
+        # elems[i] are those without it, shifted up by 2^i
+        masks = [S]
+        for e in elems:
+            bit = 1 << e
+            masks += [x | bit for x in masks]
+        ranks, base = self.ranks, self.ranks[S]
+        return Matroid(len(elems), bytes([ranks[x] - base for x in masks]),
+                       validate=False)
 
     # -- profiles ------------------------------------------------------------
 
@@ -176,19 +175,16 @@ class Matroid:
 
     def graded(self) -> list["Matroid"]:
         """Minors between consecutive filtration steps (contract the
-        previous step, keep the new elements); each is semistable of the
-        corresponding side slope."""
+        previous step, keep the new elements), one table pass each; each is
+        semistable of the corresponding side slope.  A semistable matroid
+        is its own only piece."""
         filt = self.filtration()
         out = []
         for a in range(1, len(filt.steps)):
             prev = filt.steps[a - 1]
             T = filt.steps[a] & ~prev
-            left = [e for e in range(self.n) if not (prev >> e) & 1]
-            Timg = 0
-            for i, e in enumerate(left):
-                if (T >> e) & 1:
-                    Timg |= 1 << i
-            piece = self.contract(prev).restrict(Timg)
+            elems = bits_of(T)
+            piece = self if len(elems) == self.n else self._minor(elems, prev)
             mu = filt.slopes[a - 1]
             if piece.polygon().slopes != (mu,):
                 raise InvariantViolation(

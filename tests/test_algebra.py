@@ -255,6 +255,54 @@ def test_min_column_rank_by_size():
             assert tab[wits[s]] == mins[s]
 
 
+def columned_matrices(rng, count, nmax=12):
+    """Random k x n matrices over GF(2), GF(3), GF(4) and GF(256), n <= nmax,
+    whose columns are often zero, repeats or scalar multiples of earlier
+    ones, so that closures hold many columns and ties are common."""
+    fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
+              FieldSpec(2, 8, 0x11B)]
+    out = []
+    for _ in range(count):
+        f = rng.choice(fields)
+        k, n = rng.randrange(1, 6), rng.randrange(1, nmax + 1)
+        cols = []
+        for _ in range(n):
+            shape = rng.random()
+            if cols and shape < 0.15:
+                cols.append(rng.choice(cols))
+            elif cols and shape < 0.3:
+                a = rng.randrange(1, f.q)
+                cols.append([f.mul(a, x) for x in rng.choice(cols)])
+            elif shape < 0.4:
+                cols.append([0] * k)
+            else:
+                cols.append([rng.randrange(f.q) for _ in range(k)])
+        out.append(Matrix.from_rows(f, [[c[i] for c in cols]
+                                        for i in range(k)]))
+    return out
+
+
+def test_min_rank_search_matches_rank_table():
+    # the least-rank search walks only closure prefixes and prunes by one
+    # lookup; the full rank table is its oracle
+    import random
+    from test_hn import filtration_codes
+    rng = random.Random(31)
+    mats = columned_matrices(rng, 300)
+    mats += [C.gen for C in filtration_codes(rng, 100, nmax=10)]
+    for M in mats:
+        n = M.cols
+        tab = column_rank_table(M)
+        expect = [n + 1] * (n + 1)
+        for J, r in enumerate(tab):
+            s = J.bit_count()
+            expect[s] = min(expect[s], r)
+        best, wits = min_column_rank_by_size(M, witness=True)
+        assert best == expect
+        for s in range(n + 1):
+            assert wits[s].bit_count() == s and tab[wits[s]] == best[s]
+
+
 def test_rank_machinery_cap():
     f2 = FieldSpec(2)
     M = Matrix.from_rows(f2, [[1] * 21])

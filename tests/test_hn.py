@@ -391,6 +391,23 @@ def test_graded_pieces():
         graded_pieces(padded)
 
 
+def test_semistable_code_is_searched_once(monkeypatch):
+    # a semistable code is its own only graded piece, so graded_pieces
+    # reads the code's memoized search instead of searching a copy
+    searches = []
+    search = hncodes.code.min_column_rank_by_size
+
+    def counted(M, *args, **kwargs):
+        searches.append(M.cols)
+        return search(M, *args, **kwargs)
+    monkeypatch.setattr(hncodes.code, "min_column_rank_by_size", counted)
+    C = zoo.binary_5_2()
+    assert is_semistable(C) and C.is_full_support
+    C.weight_hierarchy()
+    assert graded_pieces(C) == [C]
+    assert searches == [5]
+
+
 def test_graded_pieces_random_full_support():
     rng = random.Random(241)
     for C in small_codes(rng, 40, nmax=8, kmax=4):

@@ -234,6 +234,20 @@ def test_graded_minors_are_semistable():
     assert U.graded() == [U]
 
 
+def test_graded_minors_take_one_table_pass(monkeypatch):
+    # each piece is one minor of the matroid's own table; no contraction
+    # or restriction is built on the way
+    def refuse(self, S):
+        raise AssertionError("graded() built an intermediate minor")
+    monkeypatch.setattr(Matroid, "contract", refuse)
+    monkeypatch.setattr(Matroid, "restrict", refuse)
+    M = matroid_from_code(zoo.binary_9_7())
+    assert [(g.n, g.k) for g in M.graded()] == [(4, 3), (5, 4)]
+    U = uniform_matroid(2, 4)
+    (piece,) = U.graded()
+    assert piece is U
+
+
 def test_semistable_matches_subset_side():
     rng = random.Random(359)
     for M in random_matroids(rng, 20, nmax=8):
