@@ -461,13 +461,6 @@ class Matrix:
         vec = Matrix.from_rows(self.field, [list(vector)])
         return self.rank() == self.stack(vec).rank()
 
-    def row_space_equals(self, other: "Matrix") -> bool:
-        self._require_same_field(other)
-        if self.cols != other.cols:
-            return False
-        r = self.rank()
-        return r == other.rank() and r == self.stack(other).rank()
-
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.field == other.field
@@ -599,14 +592,12 @@ def column_rank_table(M: Matrix, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
     return bytes(table)
 
 
-def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP,
-                            witness: bool = False):
+def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP):
     """For each s, the minimum rank over column subsets of size s.
 
-    Returns the list of minima, or (minima, witnesses) with one minimizing
-    bitmask per size when witness=True; each witness is the first subset
-    of its size, in the lexicographic order of sorted column indices, that
-    attains the minimum.
+    Returns (minima, witnesses) with one minimizing bitmask per size; each
+    witness is the first subset of its size, in the lexicographic order of
+    sorted column indices, that attains the minimum.
 
     The walk is `column_rank_table`'s DFS cut down twice.  It visits only
     subsets S that are a prefix of their closure cl(S) (the flat they
@@ -647,9 +638,7 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP,
             rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
 
     rec(0, 0, 0, 0, ())
-    if witness:
-        return best, wit
-    return best
+    return best, wit
 
 
 def column_subsets_attaining(M: Matrix, targets,

@@ -38,12 +38,10 @@ from .matroid import (dual_polygon_check, gap_counts_check,
 from .rr import (cohomology, dual_code_slopes, dual_dlp_check, dual_polygon,
                  dual_subset_polygon_check, rr_check, rr_normalized,
                  serre_check, wei_duality_check)
-from .tensor import (is_chained, schaathun_bound, schaathun_bound_table,
-                     schaathun_verify, tensor_semistable_check,
-                     wei_yang_check, witness)
+from .tensor import (TENSOR_ENUM_CAP, is_chained, schaathun_bound,
+                     schaathun_bound_table, schaathun_verify,
+                     tensor_semistable_check, wei_yang_check, witness)
 from . import zoo
-
-TENSOR_ENUM_CAP = 18
 
 
 # -- report plumbing --------------------------------------------------------
@@ -317,9 +315,8 @@ def cmd_rr(args):
     C = parse_code_file(args.file)
     cap = _cap(args, SUBSET_ENUM_CAP)
     if args.all:
-        _check_cap(C.n, cap)
-        ok_rr = rr_check(C, exhaustive_limit=cap)
-        ok_serre = serre_check(C, exhaustive_limit=cap)
+        ok_rr = rr_check(C, cap)
+        ok_serre = serre_check(C, cap)
         results = {
             "n": C.n,
             "k": C.k,

@@ -67,11 +67,12 @@ def _support_of_matrix(M: Matrix) -> int:
 class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
-    # Memos of the code's own analysis: the min-rank search, the rank
-    # table, the dual, the canonical filtration and the subcode lattice (both
-    # filled by hn.py), and the last tensor product as (other, product).
-    __slots__ = ("field", "n", "k", "gen", "_minr", "_minr_wit", "_rtab",
-                 "_dual", "_filt", "_lattice", "_tensor")
+    # Memos of the code's own analysis: the min-rank search as (minima,
+    # witnesses), the rank table, the dual, the canonical filtration and
+    # the subcode lattice (both filled by hn.py), and the last tensor
+    # product as (other, product).
+    __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_dual",
+                 "_filt", "_lattice", "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -87,7 +88,6 @@ class LinearCode:
         self.k = gen.rows
         self.gen = R
         self._minr = None
-        self._minr_wit = None
         self._rtab = None
         self._dual = None
         self._filt = None
@@ -168,13 +168,11 @@ class LinearCode:
     # Both memos check the cap on every call, so whether a cap is honoured
     # does not depend on what was computed before.
 
-    def _min_ranks(self, max_enum: int, witness: bool = False):
+    def _min_ranks(self, max_enum: int):
         _check_cap(self.n, max_enum)
-        if self._minr is None or (witness and self._minr_wit is None):
-            best, wit = min_column_rank_by_size(self.gen, max_enum,
-                                                witness=True)
-            self._minr, self._minr_wit = best, wit
-        return (self._minr, self._minr_wit) if witness else self._minr
+        if self._minr is None:
+            self._minr = min_column_rank_by_size(self.gen, max_enum)
+        return self._minr
 
     def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
@@ -192,11 +190,12 @@ class LinearCode:
     def dlp(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """Dimension/length profile (k_0, ..., k_n), k_j = max dim C_J."""
         from .hn import subset_profile  # hn builds on this module
-        return subset_profile(self.n, self.k, self._min_ranks(max_enum))
+        minima, _ = self._min_ranks(max_enum)
+        return subset_profile(self.n, self.k, minima)
 
     def dlp_witnesses(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """One maximizing coordinate set per profile entry."""
-        _, wit = self._min_ranks(max_enum, witness=True)
+        _, wit = self._min_ranks(max_enum)
         full = (1 << self.n) - 1
         return tuple(full ^ wit[self.n - j] for j in range(self.n + 1))
 

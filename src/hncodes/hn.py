@@ -239,7 +239,7 @@ def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 def subset_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                    ) -> CanonicalPolygon:
     """Polygon of the coordinate-subset lattice: profile (j, k_{n-j})."""
-    return minima_polygon(C.k, C._min_ranks(max_enum))
+    return minima_polygon(C.k, C._min_ranks(max_enum)[0])
 
 
 class Filtration:
@@ -495,10 +495,7 @@ class SubsetLattice:
     """The boolean lattice of coordinate subsets with a supplied degree."""
 
     def __init__(self, n: int, degree_fn, max_enum: int = SUBSET_ENUM_CAP):
-        if n > max_enum:
-            raise SizeLimitExceeded(
-                f"subset lattice on {n} points exceeds cap {max_enum}",
-                limit=max_enum, needed=n)
+        _check_cap(n, max_enum)
         self.n = n
         self.elements = range(1 << n)
         self._deg = [degree_fn(J) for J in self.elements]

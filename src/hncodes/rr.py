@@ -7,23 +7,24 @@ so h0 - h1 = #J + k - n (Euler), h1(C, J) = h0(C-dual, [n]-J) at the level
 of dimensions (Serre), and subtracting the two gives the Riemann-Roch
 identity h0(C, J) - h0(C-dual, [n]-J) = #J + k - n.
 
-The same module hosts Wei's duality partition, the profile duality with
-witness transfer, and the two polygon-level duality laws (subset side and
-code side with the slope map mu -> -1 + 1/(mu + 1)).
+The Riemann-Roch, Serre and Clifford checks read h0(C, J) = k - rank of
+the columns outside J off the rank tables of C and its dual, over all 2^n
+subsets; past the max_enum cap they raise SizeLimitExceeded.
+
+The same module hosts Wei's duality partition (checked on the code itself
+from the memoized weight hierarchies of C and its dual), the profile
+duality with witness transfer, and the two polygon-level duality laws
+(subset side and code side with the slope map mu -> -1 + 1/(mu + 1)).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .algebra import SUBSET_ENUM_CAP
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import CanonicalPolygon, canonical_filtration, code_polygon, subset_polygon
-
-_EXHAUSTIVE_LIMIT = 16
-_SAMPLES = 4096
 
 
 class CohomologyPair:
@@ -67,56 +68,27 @@ def cohomology(C: LinearCode, J: int) -> CohomologyPair:
     return pair
 
 
-def _subset_iter(n: int, exhaustive_limit: int, samples: int, seed: int):
-    if n <= exhaustive_limit:
-        return range(1 << n)
-    rng = random.Random(seed)
-    return [rng.randrange(1 << n) for _ in range(samples)]
-
-
-def _outside_rank(C: LinearCode, exhaustive_limit: int):
-    """J -> rank of the generator columns outside J; table-backed when
-    n <= exhaustive_limit (the table's cap), direct elimination otherwise."""
-    full = (1 << C.n) - 1
-    if C.n <= exhaustive_limit:
-        tab = C.rank_table(exhaustive_limit)
-        return lambda J: tab[full ^ J]
-
-    def direct(J: int) -> int:
-        out = bits_of(full ^ J)
-        return C.gen.col_submatrix(out).rank() if out else 0
-    return direct
-
-
-def rr_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
-             samples: int = _SAMPLES) -> bool:
-    """h0(C, J) - h0(C-dual, [n]-J) == #J + k - n over all (or sampled) J."""
+def _subset_dims(C: LinearCode, max_enum: int):
+    """(J, h0(C, J), h1(C, J), h0(C-dual, [n]-J)) for all 2^n subsets J,
+    read off the rank tables of C and then of its dual."""
+    tab = C.rank_table(max_enum)
     D = C.dual()
-    rC = _outside_rank(C, exhaustive_limit)
-    rD = _outside_rank(D, exhaustive_limit)
+    tabd = D.rank_table(max_enum)
     full = (1 << C.n) - 1
-    for J in _subset_iter(C.n, exhaustive_limit, samples, 0xFE11):
-        h0 = C.k - rC(J)
-        h0d = D.k - rD(full ^ J)
-        if h0 - h0d != J.bit_count() + C.k - C.n:
-            return False
-    return True
-
-
-def serre_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
-                samples: int = _SAMPLES) -> bool:
-    """h1(C, J) == h0(C-dual, [n]-J) over all (or sampled) J."""
-    D = C.dual()
-    rC = _outside_rank(C, exhaustive_limit)
-    rD = _outside_rank(D, exhaustive_limit)
-    full = (1 << C.n) - 1
-    for J in _subset_iter(C.n, exhaustive_limit, samples, 0x5E44E):
+    for J in range(1 << C.n):
         comp = full ^ J
-        h1 = comp.bit_count() - rC(J)
-        h0d = D.k - rD(comp)
-        if h1 != h0d:
-            return False
-    return True
+        yield J, C.k - tab[comp], comp.bit_count() - tab[comp], D.k - tabd[J]
+
+
+def rr_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """h0(C, J) - h0(C-dual, [n]-J) == #J + k - n for every subset J."""
+    return all(h0 - h0d == J.bit_count() + C.k - C.n
+               for J, h0, _, h0d in _subset_dims(C, max_enum))
+
+
+def serre_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """h1(C, J) == h0(C-dual, [n]-J) for every subset J."""
+    return all(h1 == h0d for _, _, h1, h0d in _subset_dims(C, max_enum))
 
 
 def rr_normalized(C: LinearCode, J: int,
@@ -152,19 +124,17 @@ def les_check(C: LinearCode, J: int, Jp: int) -> bool:
     return True
 
 
-def clifford_check(C: LinearCode, exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
-                   samples: int = _SAMPLES) -> bool:
-    """For a self-dual code, h0(C, J) <= #J / 2 for every subset."""
+def clifford_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """For a self-dual code, h0(C, J) <= #J / 2 for every subset J."""
     if C.dual() != C:
         raise InvariantViolation("Clifford bound applies to self-dual codes")
-    rC = _outside_rank(C, exhaustive_limit)
-    for J in _subset_iter(C.n, exhaustive_limit, samples, 0xC11F):
-        if 2 * (C.k - rC(J)) > J.bit_count():
-            return False
-    return True
+    tab = C.rank_table(max_enum)
+    full = (1 << C.n) - 1
+    return all(2 * (C.k - tab[full ^ J]) <= J.bit_count()
+               for J in range(1 << C.n))
 
 
-# -- support diagnostics and the standard decomposition ---------------------
+# -- support diagnostics and Wei duality ------------------------------------
 
 def weight_one_span(C: LinearCode) -> Subcode:
     """The subcode generated by all weight-1 codewords."""
@@ -187,41 +157,19 @@ def full_support_status(C: LinearCode) -> tuple[bool, bool]:
     return primal, dual_full
 
 
-def _standard_core(C: LinearCode):
-    """Strip zero coordinates and the F^W summand spanned by weight-1
-    codewords; returns (core code or None, zero mask, weight-one mask)."""
-    full = (1 << C.n) - 1
-    zero_mask = full ^ C.support_mask
-    wspan = weight_one_span(C)
-    wmask = wspan.support_mask
-    keep = full ^ zero_mask ^ wmask
-    rest = C.shorten(full ^ wmask)
-    if rest.dim == 0 or keep == 0:
-        return None, zero_mask, wmask
-    core = LinearCode.span(rest.basis.col_submatrix(bits_of(keep)))
-    return core, zero_mask, wmask
-
-
 def wei_duality_check(C: LinearCode,
                       max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """Wei's partition: {d_i(C)} and {n + 1 - d_i(C-dual)} tile [n].
 
-    Checked directly when C and its dual both have full support; otherwise
-    the standard decomposition (drop zero coordinates, split off the
-    weight-one summand) is applied first and the partition is checked on
-    the core.
+    Wei (IEEE Trans. Inform. Theory 37, 1991, Thm. 3) proves this for
+    every linear code, zero coordinates and weight-one words included, so
+    it is checked on C itself from the memoized hierarchies of C and its
+    dual.  The full space has no dual code; its hierarchy must be
+    1, ..., n.
     """
     if C.k == C.n:
         return C.weight_hierarchy(max_enum) == tuple(range(C.n + 1))
-    primal, dual_full = full_support_status(C)
-    if primal and dual_full:
-        return _wei_partition(C, max_enum)
-    core, _, _ = _standard_core(C)
-    if core is None:
-        return True
-    if core.k == core.n:
-        return core.weight_hierarchy(max_enum) == tuple(range(core.n + 1))
-    return _wei_partition(core, max_enum)
+    return _wei_partition(C, max_enum)
 
 
 def _wei_partition(C: LinearCode, max_enum: int) -> bool:

@@ -119,8 +119,8 @@ def test_criterion_05_riemann_roch_and_serre():
     subsets for 200 random codes with n <= 12."""
     def body():
         for C in random_pool(2025, 200, 12):
-            assert rr_check(C, exhaustive_limit=12)
-            assert serre_check(C, exhaustive_limit=12)
+            assert rr_check(C, max_enum=12)
+            assert serre_check(C, max_enum=12)
         return "200 random codes, all 2^n subsets each"
     run_criterion(5, 60.0, body)
 

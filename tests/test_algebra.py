@@ -244,11 +244,11 @@ def test_min_column_rank_by_size():
         M = Matrix.from_rows(f2, [[rng.randrange(2) for _ in range(c)]
                                   for _ in range(r)])
         tab = column_rank_table(M)
-        mins = min_column_rank_by_size(M)
+        mins, _ = min_column_rank_by_size(M)
         for s in range(c + 1):
             expect = min(tab[J] for J in range(1 << c) if J.bit_count() == s)
             assert mins[s] == expect
-        mins_w, wits = min_column_rank_by_size(M, witness=True)
+        mins_w, wits = min_column_rank_by_size(M)
         assert tuple(mins_w) == tuple(mins)
         for s in range(c + 1):
             assert wits[s].bit_count() == s
@@ -297,7 +297,7 @@ def test_min_rank_search_matches_rank_table():
         for J, r in enumerate(tab):
             s = J.bit_count()
             expect[s] = min(expect[s], r)
-        best, wits = min_column_rank_by_size(M, witness=True)
+        best, wits = min_column_rank_by_size(M)
         assert best == expect
         for s in range(n + 1):
             assert wits[s].bit_count() == s and tab[wits[s]] == best[s]

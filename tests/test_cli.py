@@ -11,7 +11,6 @@ import pytest
 
 import hncodes.cli as cli
 import hncodes.code as code
-import hncodes.rr as rr
 from hncodes import zoo
 from conftest import SRC, run_cli, run_python
 
@@ -88,6 +87,16 @@ def test_invariant_violation_exits_3(tmp_path):
     proc = run_cli("weights", str(bad))
     assert proc.returncode == 3
     assert "error:" in proc.stderr
+    # the full space has no dual code to check against, but its own rank
+    # table is read first, so the cap still decides past it
+    full = tmp_path / "full_5.code"
+    full.write_text("field 2 1\ncode 5 5\n"
+                    + "".join(f"{1 << i:05b}\n" for i in range(5)))
+    proc = run_cli("rr", str(full), "--all")
+    assert proc.returncode == 3
+    assert "error:" in proc.stderr
+    assert run_cli("rr", str(full), "--all",
+                   "--max-enum", "4").returncode == 4
 
 
 def test_cap_exceeded_exits_4():
@@ -144,15 +153,15 @@ def test_tensor_searches_each_code_once(monkeypatch, capsys):
 
 def test_rr_all_checks_every_subset_it_reports(tmp_path, capsys,
                                                 monkeypatch):
-    # n = 17 is past the library's default exhaustive limit of 16
+    # the checks read the full rank tables of the code and its dual
     seen = []
-    subset_iter = rr._subset_iter
+    rank_table = code.column_rank_table
 
-    def spy(*args):
-        subsets = subset_iter(*args)
-        seen.append(len(subsets))
-        return subsets
-    monkeypatch.setattr(rr, "_subset_iter", spy)
+    def spy(*args, **kwargs):
+        table = rank_table(*args, **kwargs)
+        seen.append(len(table))
+        return table
+    monkeypatch.setattr(code, "column_rank_table", spy)
     path = write_random_binary_code(tmp_path / "b17.code", 1701, 17, 6)
     assert cli.main(["rr", path, "--all"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]

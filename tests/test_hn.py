@@ -348,7 +348,7 @@ def test_pruned_vertex_search_against_the_rank_table():
         codes.append(zoo.random_code(rng, field, n, rng.randrange(1, min(n, 6) + 1)))
     interior = 0
     for C in codes:
-        minr = min_column_rank_by_size(C.gen, C.n)
+        minr, _ = min_column_rank_by_size(C.gen, C.n)
         vertices = [(int(v), C.k - i)
                     for i, v in code_polygon(C).vertices[1:-1]]
         interior += bool(vertices)

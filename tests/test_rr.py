@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import hncodes.code
 from hncodes import (
     InvariantViolation,
     LinearCode,
     NotFullSupport,
+    SizeLimitExceeded,
     canonical_filtration,
     code_polygon,
     cohomology,
@@ -116,12 +118,19 @@ def test_rr_and_serre_checks():
         assert serre_check(C)
 
 
-def test_rr_and_serre_sampled_path():
-    # past the exhaustive limit the checks run on seeded random subsets
+def test_rr_serre_and_clifford_enumerate_under_the_cap():
+    # every subset is checked up to the cap and none past it: there is no
+    # sampled fallback
     rng = random.Random(431)
     C = zoo.random_code(rng, GF2, 17, 3)
-    assert rr_check(C, samples=200)
-    assert serre_check(C, samples=200)
+    assert rr_check(C)
+    assert serre_check(C)
+    with pytest.raises(SizeLimitExceeded):
+        rr_check(C, max_enum=16)
+    with pytest.raises(SizeLimitExceeded):
+        serre_check(C, max_enum=16)
+    with pytest.raises(SizeLimitExceeded):
+        clifford_check(zoo.extended_hamming_8_4(), max_enum=7)
 
 
 def test_rr_normalized_examples():
@@ -173,6 +182,63 @@ def test_wei_duality_other_fields():
         assert wei_duality_check(C)
         if C.k < C.n:
             assert dual_dlp_check(C)
+
+
+def padded_code(rng, zeros, units):
+    """A random code with n <= 8 padded with `zeros` zero columns and
+    `units` unit-vector summands (new coordinates carrying weight-1 words),
+    its two sides kept small enough for the subspace oracle."""
+    while True:
+        field = rng.choice((GF2, GF3, GF4))
+        n0 = rng.randrange(1, 5)
+        base = zoo.random_code(rng, field, n0, rng.randrange(1, n0 + 1))
+        n = n0 + zeros + units
+        rows = [list(base.gen.row(i)) + [0] * (zeros + units)
+                for i in range(base.k)]
+        rows += [[0] * (n0 + zeros) + [int(j == u) for j in range(units)]
+                 for u in range(units)]
+        C = LinearCode.from_rows(field, rows)
+        if 0 < C.n - C.k and max(C.k, C.n - C.k) <= (4 if field.q == 2 else 3):
+            return C
+
+
+def test_wei_duality_without_full_support(monkeypatch):
+    # Wei's partition holds for every code, so it is checked on C itself
+    rng = random.Random(457)
+    pads = {(False, True): (1, 0), (True, False): (0, 1),
+            (False, False): (1, 1)}
+    by_status = {status: [] for status in pads}
+    while min(len(codes) for codes in by_status.values()) < 10:
+        for status, (zeros, units) in pads.items():
+            C = padded_code(rng, zeros + rng.randrange(2) * zeros,
+                            units + rng.randrange(2) * units)
+            codes = by_status.get(full_support_status(C))
+            if codes is not None and len(codes) < 10:
+                codes.append(C)
+    for codes in by_status.values():
+        for C in codes:
+            field = C.field
+            d = oracles.brute_weight_hierarchy(field, oracles.rows_of(C))
+            dd = oracles.brute_weight_hierarchy(field,
+                                                oracles.rows_of(C.dual()))
+            mirrored = [C.n + 1 - x for x in dd[1:]]
+            assert sorted(list(d[1:]) + mirrored) == list(range(1, C.n + 1))
+            assert wei_duality_check(C)
+    # once both hierarchies are memoized the check searches nothing more
+    searches = []
+    search = hncodes.code.min_column_rank_by_size
+
+    def counted(M, *args, **kwargs):
+        searches.append(M.cols)
+        return search(M, *args, **kwargs)
+    monkeypatch.setattr(hncodes.code, "min_column_rank_by_size", counted)
+    for codes in by_status.values():
+        for C in codes:
+            C.weight_hierarchy()
+            C.dual().weight_hierarchy()
+            del searches[:]
+            assert wei_duality_check(C)
+            assert searches == []
 
 
 def test_wei_partition_by_hand():
