@@ -93,31 +93,37 @@ class FieldSpec:
         fields with distinct moduli are distinct specifications.
 
     Elements are ints in [0, q).  Methods do not range-check their
-    arguments on the hot path; validate_scalar is available when reading
-    untrusted input.
+    arguments on the hot path.  The constructor checks the cheap bounds
+    (p and m) before the primality test and before computing p^m.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_mod_digits", "_exp", "_log",
                  "_add", "_sub", "_neg", "_mul", "_inv")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
+        if p > MAX_FIELD_ORDER:
+            raise FieldTooLarge(
+                f"characteristic {p} exceeds {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise NonPrime(f"characteristic {p} is not prime")
         if m < 1:
             raise InvariantViolation(f"extension degree must be >= 1, got {m}")
+        # p >= 2, so m > 8 alone gives p^m > 256 and p^m stays small
+        if m > 8 or p ** m > MAX_FIELD_ORDER:
+            raise FieldTooLarge(
+                f"field order {p}^{m} exceeds {MAX_FIELD_ORDER}")
         q = p ** m
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"field order {q} exceeds {MAX_FIELD_ORDER}")
         if modulus is None:
             if m > 1:
                 raise InvariantViolation(
                     f"an irreducible modulus is required for GF({p}^{m})")
             modulus = p
-        digits = _to_digits(modulus, p)
-        if len(digits) != m + 1 or digits[-1] != 1:
+        # monic of degree m: m + 1 base-p digits, the top one 1
+        if not q <= modulus < 2 * q:
             raise InvariantViolation(
                 f"modulus {modulus} does not encode a monic degree-{m} "
                 f"polynomial over GF({p})")
+        digits = _to_digits(modulus, p)
         if not _poly_is_irreducible(digits, p):
             raise ReducibleModulus(
                 f"modulus {modulus} is reducible over GF({p})")
@@ -243,11 +249,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    def validate_scalar(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise InvariantViolation(f"{a!r} is not an element of GF({self.q})")
-        return a
-
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
                 and (self.p, self.m, self.modulus)
@@ -263,7 +264,10 @@ class FieldSpec:
 
 
 class Matrix:
-    """Immutable dense matrix over a FieldSpec, entries stored row-major."""
+    """Immutable dense matrix over a FieldSpec, entries stored row-major.
+
+    The constructor checks only the shape and trusts the entries to be
+    field elements; `from_rows` checks rows from outside the library."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
@@ -272,26 +276,27 @@ class Matrix:
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise InvariantViolation(
                 f"entry count {len(entries)} does not match {rows}x{cols}")
-        q = field.q
-        for e in entries:
-            if not isinstance(e, int) or not 0 <= e < q:
-                raise InvariantViolation(
-                    f"{e!r} is not an element of GF({q})")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.entries = entries
         self._rref = None
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nr = len(rows)
+        """Matrix from outside rows: refuses ragged rows and entries that
+        are not elements of the field."""
+        rows = [tuple(r) for r in rows]
         nc = len(rows[0]) if rows else 0
+        q = field.q
         for r in rows:
             if len(r) != nc:
                 raise InvariantViolation("ragged rows")
-        return cls(field, nr, nc, tuple(x for r in rows for x in r))
+            for e in r:
+                if not isinstance(e, int) or not 0 <= e < q:
+                    raise InvariantViolation(
+                        f"{e!r} is not an element of GF({q})")
+        return cls(field, len(rows), nc, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -299,10 +304,6 @@ class Matrix:
         for i in range(n):
             ent[i * n + i] = 1
         return cls(field, n, n, tuple(ent))
-
-    @classmethod
-    def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -433,14 +434,14 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in piv]
         f = self.field
         NEG = f._neg
-        rows = []
+        ent = []
         for fc in free:
             v = [0] * self.cols
             v[fc] = 1
             for i, pc in enumerate(piv):
                 v[pc] = NEG[R.entry(i, fc)]
-            rows.append(v)
-        return Matrix.from_rows(f, rows) if rows else Matrix(f, 0, self.cols, ())
+            ent.extend(v)
+        return Matrix(f, len(free), self.cols, tuple(ent))
 
     def row_space_words(self) -> list[tuple[int, ...]]:
         """All q^rows words of the row space (independent rows assumed)."""
@@ -458,7 +459,7 @@ class Matrix:
         return words
 
     def row_space_contains(self, vector) -> bool:
-        vec = Matrix.from_rows(self.field, [list(vector)])
+        vec = Matrix(self.field, 1, self.cols, tuple(vector))
         return self.rank() == self.stack(vec).rank()
 
     def __eq__(self, other):
@@ -485,25 +486,17 @@ def row_space_intersection(A: Matrix, B: Matrix) -> Matrix:
     if A.field != B.field or A.cols != B.cols:
         raise FieldMismatch("incompatible ambient spaces")
     f, n = A.field, A.cols
-    rows = []
+    ent = []
     for i in range(A.rows):
         r = A.row(i)
-        rows.append(list(r) + list(r))
+        ent += r + r
     for i in range(B.rows):
-        rows.append(list(B.row(i)) + [0] * n)
-    if not rows:
-        return Matrix(f, 0, n, ())
-    R, piv = Matrix.from_rows(f, rows).rref()
-    keep = []
-    for i in range(R.rows):
-        row = R.row(i)
-        if any(row[:n]):
-            continue
-        if any(row[n:]):
-            keep.append(list(row[n:]))
-    if not keep:
-        return Matrix(f, 0, n, ())
-    return Matrix.from_rows(f, keep).rref_nonzero()
+        ent += B.row(i) + (0,) * n
+    R, piv = Matrix(f, A.rows + B.rows, 2 * n, tuple(ent)).rref()
+    keep = [row[n:] for row in R.row_list()
+            if not any(row[:n]) and any(row[n:])]
+    return Matrix(f, len(keep), n,
+                  tuple(x for r in keep for x in r)).rref_nonzero()
 
 
 # -- column subset enumeration ---------------------------------------------

@@ -143,7 +143,7 @@ class LinearCode:
         sub = self.gen.col_submatrix(out_cols)
         coeffs = sub.transpose().right_nullspace()
         rows = coeffs.matmul(self.gen)
-        return Subcode(self, rows.rref_nonzero(), check=False)
+        return Subcode(self, rows.rref_nonzero())
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""
@@ -226,13 +226,14 @@ class LinearCode:
         if self.n != other.n:
             raise InvariantViolation("lengths differ")
         MUL = self.field._mul
-        rows = []
+        ent = []
         for i in range(self.k):
             a = self.gen.row(i)
             for j in range(other.k):
                 b = other.gen.row(j)
-                rows.append([MUL[x][y] for x, y in zip(a, b)])
-        return LinearCode.span(Matrix.from_rows(self.field, rows))
+                ent += [MUL[x][y] for x, y in zip(a, b)]
+        return LinearCode.span(
+            Matrix(self.field, self.k * other.k, self.n, tuple(ent)))
 
     def __eq__(self, other):
         return isinstance(other, LinearCode) and self.gen == other.gen
@@ -248,27 +249,27 @@ class Subcode:
     """A subspace of a LinearCode, held as an RREF basis inside the parent.
 
     Dimension 0 is allowed (the zero subcode), unlike LinearCode itself.
+    The constructor trusts `basis` to be an RREF basis of a subspace of
+    the parent; `from_rows` checks outside rows.
     """
 
     __slots__ = ("parent", "basis", "dim")
 
-    def __init__(self, parent: LinearCode, basis: Matrix, check: bool = True):
-        R, piv = basis.rref()
-        if len(piv) != basis.rows:
-            raise InvariantViolation("subcode basis rows are dependent")
-        if basis.cols != parent.n:
-            raise InvariantViolation("subcode length differs from parent")
-        if check and basis.rows:
-            if parent.gen.stack(basis).rank() != parent.k:
-                raise NotASubcode(
-                    "rows do not lie in the parent code's row space")
+    def __init__(self, parent: LinearCode, basis: Matrix):
         self.parent = parent
-        self.basis = R
+        self.basis = basis
         self.dim = basis.rows
 
     @classmethod
     def from_rows(cls, parent: LinearCode, rows) -> "Subcode":
-        M = Matrix.from_rows(parent.field, rows).rref_nonzero()
+        """Subcode spanned by outside rows (dependent rows are dropped);
+        refuses rows of the wrong length or outside the parent code."""
+        M = Matrix.from_rows(parent.field, rows)
+        if M.cols != parent.n:
+            raise InvariantViolation("subcode length differs from parent")
+        M = M.rref_nonzero()
+        if M.rows and parent.gen.stack(M).rank() != parent.k:
+            raise NotASubcode("rows do not lie in the parent code's row space")
         return cls(parent, M)
 
     @property
@@ -306,11 +307,11 @@ class Subcode:
 
     def meet(self, other: "Subcode") -> "Subcode":
         B = row_space_intersection(self.basis, other.basis)
-        return Subcode(self.parent, B, check=False)
+        return Subcode(self.parent, B)
 
     def join(self, other: "Subcode") -> "Subcode":
         B = self.basis.stack(other.basis).rref_nonzero()
-        return Subcode(self.parent, B, check=False)
+        return Subcode(self.parent, B)
 
     def __eq__(self, other):
         return (isinstance(other, Subcode)

@@ -10,7 +10,8 @@ Code files ('#' starts a comment anywhere on a line):
 Matroid files: either `matroid <n> <k>` followed by one line per basis
 (bitmask integers), or a single `from-code <path>` directive naming a
 code file (relative paths resolve against the matroid file's directory).
-All parse errors carry 1-based line and column positions.
+All parse errors carry 1-based line and column positions.  Bytes that are
+not UTF-8 read as U+FFFD, which no token accepts, so they fail in position.
 """
 
 from __future__ import annotations
@@ -91,13 +92,14 @@ def parse_code_text(text: str) -> LinearCode:
         ln = (body[-1][0][1] if body else ch[0][1]) + 1
         raise ParseError(f"expected {k} generator rows, found {len(body)}",
                          line=ln, col=1)
-    rows = []
+    entries = []
     for toks in body:
         if len(toks) == 1 and field.q <= 10 and len(toks[0][0]) > 1:
             val, ln, col = toks[0]
             row = []
             for off, chdig in enumerate(val):
-                if not chdig.isdigit():
+                # str.isdigit also holds for digits int() refuses, e.g. '²'
+                if chdig not in "0123456789":
                     raise ParseError(f"bad digit {chdig!r}",
                                      line=ln, col=col + off)
                 row.append((int(chdig), ln, col + off))
@@ -111,8 +113,9 @@ def parse_code_text(text: str) -> LinearCode:
                 raise ParseError(
                     f"entry {x} outside the field range [0, {field.q})",
                     line=ln, col=col)
-        rows.append([x for x, _, _ in row])
-    M = Matrix.from_rows(field, rows)
+        entries += [x for x, _, _ in row]
+    # every entry was range-checked above, with its position
+    M = Matrix(field, k, n, tuple(entries))
     if M.rank() != k:
         raise InvariantViolation(
             f"declared dimension {k} but the rows have rank {M.rank()}")
@@ -120,7 +123,7 @@ def parse_code_text(text: str) -> LinearCode:
 
 
 def parse_code_file(path: str) -> LinearCode:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_code_text(fh.read())
 
 
@@ -150,7 +153,7 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
             raise ParseError("one basis bitmask per line",
                              line=toks[1][1], col=toks[1][2])
         b = _int(toks[0])
-        if not 0 <= b < (1 << n):
+        if b < 0 or b >> n:
             raise ParseError(f"bitmask {b} outside the ground set",
                              line=toks[0][1], col=toks[0][2])
         if b.bit_count() != k:
@@ -164,6 +167,6 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
 
 
 def parse_matroid_file(path: str) -> Matroid:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_matroid_text(fh.read(), base_dir=os.path.dirname(path)
                                   or ".")

@@ -431,7 +431,8 @@ class SubspaceLattice:
 
     def subcode(self, i: int) -> Subcode:
         X = self.elements[i]
-        return Subcode(self.code, X.matmul(self.code.gen), check=False)
+        # X and the generator are both in RREF, so their product is too
+        return Subcode(self.code, X.matmul(self.code.gen))
 
     def rank(self, i: int) -> int:
         return self.elements[i].rows

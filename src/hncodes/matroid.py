@@ -3,9 +3,9 @@
 The ground set is [n] with n <= 16; the rank of every subset is stored
 (2^n bytes).  Degree of a subset J is k - r(J) with k = r(E), so the top
 has degree 0 and the empty set degree k; the canonical polygon, filtration
-and graded pieces on the subset lattice come from that degree.  Rank-axiom
-validation runs the local exchange axioms (equivalent to the usual
-semimodularity): exhaustively for n <= 12, on a fixed random sample above.
+and graded pieces on the subset lattice come from that degree.  The
+constructor trusts its table; `Matroid.from_ranks` checks the local
+exchange axioms (equivalent to semimodularity) on every subset.
 
 Cohomology on this lattice: h0(M, J) = k - r(E - J) and
 h1(M, J) = #(E - J) - r(E - J), tied to the dual matroid through the usual
@@ -14,15 +14,19 @@ rank complement formula.
 
 from __future__ import annotations
 
-import random
-
 from .code import LinearCode, bits_of
 from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, minima_polygon, profile_gaps,
                  profile_hierarchy, subset_profile, vertex_subsets)
 
 MATROID_CAP = 16
-_VALIDATE_EXHAUSTIVE = 12
+
+
+def _check_ground_set(n: int):
+    if n > MATROID_CAP:
+        raise SizeLimitExceeded(
+            f"matroid ground sets are capped at {MATROID_CAP} elements",
+            limit=MATROID_CAP, needed=n)
 
 
 class Matroid:
@@ -31,34 +35,29 @@ class Matroid:
     # Memos: the least rank per subset size, the filtration and the dual.
     __slots__ = ("n", "k", "ranks", "_minr", "_filt", "_dual")
 
-    def __init__(self, n: int, ranks, validate: bool = True):
-        if n > MATROID_CAP:
-            raise SizeLimitExceeded(
-                f"matroid ground sets are capped at {MATROID_CAP} elements",
-                limit=MATROID_CAP, needed=n)
-        ranks = bytes(ranks)
-        if len(ranks) != 1 << n:
-            raise InvariantViolation(
-                f"rank table must have 2^{n} entries, got {len(ranks)}")
+    def __init__(self, n: int, ranks: bytes):
+        """Trusts `ranks` to be a rank table of 2^n bytes."""
         self.n = n
         self.ranks = ranks
         self.k = ranks[(1 << n) - 1]
         self._minr = None
         self._filt = None
         self._dual = None
-        if validate:
-            self._validate()
 
-    def _validate(self):
-        n, r = self.n, self.ranks
+    @classmethod
+    def from_ranks(cls, n: int, ranks) -> "Matroid":
+        """Matroid from an outside rank table, checked cheapest first: the
+        ground-set cap, the table length, then at every subset J the local
+        axioms r(empty) = 0, r(J+a) - r(J) in {0, 1} and
+        r(J+a) + r(J+b) >= r(J+a+b) + r(J)."""
+        _check_ground_set(n)
+        r = bytes(ranks)
+        if len(r) != 1 << n:
+            raise InvariantViolation(
+                f"rank table must have 2^{n} entries, got {len(r)}")
         if r[0] != 0:
             raise InvariantViolation("rank of the empty set must be 0")
-        if n <= _VALIDATE_EXHAUSTIVE:
-            masks = range(1 << n)
-        else:
-            rng = random.Random(0xA11CE)
-            masks = [rng.randrange(1 << n) for _ in range(4096)]
-        for J in masks:
+        for J in range(1 << n):
             rj = r[J]
             free = [e for e in range(n) if not (J >> e) & 1]
             for e in free:
@@ -75,6 +74,7 @@ class Matroid:
                         raise InvariantViolation(
                             f"local semimodularity fails at subset {J}, "
                             f"elements {free[a]}, {free[b]}")
+        return cls(n, r)
 
     def rank_of(self, J: int) -> int:
         return self.ranks[J]
@@ -98,7 +98,7 @@ class Matroid:
             r = self.ranks
             table = bytes(J.bit_count() + r[full ^ J] - self.k
                           for J in range(1 << self.n))
-            self._dual = Matroid(self.n, table, validate=False)
+            self._dual = Matroid(self.n, table)
             self._dual._dual = self
         return self._dual
 
@@ -119,8 +119,7 @@ class Matroid:
             bit = 1 << e
             masks += [x | bit for x in masks]
         ranks, base = self.ranks, self.ranks[S]
-        return Matroid(len(elems), bytes([ranks[x] - base for x in masks]),
-                       validate=False)
+        return Matroid(len(elems), bytes([ranks[x] - base for x in masks]))
 
     # -- profiles ------------------------------------------------------------
 
@@ -211,19 +210,22 @@ def matroid_from_code(C: LinearCode) -> Matroid:
 
     Column ranks satisfy the rank axioms by construction, so the table is
     not revalidated."""
-    table = C.rank_table(MATROID_CAP)
-    return Matroid(C.n, table, validate=False)
+    return Matroid(C.n, C.rank_table(MATROID_CAP))
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:
     if not 0 <= k <= n:
         raise InvariantViolation(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_ground_set(n)
     table = bytes(min(J.bit_count(), k) for J in range(1 << n))
-    return Matroid(n, table, validate=False)
+    return Matroid(n, table)
 
 
 def matroid_from_bases(n: int, bases) -> Matroid:
-    """Matroid from a list of basis bitmasks: r(J) = max #(B & J)."""
+    """Matroid from a list of basis bitmasks: r(J) = max #(B & J).  The
+    ground-set cap is checked before the 2^n table is built, and the table
+    then goes through `Matroid.from_ranks`."""
+    _check_ground_set(n)
     bases = [int(b) for b in bases]
     if not bases:
         raise InvariantViolation("at least one basis is required")
@@ -233,7 +235,7 @@ def matroid_from_bases(n: int, bases) -> Matroid:
     table = bytearray(1 << n)
     for J in range(1 << n):
         table[J] = max((b & J).bit_count() for b in bases)
-    return Matroid(n, bytes(table), validate=True)
+    return Matroid.from_ranks(n, table)
 
 
 def rr_matroid_check(M: Matroid) -> bool:

@@ -124,10 +124,9 @@ class SchaathunWitness:
 def _column_projection(D: Subcode, nA: int, nB: int, j: int):
     """Span of the j-th matrix column over the basis of D, as row vectors
     of length nA (a subspace of F^{nA})."""
-    rows = [[D.basis.entry(b, i * nB + j) for i in range(nA)]
-            for b in range(D.dim)]
-    M = Matrix.from_rows(D.parent.field, rows)
-    R, piv = M.rref()
+    ent = tuple(D.basis.entry(b, i * nB + j)
+                for b in range(D.dim) for i in range(nA))
+    R, piv = Matrix(D.parent.field, D.dim, nA, ent).rref()
     return [R.row(i) for i in range(len(piv))]
 
 

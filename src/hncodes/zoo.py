@@ -117,8 +117,7 @@ def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
         coeffs = Matrix.from_rows(
             f, [[rng.randrange(f.q) for _ in range(C.k)] for _ in range(r)])
         if coeffs.rank() == r:
-            return Subcode(C, coeffs.matmul(C.gen).rref_nonzero(),
-                           check=False)
+            return Subcode(C, coeffs.matmul(C.gen).rref_nonzero())
 
 
 def iter_all_codes(field: FieldSpec, n: int, kmin: int = 1,

@@ -10,6 +10,7 @@ directory, its (possibly relative) `PYTHONPATH`, or any installed copy.
 """
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -25,21 +26,28 @@ def record(num: int, passed: bool, seconds: float, detail: str = ""):
     RESULTS[num] = (passed, seconds, detail)
 
 
-def run_python(*args):
+def run_python(*args, timeout=None, max_memory=None):
     """Run `python *args` with `cwd=tests/` and the checkout's absolute
-    `src` put first on `PYTHONPATH`; any existing entries are kept after it."""
+    `src` put first on `PYTHONPATH`; any existing entries are kept after it.
+    `max_memory` caps the child's address space in bytes (RLIMIT_AS), and
+    `timeout` (seconds) kills a child that runs longer."""
     env = dict(os.environ)
     paths = [str(SRC)]
     if env.get("PYTHONPATH"):
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     return subprocess.run([sys.executable, *args], cwd=HERE, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=limit_memory if max_memory else None)
 
 
-def run_cli(*args):
+def run_cli(*args, **limits):
     """Run `python -m hncodes *args` the same way as `run_python`."""
-    return run_python("-m", "hncodes", *args)
+    return run_python("-m", "hncodes", *args, **limits)
 
 
 def run_criterion(num: int, budget, body):

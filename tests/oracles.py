@@ -69,20 +69,25 @@ def _vscale(field, c, u):
 
 def subspaces_by_dim(field, rows):
     """All subspaces of the row span as frozensets of codewords, one list
-    per dimension.  Grown one dimension at a time by naive closure."""
+    per dimension.  Grown one dimension at a time by naive closure: each
+    subspace S is extended by every word outside it, skipping words that
+    an earlier extension of S already holds (S + <w> is that extension
+    again), so each superspace is built once per subspace."""
     words = codewords(field, rows)
     zero = words[0]  # sorted puts the all-zero word first
     levels = [{frozenset([zero])}]
     for _ in range(len(rows)):
         nxt = set()
         for S in levels[-1]:
+            covered = set(S)
             for w in words:
-                if w in S:
+                if w in covered:
                     continue
                 bigger = set(S)
                 for c in range(1, field.q):
                     cw = _vscale(field, c, w)
                     bigger.update(_vadd(field, s, cw) for s in S)
+                covered |= bigger
                 nxt.add(frozenset(bigger))
         levels.append(nxt)
     return levels

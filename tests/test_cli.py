@@ -79,6 +79,16 @@ def test_parse_error_exits_2(tmp_path):
     proc = run_cli("weights", str(bad))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    # bytes that are not UTF-8 fail in position, not with a traceback
+    bad.write_bytes(b"field 2 1\ncode 1 1\n\xff\n")
+    proc = run_cli("weights", str(bad))
+    assert proc.returncode == 2
+    assert "line 3, column 1" in proc.stderr
+    bad_matroid = tmp_path / "bad.matroid"
+    bad_matroid.write_bytes(b"matroid 2 1\n\xff\n")
+    proc = run_cli("matroid", str(bad_matroid))
+    assert proc.returncode == 2
+    assert "line 2, column 1" in proc.stderr
 
 
 def test_invariant_violation_exits_3(tmp_path):
@@ -103,6 +113,32 @@ def test_cap_exceeded_exits_4():
     proc = run_cli("semistable", "data/binary_9_7.code", "--max-enum", "4")
     assert proc.returncode == 4
     assert "error:" in proc.stderr
+
+
+# Bounds tests run the child under a 1 GB address space and a timeout, so
+# a bound checked only after the work it guards fails fast, not by hanging.
+BOUNDED = dict(timeout=20, max_memory=1 << 30)
+
+
+def test_matroid_ground_set_refused_before_its_table(tmp_path):
+    # 2^34 rank-table bytes would be allocated if the cap came second
+    big = tmp_path / "big.matroid"
+    big.write_text("matroid 34 1\n1\n")
+    proc = run_cli("matroid", str(big), **BOUNDED)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("field_line", [
+    "field 2305843009213693951 1",     # a Mersenne prime: no trial division
+    "field 2 10000000000 7",           # no 2^(10^10) field order
+])
+def test_field_bounds_checked_before_work(tmp_path, field_line):
+    bad = tmp_path / "huge_field.code"
+    bad.write_text(f"{field_line}\ncode 1 1\n1\n")
+    proc = run_cli("weights", str(bad), **BOUNDED)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
 
 
 def write_random_binary_code(path, seed, n, k):

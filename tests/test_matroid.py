@@ -1,5 +1,6 @@
 """Rank-table matroids: axioms, duality, minors, and slope data."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
+from hncodes.code import mask_of
 from hncodes.matroid import (
     Matroid,
     dual_polygon_check,
@@ -59,14 +61,14 @@ def test_uniform_matroid_basics():
 
 def test_rank_axiom_validation():
     with pytest.raises(InvariantViolation):
-        Matroid(2, [1, 1, 1, 2])                 # empty set must have rank 0
+        Matroid.from_ranks(2, [1, 1, 1, 2])       # empty set must have rank 0
     with pytest.raises(InvariantViolation):
-        Matroid(2, [0, 2, 1, 2])                 # unit increments only
+        Matroid.from_ranks(2, [0, 2, 1, 2])       # unit increments only
     with pytest.raises(InvariantViolation):
-        Matroid(2, [0, 0, 0, 1])                 # fails semimodularity
+        Matroid.from_ranks(2, [0, 0, 0, 1])       # fails semimodularity
     with pytest.raises(InvariantViolation):
-        Matroid(2, [0, 1, 1])                    # wrong table size
-    Matroid(2, [0, 1, 1, 2])                     # valid, no raise
+        Matroid.from_ranks(2, [0, 1, 1])          # wrong table size
+    Matroid.from_ranks(2, [0, 1, 1, 2])           # valid, no raise
 
 
 def test_corrupted_code_table_caught():
@@ -74,7 +76,19 @@ def test_corrupted_code_table_caught():
     table = bytearray(C.rank_table())
     table[0b00111] = 0
     with pytest.raises(InvariantViolation):
-        Matroid(C.n, bytes(table))
+        Matroid.from_ranks(C.n, bytes(table))
+
+
+def test_bases_of_a_non_matroid_rejected_above_twelve_elements():
+    # U_{4,13} less the two bases {0,1,6,9} and {1,2,6,9}: both 4-subsets
+    # over J = {1,6,9} now have rank 3 while their union keeps rank 4, so
+    # local semimodularity fails at J and nowhere else; every subset of
+    # the ground set must be checked to find it
+    J = 0b1001000010
+    bases = [mask_of(c) for c in itertools.combinations(range(13), 4)
+             if mask_of(c) not in (J | 0b1, J | 0b100)]
+    with pytest.raises(InvariantViolation, match="subset 578, elements 0, 2"):
+        matroid_from_bases(13, bases)
 
 
 def test_validation_agrees_with_global_axioms():
@@ -85,7 +99,7 @@ def test_validation_agrees_with_global_axioms():
 
 def test_ground_set_cap():
     with pytest.raises(SizeLimitExceeded):
-        Matroid(17, bytes(1 << 17))
+        Matroid.from_ranks(17, bytes(1 << 17))
 
 
 # ---------------------------------------------------------------------------
