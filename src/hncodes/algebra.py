@@ -7,15 +7,16 @@ integers [0, p).  Multiplication runs on log/antilog tables built once at
 construction; addition is digit-wise mod p.  All matrix routines are exact
 (no floats anywhere) and deterministic.
 
-The subset-rank helpers at the bottom enumerate column subsets of a matrix
-by depth-first extension, sharing echelon bases along the search tree.  They
-are the workhorse behind weight hierarchies, dimension/length profiles and
-cohomology tables, and are capped because the enumeration is exponential.
-`column_rank_table` visits every subset; the two searches cut the walk
-down.  The least-rank search visits only subsets that are a prefix of their
-closure (the columns of a flat of the column matroid, taken in index
-order), and the attaining-subset search only subsets at or below its
-target ranks.
+The subset-rank helpers at the bottom enumerate column subsets by
+depth-first extension, sharing bases along the search tree.  They take any
+M whose `independence()` is an oracle (a Matrix's column matroid or a
+Matroid's rank table), so they serve weight hierarchies, profiles,
+cohomology tables and matroids alike, and are capped because the
+enumeration is exponential.  `column_rank_table` visits every subset; the
+two searches cut the walk down.  The least-rank search visits only subsets
+that are a prefix of their closure (the columns of a flat of the column
+matroid, taken in index order), and the attaining-subset search only
+subsets at or below its target ranks.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ class FieldSpec:
         return hash((self.p, self.m, self.modulus))
 
     def __repr__(self):
-        if self.m == 1:
+        if self.modulus == self.p:           # the default modulus x
             return f"FieldSpec({self.p})"
         return f"FieldSpec({self.p}, {self.m}, modulus={self.modulus})"
 
@@ -462,6 +463,53 @@ class Matrix:
         vec = Matrix(self.field, 1, self.cols, tuple(vector))
         return self.rank() == self.stack(vec).rank()
 
+    def independence(self):
+        """(insert, cols, empty) for the column searches below.
+
+        `insert(basis, v)` returns an extended immutable basis when v is
+        independent of it, else None; `empty` is the empty basis.  Over
+        GF(2) columns are bit-packed ints; otherwise tuples with pivot
+        normalization.  In characteristic 2 (GF(4), GF(256), ...)
+        subtracting two field elements is XOR of their integer encodings,
+        so elimination skips the subtraction table there.
+        """
+        f = self.field
+        if f.q == 2:
+            cols = [sum(1 << i for i, x in enumerate(self.column(j)) if x)
+                    for j in range(self.cols)]
+
+            def insert(basis, v):
+                for b in basis:
+                    w = v ^ b
+                    if w < v:
+                        v = w
+                if v:
+                    return basis + (v,)
+                return None
+
+            return insert, cols, ()
+
+        SUB, MUL, INV = f._sub, f._mul, f._inv
+        xor = f.p == 2
+        cols = [self.column(j) for j in range(self.cols)]
+
+        def insert(basis, v):
+            for piv, row in basis:
+                c = v[piv]
+                if c:
+                    mc = MUL[c]
+                    if xor:
+                        v = tuple([x ^ mc[y] for x, y in zip(v, row)])
+                    else:
+                        v = tuple([SUB[x][mc[y]] for x, y in zip(v, row)])
+            for i, x in enumerate(v):
+                if x:
+                    mi = MUL[INV[x]]
+                    return basis + ((i, tuple([mi[y] for y in v])),)
+            return None
+
+        return insert, cols, ()
+
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.field == other.field
@@ -512,65 +560,12 @@ def _check_cap(n: int, cap: int):
             limit=cap, needed=n)
 
 
-def echelon_inserter(M: Matrix):
-    """Return (insert, cols) for incremental column-rank bookkeeping.
-
-    `insert(basis, v)` returns an extended immutable basis when v is
-    independent of it, else None.  Bases are shared along search trees.
-    Over GF(2) columns are bit-packed ints; otherwise tuples with pivot
-    normalization.  In characteristic 2 (GF(4), GF(256), ...) subtracting
-    two field elements is XOR of their integer encodings, so elimination
-    skips the subtraction table there.
-    """
-    f = M.field
-    if f.q == 2:
-        cols = []
-        for j in range(M.cols):
-            c = 0
-            for i in range(M.rows):
-                if M.entry(i, j):
-                    c |= 1 << i
-            cols.append(c)
-
-        def insert(basis, v):
-            for b in basis:
-                w = v ^ b
-                if w < v:
-                    v = w
-            if v:
-                return basis + (v,)
-            return None
-
-        return insert, cols
-
-    SUB, MUL, INV = f._sub, f._mul, f._inv
-    xor = f.p == 2
-    cols = [M.column(j) for j in range(M.cols)]
-
-    def insert(basis, v):
-        for piv, row in basis:
-            c = v[piv]
-            if c:
-                mc = MUL[c]
-                if xor:
-                    v = tuple([x ^ mc[y] for x, y in zip(v, row)])
-                else:
-                    v = tuple([SUB[x][mc[y]] for x, y in zip(v, row)])
-        for i, x in enumerate(v):
-            if x:
-                mi = MUL[INV[x]]
-                return basis + ((i, tuple([mi[y] for y in v])),)
-        return None
-
-    return insert, cols
-
-
-def column_rank_table(M: Matrix, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
+def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
     """rank of every column subset of M, indexed by bitmask."""
-    n = M.cols
+    insert, cols, empty = M.independence()
+    n = len(cols)
     _check_cap(n, max_enum)
     table = bytearray(1 << n)
-    insert, cols = echelon_inserter(M)
 
     def rec(start, mask, rk, basis):
         table[mask] = rk
@@ -581,11 +576,11 @@ def column_rank_table(M: Matrix, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
             else:
                 rec(j + 1, mask | (1 << j), rk + 1, nb)
 
-    rec(0, 0, 0, ())
+    rec(0, 0, 0, empty)
     return bytes(table)
 
 
-def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP):
+def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
     """For each s, the minimum rank over column subsets of size s.
 
     Returns (minima, witnesses) with one minimizing bitmask per size; each
@@ -600,12 +595,12 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP):
     prunes subtrees that cannot improve any entry (subset ranks only grow
     along extensions).
     """
-    n = M.cols
+    insert, cols, empty = M.independence()
+    n = len(cols)
     _check_cap(n, max_enum)
     INF = n + 1
     best = [INF] * (n + 1)
     wit = [0] * (n + 1)
-    insert, cols = echelon_inserter(M)
 
     def rec(start, mask, size, rk, basis):
         if rk < best[size]:
@@ -630,11 +625,11 @@ def min_column_rank_by_size(M: Matrix, max_enum: int = SUBSET_ENUM_CAP):
                 return
             rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
 
-    rec(0, 0, 0, 0, ())
+    rec(0, 0, 0, 0, empty)
     return best, wit
 
 
-def column_subsets_attaining(M: Matrix, targets,
+def column_subsets_attaining(M, targets,
                              max_enum: int = SUBSET_ENUM_CAP) -> dict:
     """For each target (s, r), every column subset of size s and rank r.
 
@@ -644,7 +639,8 @@ def column_subsets_attaining(M: Matrix, targets,
     no greater than its target (subset ranks only grow along extensions),
     so it visits a subtree of the table's walk.
     """
-    n = M.cols
+    insert, cols, empty = M.independence()
+    n = len(cols)
     _check_cap(n, max_enum)
     want = dict(targets)
     hits = {s: [] for s in want}
@@ -652,9 +648,8 @@ def column_subsets_attaining(M: Matrix, targets,
     # reach[size][rk]: the least target size above `size` whose rank is at
     # least rk (n + 1 when there is none)
     reach = [[next((s for s in range(size + 1, n + 1) if exact[s] >= rk),
-                   n + 1) for rk in range(M.rows + 1)]
+                   n + 1) for rk in range(n + 1)]
              for size in range(n + 1)]
-    insert, cols = echelon_inserter(M)
 
     def rec(start, mask, size, rk, basis):
         if exact[size] == rk:
@@ -667,7 +662,7 @@ def column_subsets_attaining(M: Matrix, targets,
             else:
                 rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
 
-    rec(0, 0, 0, 0, ())
+    rec(0, 0, 0, 0, empty)
     return hits
 
 

@@ -172,9 +172,10 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 #
 # Codes and matroids share everything below: it sees only n, k = r(E), the
 # least rank of an s-element subset for each s ("minima"), and, for
-# filtrations, the subsets of least rank at each vertex size (a code finds
-# them with the pruned column search, a matroid in its stored table).  A
-# subset S has degree k - r(S); for a code that is dim C_{[n]-S}.
+# filtrations, the subsets of least rank at each vertex size.  Both come
+# from the same pruned column searches in `algebra.py`, run on a code's
+# generator matrix or on a matroid's rank table.  A subset S has degree
+# k - r(S); for a code that is dim C_{[n]-S}.
 
 def subset_profile(n: int, k: int, minr) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
@@ -200,22 +201,32 @@ def profile_gaps(kj) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(j for j in sizes if kj[j] > kj[j - 1]))
 
 
+def hierarchies_tile(n: int, k: int, d, dual_d) -> bool:
+    """Wei's duality: the hierarchy (d_1, ..., d_k) and the reflected dual
+    hierarchy {n + 1 - x : x in dual_d} (n - k values) partition [n]."""
+    left, right = set(d), {n + 1 - x for x in dual_d}
+    return (len(left) == k and len(right) == n - k and not left & right
+            and left | right == set(range(1, n + 1)))
+
+
 def minima_polygon(k: int, minr) -> CanonicalPolygon:
     """Polygon of the subset lattice: profile (s, k - min {r(S) : #S = s})."""
     return polygon_from_profile([k - m for m in minr])
 
 
-def vertex_subsets(sizes, hits) -> list[int]:
+def vertex_subsets(M, targets, max_enum: int = SUBSET_ENUM_CAP
+                   ) -> list[int]:
     """The subset attaining each subset-lattice vertex, in order.
 
-    `sizes` are the vertex sizes s, increasing, and `hits[s]` lists every
-    s-subset whose rank is the least rank of an s-subset, i.e. every
-    subset on the polygon at that size.  Uniqueness is a theorem at
-    polygon vertices, so a second attaining subset raises, as does a
-    missing one or a chain that does not nest.
+    `targets` are the vertices (s, r), s increasing, with r the least rank
+    of an s-subset; `column_subsets_attaining` on M (a code's generator or
+    a matroid) finds every subset on the polygon at each size.  Uniqueness
+    is a theorem at polygon vertices, so a second attaining subset raises,
+    as does a missing one or a chain that does not nest.
     """
+    hits = column_subsets_attaining(M, targets, max_enum)
     out = []
-    for s in sizes:
+    for s, _ in targets:
         found = hits[s]
         if not found:
             raise InvariantViolation(f"no subset attains vertex size {s}")
@@ -266,12 +277,6 @@ class Filtration:
     def ranks(self) -> tuple[int, ...]:
         return self.polygon.vertex_ranks
 
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
 
 def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                          ) -> Filtration:
@@ -292,8 +297,7 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
         poly = code_polygon(C, max_enum)
         inner = poly.vertices[-2:0:-1]           # interior, increasing v
         targets = [(int(v), C.k - i) for i, v in inner]
-        hits = column_subsets_attaining(C.gen, targets, max_enum)
-        subsets = vertex_subsets([s for s, _ in targets], hits)
+        subsets = vertex_subsets(C.gen, targets, max_enum)
         steps = [C.zero_subcode()]
         steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
         steps.append(C.whole_subcode())
@@ -490,40 +494,6 @@ def subcode_lattice(C: LinearCode) -> SubspaceLattice:
     if C._lattice is None:
         C._lattice = SubspaceLattice(C)
     return C._lattice
-
-
-class SubsetLattice:
-    """The boolean lattice of coordinate subsets with a supplied degree."""
-
-    def __init__(self, n: int, degree_fn, max_enum: int = SUBSET_ENUM_CAP):
-        _check_cap(n, max_enum)
-        self.n = n
-        self.elements = range(1 << n)
-        self._deg = [degree_fn(J) for J in self.elements]
-
-    @classmethod
-    def for_code(cls, C: LinearCode, max_enum: int = SUBSET_ENUM_CAP):
-        tab = C.rank_table(max_enum)
-        # degree of J is dim C_{[n]-J} = k - rank(columns J)
-        return cls(C.n, lambda J: C.k - tab[J], max_enum)
-
-    def __len__(self):
-        return 1 << self.n
-
-    def rank(self, J: int) -> int:
-        return J.bit_count()
-
-    def degree(self, J: int) -> int:
-        return self._deg[J]
-
-    def leq(self, I: int, J: int) -> bool:
-        return I & J == I
-
-    def meet(self, I: int, J: int) -> int:
-        return I & J
-
-    def join(self, I: int, J: int) -> int:
-        return I | J
 
 
 def verify_parallelogram(lattice, pairs=None) -> bool:

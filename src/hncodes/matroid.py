@@ -3,9 +3,11 @@
 The ground set is [n] with n <= 16; the rank of every subset is stored
 (2^n bytes).  Degree of a subset J is k - r(J) with k = r(E), so the top
 has degree 0 and the empty set degree k; the canonical polygon, filtration
-and graded pieces on the subset lattice come from that degree.  The
-constructor trusts its table; `Matroid.from_ranks` checks the local
-exchange axioms (equivalent to semimodularity) on every subset.
+and graded pieces on the subset lattice come from that degree.  They are
+found by the same pruned column searches that codes use (`algebra.py`),
+run on the table through `Matroid.independence`.  The constructor trusts
+its table; `Matroid.from_ranks` checks the local exchange axioms
+(equivalent to semimodularity) on every subset.
 
 Cohomology on this lattice: h0(M, J) = k - r(E - J) and
 h1(M, J) = #(E - J) - r(E - J), tied to the dual matroid through the usual
@@ -14,10 +16,12 @@ rank complement formula.
 
 from __future__ import annotations
 
+from .algebra import min_column_rank_by_size
 from .code import LinearCode, bits_of
 from .errors import InvariantViolation, SizeLimitExceeded
-from .hn import (CanonicalPolygon, Filtration, minima_polygon, profile_gaps,
-                 profile_hierarchy, subset_profile, vertex_subsets)
+from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
+                 minima_polygon, profile_gaps, profile_hierarchy,
+                 subset_profile, vertex_subsets)
 
 MATROID_CAP = 16
 
@@ -47,11 +51,15 @@ class Matroid:
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "Matroid":
         """Matroid from an outside rank table, checked cheapest first: the
-        ground-set cap, the table length, then at every subset J the local
-        axioms r(empty) = 0, r(J+a) - r(J) in {0, 1} and
-        r(J+a) + r(J+b) >= r(J+a+b) + r(J)."""
+        ground-set cap, the entries (integers in 0..255), the table length,
+        then at every subset J the local axioms r(empty) = 0,
+        r(J+a) - r(J) in {0, 1} and r(J+a) + r(J+b) >= r(J+a+b) + r(J)."""
         _check_ground_set(n)
-        r = bytes(ranks)
+        try:
+            r = bytes(ranks)
+        except (TypeError, ValueError):
+            raise InvariantViolation(
+                "rank table entries must be integers in 0..255") from None
         if len(r) != 1 << n:
             raise InvariantViolation(
                 f"rank table must have 2^{n} entries, got {len(r)}")
@@ -123,15 +131,21 @@ class Matroid:
 
     # -- profiles ------------------------------------------------------------
 
+    def independence(self):
+        """(insert, cols, empty) for the column searches: a basis is a
+        bitmask, and an element's bit joins it when the rank rises."""
+        r = self.ranks
+
+        def insert(J, bit):
+            K = J | bit
+            return K if r[K] > r[J] else None
+
+        return insert, [1 << e for e in range(self.n)], 0
+
     def _minima(self) -> list[int]:
-        """Least rank of an s-element subset, for each s (computed once)."""
+        """Least rank of an s-element subset, for each s (searched once)."""
         if self._minr is None:
-            best = [self.n + 1] * (self.n + 1)
-            for J, r in enumerate(self.ranks):
-                s = J.bit_count()
-                if r < best[s]:
-                    best[s] = r
-            self._minr = best
+            self._minr = min_column_rank_by_size(self)[0]
         return self._minr
 
     def profile(self) -> tuple[int, ...]:
@@ -154,29 +168,19 @@ class Matroid:
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
-        vertex; a second attaining subset raises).  One pass over the
-        table finds every interior vertex; the result is kept."""
+        vertex; a second attaining subset raises), found by one search for
+        all vertices; the result is kept."""
         if self._filt is None:
             poly = self.polygon()
-            want = {s: self.k - int(t) for s, t in poly.vertices[1:-1]}
-            hits = {0: [0], self.n: [(1 << self.n) - 1]}
-            hits.update((s, []) for s in want)
-            if want:
-                vertex_ranks = set(want.values())
-                for J, r in enumerate(self.ranks):
-                    if r in vertex_ranks:
-                        s = J.bit_count()
-                        if want.get(s) == r:
-                            hits[s].append(J)
-            steps = vertex_subsets([s for s, _ in poly.vertices], hits)
-            self._filt = Filtration(steps, poly)
+            targets = [(s, self.k - int(t)) for s, t in poly.vertices]
+            self._filt = Filtration(vertex_subsets(self, targets), poly)
         return self._filt
 
     def graded(self) -> list["Matroid"]:
         """Minors between consecutive filtration steps (contract the
-        previous step, keep the new elements), one table pass each; each is
-        semistable of the corresponding side slope.  A semistable matroid
-        is its own only piece."""
+        previous step, keep the new elements), each one minor of the
+        table; each is semistable of the corresponding side slope.  A
+        semistable matroid is its own only piece."""
         filt = self.filtration()
         out = []
         for a in range(1, len(filt.steps)):
@@ -223,8 +227,10 @@ def uniform_matroid(k: int, n: int) -> Matroid:
 
 def matroid_from_bases(n: int, bases) -> Matroid:
     """Matroid from a list of basis bitmasks: r(J) = max #(B & J).  The
-    ground-set cap is checked before the 2^n table is built, and the table
-    then goes through `Matroid.from_ranks`."""
+    subsets of bases are marked downward, then r(J) is #J for a marked J
+    and max_e r(J - e) otherwise, O(2^n n).  The ground-set cap is checked
+    before the 2^n table is built, and the table then goes through
+    `Matroid.from_ranks`."""
     _check_ground_set(n)
     bases = [int(b) for b in bases]
     if not bases:
@@ -232,9 +238,16 @@ def matroid_from_bases(n: int, bases) -> Matroid:
     for b in bases:
         if b < 0 or b >> n:
             raise InvariantViolation(f"basis {b} is not a subset of [{n}]")
-    table = bytearray(1 << n)
-    for J in range(1 << n):
-        table[J] = max((b & J).bit_count() for b in bases)
+    size, bits = 1 << n, [1 << e for e in range(n)]
+    indep = bytearray(size)
+    for b in bases:
+        indep[b] = 1
+    for J in range(size - 1, -1, -1):        # supersets of J come first
+        indep[J] = indep[J] or any(indep[J | b] for b in bits if not J & b)
+    table = bytearray(size)
+    for J in range(1, size):                 # subsets of J come first
+        table[J] = (J.bit_count() if indep[J]
+                    else max(table[J & ~b] for b in bits if J & b))
     return Matroid.from_ranks(n, table)
 
 
@@ -262,23 +275,12 @@ def gap_counts_check(M: Matroid) -> bool:
 
 def gap_duality_check(M: Matroid) -> bool:
     """j is a non-gap of M exactly when n + 1 - j is a gap of M*."""
-    Md = M.dual()
-    gaps_dual = set(Md.gaps())
-    nongaps = set(M.nongaps())
-    for j in range(1, M.n + 1):
-        if (j in nongaps) != (M.n + 1 - j in gaps_dual):
-            return False
-    return True
+    return set(M.nongaps()) == {M.n + 1 - j for j in M.dual().gaps()}
 
 
 def wei_partition_check(M: Matroid) -> bool:
     """The hierarchy of M and the reflected hierarchy of M* tile [n]."""
-    d = M.hierarchy()
-    dd = M.dual().hierarchy()
-    left = set(d)
-    right = {M.n + 1 - x for x in dd}
-    return (len(left) == M.k and len(right) == M.n - M.k
-            and not left & right and left | right == set(range(1, M.n + 1)))
+    return hierarchies_tile(M.n, M.k, M.hierarchy(), M.dual().hierarchy())
 
 
 def dual_polygon_check(M: Matroid) -> bool:

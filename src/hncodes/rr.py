@@ -24,7 +24,8 @@ from fractions import Fraction
 from .algebra import SUBSET_ENUM_CAP
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
-from .hn import CanonicalPolygon, canonical_filtration, code_polygon, subset_polygon
+from .hn import (CanonicalPolygon, canonical_filtration, code_polygon,
+                 hierarchies_tile, subset_polygon)
 
 
 class CohomologyPair:
@@ -164,19 +165,12 @@ def wei_duality_check(C: LinearCode,
     Wei (IEEE Trans. Inform. Theory 37, 1991, Thm. 3) proves this for
     every linear code, zero coordinates and weight-one words included, so
     it is checked on C itself from the memoized hierarchies of C and its
-    dual.  The full space has no dual code; its hierarchy must be
-    1, ..., n.
+    dual.  The full space has no dual code, so its hierarchy alone must
+    tile [n].
     """
-    if C.k == C.n:
-        return C.weight_hierarchy(max_enum) == tuple(range(C.n + 1))
-    return _wei_partition(C, max_enum)
-
-
-def _wei_partition(C: LinearCode, max_enum: int) -> bool:
-    d = set(C.weight_hierarchy(max_enum)[1:])
-    dd = {C.n + 1 - x for x in C.dual().weight_hierarchy(max_enum)[1:]}
-    return (len(d) == C.k and len(dd) == C.n - C.k and not d & dd
-            and d | dd == set(range(1, C.n + 1)))
+    d = C.weight_hierarchy(max_enum)[1:]
+    dual_d = C.dual().weight_hierarchy(max_enum)[1:] if C.k < C.n else ()
+    return hierarchies_tile(C.n, C.k, d, dual_d)
 
 
 def dual_dlp_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:

@@ -1,8 +1,10 @@
 """Naive reference computations the fast implementations are tested against.
 
 Everything here trades speed for obviousness: plain enumeration over
-codewords, coefficient tuples, and subsets.  No rank tables, no pruning,
-no shared code paths with the library beyond raw field arithmetic.
+codewords, coefficient tuples, and subsets.  No pruning and no shared code
+paths with the library beyond raw field arithmetic.  Rank tables appear
+only as given data: the matroid references scan a table mask by mask, and
+`SubsetLattice.for_code` is a lattice view over a code's own table.
 """
 
 from fractions import Fraction
@@ -274,3 +276,66 @@ def brute_semimodular(n: int, table) -> bool:
             if table[A] + table[B] < table[A | B] + table[A & B]:
                 return False
     return True
+
+
+# -- rank tables --------------------------------------------------------------
+
+def table_minima(n: int, ranks):
+    """Least rank of an s-element subset, for each s, by a scan of the
+    whole table."""
+    best = [n + 1] * (n + 1)
+    for J, r in enumerate(ranks):
+        s = J.bit_count()
+        best[s] = min(best[s], r)
+    return best
+
+
+def table_subsets_attaining(ranks, targets):
+    """For each target (s, r), every subset of size s and rank r, in
+    increasing mask order, by a scan of the whole table."""
+    want = dict(targets)
+    hits = {s: [] for s in want}
+    for J, r in enumerate(ranks):
+        s = J.bit_count()
+        if want.get(s) == r:
+            hits[s].append(J)
+    return hits
+
+
+def bases_rank_table(n: int, bases) -> bytes:
+    """r(J) = max #(B & J) over the bases, subset by subset."""
+    return bytes(max((b & J).bit_count() for b in bases)
+                 for J in range(1 << n))
+
+
+class SubsetLattice:
+    """The boolean lattice of coordinate subsets with a supplied degree."""
+
+    def __init__(self, n: int, degree_fn):
+        self.n = n
+        self.elements = range(1 << n)
+        self._deg = [degree_fn(J) for J in self.elements]
+
+    @classmethod
+    def for_code(cls, C):
+        tab = C.rank_table()
+        # degree of J is dim C_{[n]-J} = k - rank(columns J)
+        return cls(C.n, lambda J: C.k - tab[J])
+
+    def __len__(self):
+        return 1 << self.n
+
+    def rank(self, J: int) -> int:
+        return J.bit_count()
+
+    def degree(self, J: int) -> int:
+        return self._deg[J]
+
+    def leq(self, I: int, J: int) -> bool:
+        return I & J == I
+
+    def meet(self, I: int, J: int) -> int:
+        return I & J
+
+    def join(self, I: int, J: int) -> int:
+        return I | J

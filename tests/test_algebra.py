@@ -112,6 +112,16 @@ def test_field_rebuild_agrees():
     assert all(a.mul(x, y) == b.mul(x, y) for x in range(4) for y in range(4))
 
 
+def test_field_repr_tells_unequal_fields_apart():
+    # over GF(2), x + 1 (the integer 3) is as good a modulus as x
+    a, b = FieldSpec(2, 1, 3), FieldSpec(2)
+    assert a != b and repr(a) != repr(b)
+    assert repr(b) == "FieldSpec(2)"
+    assert repr(FieldSpec(2, 1, 2)) == "FieldSpec(2)"
+    for f in FIELDS + [a]:
+        assert eval(repr(f)) == f
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The package exports every name the benchmark imports from it."""
+"""The package exports every name the benchmark imports from it or
+patches in it."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,4 +23,31 @@ def test_bench_imports_exist():
                                            "stages.py"}
     missing = [x for x in imported
                if not hasattr(importlib.import_module(x[1]), x[2])]
+    assert not missing
+
+
+def test_bench_trace_targets_exist():
+    # `bench/run.py --trace 1` rebinds each (module, class, attribute) that
+    # tracing.py lists; a renamed target would stop it with a KeyError
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(m, c, a) for _, m, c, a, _ in tracing.LAYERS
+               + tracing.CLI_LAYERS]
+    # the footprint targets are a literal list inside Tracer.install
+    (footprints,) = [
+        ast.literal_eval(node.value)
+        for node in ast.walk(ast.parse((BENCH / "tracing.py").read_text()))
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["footprints"]]
+    targets += footprints
+    assert footprints and len(targets) > 50
+    missing = []
+    for modname, clsname, attr in targets:
+        owner = importlib.import_module(modname)
+        if clsname:
+            owner = owner.__dict__.get(clsname)
+        if owner is None or attr not in owner.__dict__:
+            missing.append((modname, clsname, attr))
     assert not missing

@@ -29,7 +29,6 @@ from hncodes.code import mask_of
 from hncodes.hn import (
     SUBSPACE_CAP,
     CanonicalPolygon,
-    SubsetLattice,
     SubspaceLattice,
     cosupport,
     polygon_from_profile,
@@ -523,7 +522,7 @@ def test_parallelogram_exhaustive_small():
 
 def test_subset_lattice_for_code():
     C = zoo.binary_9_7()
-    S = SubsetLattice.for_code(C)
+    S = oracles.SubsetLattice.for_code(C)
     rows = oracles.rows_of(C)
     for J in [0, 0b111, 0b111110000, (1 << 9) - 1]:
         assert S.rank(J) == J.bit_count()

@@ -2,18 +2,21 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from hncodes import (
     InvariantViolation,
+    LinearCode,
     SizeLimitExceeded,
     matroid_from_bases,
     matroid_from_code,
     subset_polygon,
     zoo,
 )
+from hncodes.algebra import column_subsets_attaining, min_column_rank_by_size
 from hncodes.code import mask_of
 from hncodes.matroid import (
     Matroid,
@@ -27,7 +30,7 @@ from hncodes.matroid import (
 
 import oracles
 
-GF2, GF3 = zoo.gf2(), zoo.gf3()
+GF2, GF3, GF4 = zoo.gf2(), zoo.gf3(), zoo.gf4()
 
 
 def random_matroids(rng, count, nmax=8):
@@ -95,6 +98,35 @@ def test_validation_agrees_with_global_axioms():
     rng = random.Random(307)
     for M in random_matroids(rng, 12, nmax=7):
         assert oracles.brute_semimodular(M.n, M.ranks)
+
+
+def test_rank_table_entries_outside_a_byte_refused():
+    for table in ([0, 300], [0, -1], [0, 1.0], [0, "1"]):
+        with pytest.raises(InvariantViolation):
+            Matroid.from_ranks(1, table)
+
+
+def test_bases_table_matches_the_basis_formula(monkeypatch):
+    # the table matroid_from_bases hands to from_ranks is max #(B & J),
+    # also for families that are not the bases of a matroid
+    tables = []
+    monkeypatch.setattr(Matroid, "from_ranks",
+                        classmethod(lambda cls, n, r: tables.append(r)))
+    rng = random.Random(367)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        bases = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 7))]
+        matroid_from_bases(n, bases)
+        assert bytes(tables[-1]) == oracles.bases_rank_table(n, bases)
+
+
+def test_bases_of_a_large_uniform_matroid_are_read_fast():
+    bases = [mask_of(c) for c in itertools.combinations(range(14), 7)]
+    assert len(bases) == 3432
+    t0 = time.perf_counter()
+    M = matroid_from_bases(14, bases)
+    assert time.perf_counter() - t0 < 2.0
+    assert M == uniform_matroid(7, 14)
 
 
 def test_ground_set_cap():
@@ -266,3 +298,111 @@ def test_semistable_matches_subset_side():
     rng = random.Random(359)
     for M in random_matroids(rng, 20, nmax=8):
         assert M.is_semistable() == (M.polygon().N <= 1)
+
+
+# ---------------------------------------------------------------------------
+# the column searches on the rank-table oracle
+# ---------------------------------------------------------------------------
+
+def partition_bases(sizes):
+    """Bases of the partition matroid with one element per block."""
+    bases = [0]
+    off = 0
+    for size in sizes:
+        bases = [b | (1 << (off + e)) for b in bases for e in range(size)]
+        off += size
+    return bases
+
+
+def direct_sum(A, B):
+    low = (1 << A.n) - 1
+    return Matroid.from_ranks(A.n + B.n, [A.ranks[J & low] + B.ranks[J >> A.n]
+                                          for J in range(1 << (A.n + B.n))])
+
+
+def vamos():
+    """The Vamos matroid V8: rank 4 on four couples {0,1}, ..., {6,7};
+    every 4-set has rank 4 except the union of two couples, other than the
+    last two.  No code over any field has it as its column matroid."""
+    couples = [0b11 << (2 * i) for i in range(4)]
+    planes = {a | b for a, b in itertools.combinations(couples, 2)}
+    planes.remove(couples[2] | couples[3])
+    return Matroid.from_ranks(8, [3 if J in planes else min(J.bit_count(), 4)
+                                  for J in range(1 << 8)])
+
+
+def code_matroid_with_loops_and_copies(rng, field, n):
+    """Column matroid of a random code whose columns are fresh, copies of
+    earlier ones, or zero."""
+    k = rng.randrange(1, min(3, n) + 1)
+    base = oracles.rows_of(zoo.random_code(rng, field, k, k))
+    cols = [[r[i] for r in base] for i in range(k)]
+    while len(cols) < n:
+        kind = rng.choice(("fresh", "copy", "zero"))
+        if kind == "fresh":
+            cols.append([rng.randrange(field.q) for _ in range(k)])
+        elif kind == "copy":
+            cols.append(list(rng.choice(cols)))
+        else:
+            cols.append([0] * k)
+    rng.shuffle(cols)
+    rows = [[c[i] for c in cols] for i in range(k)]
+    return matroid_from_code(LinearCode.from_rows(field, rows))
+
+
+def table_oracle_pool(rng):
+    pool = [uniform_matroid(k, n) for n, k in ((1, 0), (4, 2), (6, 6), (7, 3))]
+    pool += [matroid_from_bases(sum(sizes), partition_bases(sizes))
+             for sizes in ((2, 3, 1), (3, 3, 3), (1, 1, 4), (4,))]
+    codes = [code_matroid_with_loops_and_copies(
+                 rng, rng.choice((GF2, GF3, GF4)), rng.randrange(1, 9))
+             for _ in range(30)]
+    pool += codes
+    small = [M for M in codes if M.n <= 6]
+    pool += [direct_sum(rng.choice(small), rng.choice(small))
+             for _ in range(12)]
+    V = vamos()
+    pool += [V, direct_sum(V, uniform_matroid(1, 4)),
+             direct_sum(uniform_matroid(3, 3), V)]
+    return pool
+
+
+def test_table_oracle_against_table_scans():
+    rng = random.Random(373)
+    multi = 0
+    for M in table_oracle_pool(rng):
+        n, k, ranks = M.n, M.k, M.ranks
+        minr = oracles.table_minima(n, ranks)
+        best, wits = min_column_rank_by_size(M)
+        assert best == minr
+        for s, w in enumerate(wits):
+            assert w.bit_count() == s and ranks[w] == minr[s]
+        targets = [(s, rng.randrange(k + 1)) for s in range(n + 1)
+                   if rng.random() < 0.5]
+        hits = column_subsets_attaining(M, targets)
+        assert {s: sorted(h) for s, h in hits.items()} == \
+            oracles.table_subsets_attaining(ranks, targets)
+        # the invariants the matroid reads from the two searches
+        assert M.profile() == tuple(k - minr[n - j] for j in range(n + 1))
+        poly = M.polygon()
+        assert list(poly.vertices) == \
+            oracles.envelope_vertices([k - m for m in minr])
+        filt = M.filtration()
+        for (s, v), step in zip(poly.vertices, filt.steps):
+            assert oracles.table_subsets_attaining(
+                ranks, [(s, k - v)]) == {s: [step]}
+        pieces = M.graded()
+        assert len(pieces) == poly.N
+        for a, piece in enumerate(pieces):
+            prev, new = filt.steps[a], filt.steps[a + 1] & ~filt.steps[a]
+            elems = [e for e in range(n) if (new >> e) & 1]
+            expect = [ranks[prev | sum(1 << elems[i] for i in range(len(elems))
+                                       if (X >> i) & 1)] - ranks[prev]
+                      for X in range(1 << len(elems))]
+            assert piece.ranks == bytes(expect)
+            pm = oracles.table_minima(piece.n, piece.ranks)
+            (x0, y0), (x1, y1) = oracles.envelope_vertices(
+                [piece.k - m for m in pm])
+            assert Fraction(y1 - y0, x1 - x0) == filt.slopes[a]
+        multi += poly.N > 1
+    assert multi >= 10
