@@ -552,12 +552,14 @@ def row_space_intersection(A: Matrix, B: Matrix) -> Matrix:
 SUBSET_ENUM_CAP = 20
 
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
+def _check_cap(bits: int, cap: int, what: str = "column subsets"):
+    """The one refusal of an exhaustive search: it would enumerate up to
+    2^bits `what`, and the caller's cap counts in the same unit."""
+    if bits > cap:
         raise SizeLimitExceeded(
-            f"enumerating 2^{n} column subsets exceeds the cap of 2^{cap}; "
+            f"enumerating 2^{bits} {what} exceeds the cap of 2^{cap}; "
             f"raise it with --max-enum / the max_enum argument",
-            limit=cap, needed=n)
+            limit=cap, needed=bits)
 
 
 def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:

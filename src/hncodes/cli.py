@@ -3,8 +3,8 @@
 Every subcommand prints one JSON report on standard output (or CSV with
 --format csv) and exits 0 on success, 1 when a theorem check failed on
 the given input (which indicates an implementation bug and is never
-accepted silently), 2 on parse errors, 3 on invariant violations, and 4
-when a subset-enumeration cap would be exceeded.  Reports are
+accepted silently), 2 on usage and parse errors, 3 on invariant
+violations, and 4 when an enumeration cap would be exceeded.  Reports are
 byte-identical across runs for identical inputs and flags; timing goes
 to standard error only.
 """
@@ -38,9 +38,9 @@ from .matroid import (dual_polygon_check, gap_counts_check,
 from .rr import (cohomology, dual_code_slopes, dual_dlp_check, dual_polygon,
                  dual_subset_polygon_check, rr_check, rr_normalized,
                  serre_check, wei_duality_check)
-from .tensor import (TENSOR_ENUM_CAP, is_chained, schaathun_bound,
-                     schaathun_bound_table, schaathun_verify,
-                     tensor_semistable_check, wei_yang_check, witness)
+from .tensor import (is_chained, schaathun_bound, schaathun_bound_table,
+                     schaathun_verify, tensor_semistable_check,
+                     wei_yang_check, witness)
 from . import zoo
 
 
@@ -109,12 +109,10 @@ def _emit(report: dict, fmt: str):
         sys.stdout.write(buf.getvalue())
 
 
-def _cap(args, default: int) -> int:
-    if args.max_enum is None:
-        return default
-    if args.max_enum > default:
+def _cap(args) -> int:
+    if args.max_enum > SUBSET_ENUM_CAP:
         print(f"warning: enumeration cap raised to {args.max_enum} "
-              f"(up to 2^{args.max_enum} subsets will be visited)",
+              f"(up to 2^{args.max_enum} items per exhaustive search)",
               file=sys.stderr)
     return args.max_enum
 
@@ -183,7 +181,7 @@ def _svg_polygon(P, cloud, side: str) -> str:
 
 def cmd_weights(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     results = {
         "n": C.n,
         "k": C.k,
@@ -198,7 +196,7 @@ def cmd_weights(args):
 
 def cmd_polygon(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     if args.side == "code":
         P = code_polygon(C, cap)
         d = C.weight_hierarchy(cap)
@@ -222,7 +220,7 @@ def cmd_polygon(args):
 
 def cmd_filtration(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     F = canonical_filtration(C, cap)
     steps = []
     for step, slope in zip(F.steps[1:], F.slopes):
@@ -245,7 +243,7 @@ def cmd_filtration(args):
 
 def cmd_semistable(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     P = code_polygon(C, cap)
     ss = is_semistable(C, cap)
     witness_obj = None
@@ -272,7 +270,7 @@ def cmd_semistable(args):
 
 def cmd_dual(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     D = C.dual()
     subset_ok = dual_subset_polygon_check(C, cap)
     violated = not subset_ok
@@ -313,7 +311,7 @@ def cmd_dual(args):
 
 def cmd_rr(args):
     C = parse_code_file(args.file)
-    cap = _cap(args, SUBSET_ENUM_CAP)
+    cap = _cap(args)
     if args.all:
         ok_rr = rr_check(C, cap)
         ok_serre = serre_check(C, cap)
@@ -327,8 +325,6 @@ def cmd_rr(args):
         return (_report("rr", [args.file], results),
                 not (ok_rr and ok_serre))
     J = args.J
-    if J is None:
-        raise InvariantViolation("pass --J <bitmask> or --all")
     if not 0 <= J < (1 << C.n):
         raise InvariantViolation(f"--J {J:#x} outside the coordinate range")
     pair = cohomology(C, J)
@@ -365,7 +361,7 @@ def cmd_rr(args):
 def cmd_tensor(args):
     A = parse_code_file(args.file_a)
     B = parse_code_file(args.file_b)
-    cap = _cap(args, TENSOR_ENUM_CAP)
+    cap = _cap(args)
     _check_cap(A.n * B.n, cap)
     T = A.tensor(B)
     d = T.weight_hierarchy(cap)
@@ -591,11 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their duality theorems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, max_enum=True):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--max-enum", type=_cap_arg, default=None, metavar="N",
-                        help="override the subset-enumeration cap "
-                             "(length in bits)")
+        if max_enum:
+            sp.add_argument("--max-enum", type=_cap_arg, metavar="N",
+                            default=SUBSET_ENUM_CAP,
+                            help="refuse any exhaustive search of more than "
+                                 "2^N subsets, subcodes or pairs "
+                                 "(default %(default)s)")
 
     sp = sub.add_parser("weights", help="weight hierarchy d_i and profile "
                                         "k_j of a code")
@@ -628,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rr", help="cohomology h0/h1 and duality identities")
     sp.add_argument("file")
-    sp.add_argument("--J", type=_int_arg, default=None, metavar="BITMASK")
-    sp.add_argument("--all", action="store_true")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--J", type=_int_arg, metavar="BITMASK")
+    which.add_argument("--all", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_rr)
 
@@ -642,12 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matroid", help="matroid invariants and checks")
     sp.add_argument("file")
-    common(sp)
+    common(sp, max_enum=False)
     sp.set_defaults(fn=cmd_matroid)
 
     sp = sub.add_parser("selftest", help="golden examples and property "
                                          "suites at built-in sizes")
-    common(sp)
+    common(sp, max_enum=False)
     sp.set_defaults(fn=cmd_selftest)
     return parser
 

@@ -24,8 +24,8 @@ table for a filtration.
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it, so every check
 that reads them shares one vertex scan and one lattice.  The lattice
-enumerates every subcode and is refused when q^k exceeds the constant
-SUBSPACE_CAP.
+enumerates every subcode, so its cap counts subcodes: the number of
+subspaces of F_q^k, computed before any element is built.
 
 All slopes and polygon values are exact `fractions.Fraction`s.
 """
@@ -37,15 +37,8 @@ from fractions import Fraction
 from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap,
                       column_subsets_attaining, iter_rref_matrices)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
-from .errors import (
-    EmptyProfile,
-    InvariantViolation,
-    NotASubcode,
-    NotFullSupport,
-    SizeLimitExceeded,
-)
-
-SUBSPACE_CAP = 4096
+from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
+                     NotFullSupport)
 
 
 def _upper_hull(points):
@@ -369,6 +362,17 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 
 # -- enumerable lattice views ----------------------------------------------
 
+def _lattice_bits(C: LinearCode) -> int:
+    """log2, rounded up, of the number of subcodes of C: the subspaces of
+    F_q^k, the sum of the Gaussian binomials [k, r]_q over r."""
+    q, k = C.field.q, C.k
+    total, g = 0, 1                      # g = [k, r]_q
+    for r in range(k + 1):
+        total += g
+        g = g * (q ** (k - r) - 1) // (q ** (r + 1) - 1)
+    return (total - 1).bit_length()
+
+
 class SubspaceLattice:
     """Subcodes of C as subspaces of its coefficient space F^k.
 
@@ -386,14 +390,17 @@ class SubspaceLattice:
     once.  Every elimination has k columns.  Meets, joins, supports and
     complements are memoized by element index.
 
-    Without `subcodes` every subcode is enumerated, and codes with
-    q^k > SUBSPACE_CAP are refused; `subcode_lattice(C)` is that lattice,
-    built once per code.  With `subcodes` the lattice starts from those
-    alone and interns just the elements that meets, joins and `index_of`
-    reach, so it never enumerates and has no cap.
+    Without `subcodes` every subcode is enumerated, and it is refused
+    when the subcodes number more than 2^max_enum; `subcode_lattice(C)` is
+    that lattice, built once per code.  With `subcodes` the lattice starts
+    from those alone and interns just the elements that meets, joins and
+    `index_of` reach, so it never enumerates and has no cap.
     """
 
-    def __init__(self, C: LinearCode, subcodes=None):
+    def __init__(self, C: LinearCode, subcodes=None,
+                 max_enum: int = SUBSET_ENUM_CAP):
+        if subcodes is None:
+            _check_cap(_lattice_bits(C), max_enum, "subcodes")
         self.code = C
         self._pivots = C.gen.rref()[1]
         self.elements: list[Matrix] = []
@@ -406,11 +413,6 @@ class SubspaceLattice:
             for S in subcodes:
                 self.index_of(S)
             return
-        size = C.field.q ** C.k
-        if size > SUBSPACE_CAP:
-            raise SizeLimitExceeded(
-                f"subspace lattice of q^k = {size} codewords exceeds the "
-                f"cap {SUBSPACE_CAP}", limit=SUBSPACE_CAP, needed=size)
         for r in range(C.k + 1):
             for X in iter_rref_matrices(C.field, r, C.k):
                 self._intern(X)
@@ -489,10 +491,13 @@ class SubspaceLattice:
         return v
 
 
-def subcode_lattice(C: LinearCode) -> SubspaceLattice:
-    """The exhaustive subcode lattice of C, built once and kept on C."""
+def subcode_lattice(C: LinearCode,
+                    max_enum: int = SUBSET_ENUM_CAP) -> SubspaceLattice:
+    """The exhaustive subcode lattice of C, built once and kept on C; the
+    cap is checked on every call, as the code's other memos do."""
+    _check_cap(_lattice_bits(C), max_enum, "subcodes")
     if C._lattice is None:
-        C._lattice = SubspaceLattice(C)
+        C._lattice = SubspaceLattice(C, max_enum=max_enum)
     return C._lattice
 
 
@@ -525,7 +530,7 @@ def gap_condition_check(C: LinearCode,
     poly = filt.polygon
     if poly.N < 2:
         return True
-    lat = subcode_lattice(C)
+    lat = subcode_lattice(C, max_enum)
     slopes = poly.slopes
     for a in range(1, poly.N):
         i_a, v_a = poly.vertices[a]
@@ -556,6 +561,8 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     (S vanishes on J iff J avoids the support of S); the join/meet
     exchange inequalities; and degree(S) = #cosupport(S).  Exhaustive over
     the subspace lattice and all 2^n subsets when samples are omitted.
+    The laws run over pairs: an exhaustive side of 2^b elements counts as
+    2^(2b) against the default cap, checked before either side is built.
 
     Every law is read on SubspaceLattice indices: the image
     `subset_to_subcode(C, J)` of each subset is interned once, and meets,
@@ -565,6 +572,9 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     interns only the meets, joins and images the laws reach, so it never
     enumerates the subspaces of F^k.
     """
+    side = max(_lattice_bits(C) if subcodes is None else 0,
+               C.n if subsets is None else 0)
+    _check_cap(2 * side, SUBSET_ENUM_CAP, "pairs of subcodes or subsets")
     if subcodes is None:
         lat = subcode_lattice(C)
         idx = range(len(lat))
@@ -572,10 +582,6 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
         lat = SubspaceLattice(C, subcodes=subcodes)
         idx = [lat.index_of(S) for S in subcodes]
     if subsets is None:
-        if C.n > 16:
-            raise SizeLimitExceeded(
-                f"exhaustive subset side needs n <= 16, got {C.n}",
-                limit=16, needed=C.n)
         subsets = range(1 << C.n)
     subsets = list(subsets)
     leq, meet, join, cos = lat.leq, lat.meet, lat.join, lat.cosupport

@@ -110,14 +110,6 @@ class Matroid:
             self._dual._dual = self
         return self._dual
 
-    def restrict(self, T: int) -> "Matroid":
-        """Restriction to the elements of T, reindexed in ascending order."""
-        return self._minor([e for e in range(self.n) if (T >> e) & 1], 0)
-
-    def contract(self, S: int) -> "Matroid":
-        """Contraction of the elements of S, reindexed in ascending order."""
-        return self._minor([e for e in range(self.n) if not (S >> e) & 1], S)
-
     def _minor(self, elems, S: int) -> "Matroid":
         """Contract S, then restrict to `elems` (disjoint from S)."""
         # masks[X] = S | {elems[i] : bit i of X}; the subsets holding
@@ -213,7 +205,8 @@ def matroid_from_code(C: LinearCode) -> Matroid:
     """Column matroid of the generator matrix (memoized on the code).
 
     Column ranks satisfy the rank axioms by construction, so the table is
-    not revalidated."""
+    not revalidated; the ground-set cap goes first, so a refusal names it."""
+    _check_ground_set(C.n)
     return Matroid(C.n, C.rank_table(MATROID_CAP))
 
 

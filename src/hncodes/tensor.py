@@ -26,8 +26,6 @@ from .hn import is_semistable
 
 _INF = float("inf")
 
-# products have n_A * n_B coordinates, so a lower cap than single codes
-TENSOR_ENUM_CAP = 18
 # random subcodes of the product certified by tensor_semistable_check
 _CERTIFIED_SUBCODES = 20
 
@@ -86,7 +84,7 @@ def schaathun_bound_table(A: LinearCode, B: LinearCode,
 
 
 def schaathun_verify(A: LinearCode, B: LinearCode,
-                     max_enum: int = TENSOR_ENUM_CAP) -> bool:
+                     max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """d_r(A (x) B) >= d*_r for every r, by exact computation."""
     _check_cap(A.n * B.n, max_enum)
     C = A.tensor(B)
@@ -197,7 +195,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
 
 
 def tensor_semistable_check(A: LinearCode, B: LinearCode,
-                            max_enum: int = TENSOR_ENUM_CAP) -> bool:
+                            max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """Semistable factors give a semistable product (checked exactly).
 
     Alongside the exact verdict, random subcodes of the product are run
@@ -250,7 +248,7 @@ def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
 
 
 def wei_yang_check(A: LinearCode, B: LinearCode,
-                   max_enum: int = TENSOR_ENUM_CAP) -> bool:
+                   max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """When both factors are chained the bound is met with equality:
     d_r(A (x) B) == d*_r for every r."""
     if not (is_chained(A, max_enum) and is_chained(B, max_enum)):

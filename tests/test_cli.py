@@ -71,6 +71,16 @@ def test_usage_errors_exit_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+    # rr takes exactly one of --J and --all; matroid (bounded by its
+    # ground-set cap) and selftest (built-in sizes) take no --max-enum
+    path = str(HERE / "data" / "binary_5_2.code")
+    for argv in (["rr", path], ["rr", path, "--J", "5", "--all"],
+                 ["matroid", str(HERE / "data" / "u24.matroid"),
+                  "--max-enum", "24"],
+                 ["selftest", "--max-enum", "0"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2, argv
 
 
 def test_parse_error_exits_2(tmp_path):
@@ -113,6 +123,17 @@ def test_cap_exceeded_exits_4():
     proc = run_cli("semistable", "data/binary_9_7.code", "--max-enum", "4")
     assert proc.returncode == 4
     assert "error:" in proc.stderr
+
+
+def test_tensor_of_20_columns_runs_at_the_default_cap(tmp_path, capsys):
+    a = tmp_path / "a.code"
+    a.write_text("field 2 1\ncode 4 2\n1100\n0011\n")
+    b = str(HERE / "data" / "binary_5_2.code")
+    assert cli.main(["tensor", str(a), b]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["product"]["n"] == 20
+    assert results["semistable"]["preservation"]["ok"] is True
+    assert cli.main(["tensor", str(a), b, "--max-enum", "19"]) == 4
 
 
 # Bounds tests run the child under a 1 GB address space and a timeout, so

@@ -23,11 +23,11 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
-from hncodes.algebra import (column_rank_table, column_subsets_attaining,
+from hncodes.algebra import (FieldSpec, column_rank_table,
+                             column_subsets_attaining,
                              min_column_rank_by_size)
 from hncodes.code import mask_of
 from hncodes.hn import (
-    SUBSPACE_CAP,
     CanonicalPolygon,
     SubspaceLattice,
     cosupport,
@@ -451,6 +451,38 @@ def test_subspace_lattice_structure():
 def test_subspace_lattice_cap():
     with pytest.raises(SizeLimitExceeded):
         SubspaceLattice(zoo.full_space(GF2, 13))
+    # the cap counts subcodes: F_2^4 has 1 + 15 + 35 + 15 + 1 = 67
+    # subspaces, so 2^6 is refused and 2^7 is enough
+    C = zoo.full_space(GF2, 4)
+    with pytest.raises(SizeLimitExceeded) as err:
+        SubspaceLattice(C, max_enum=6)
+    assert "subcodes" in str(err.value) and err.value.needed == 7
+    with pytest.raises(SizeLimitExceeded):
+        hn.subcode_lattice(C, max_enum=6)
+    assert len(hn.subcode_lattice(C, max_enum=7)) == 67
+    # the memo checks the cap on every call, not only when it builds
+    with pytest.raises(SizeLimitExceeded):
+        hn.subcode_lattice(C, max_enum=6)
+
+
+def test_large_lattice_refused_before_enumerating(monkeypatch):
+    # F_2^9 has 8,283,458 subspaces (q^k = 512); none may be built
+    def refuse(*args):
+        raise AssertionError("the lattice was enumerated")
+    monkeypatch.setattr(hn, "iter_rref_matrices", refuse)
+    C = zoo.full_space(GF2, 9)
+    for build in (SubspaceLattice, hn.subcode_lattice, verify_galois):
+        with pytest.raises(SizeLimitExceeded):
+            build(C)
+
+
+def test_gap_condition_on_a_large_field_with_a_small_lattice():
+    # q^k = 65,536, but the [4,2] code over GF(256) has 259 subcodes
+    C = LinearCode.from_rows(FieldSpec(2, 8, 0x11D),
+                             [(1, 1, 1, 0), (0, 0, 0, 1)])
+    assert len(code_polygon(C).vertices) == 3
+    assert gap_condition_check(C)
+    assert len(hn.subcode_lattice(C)) == 259
 
 
 def _check_lattice_pairs(C, L, pairs, levels):
@@ -554,16 +586,30 @@ def test_galois_adjunction_sampled_on_larger_code():
 
 
 def test_galois_sampled_never_enumerates_the_lattice():
-    # q^k = 2^13 exceeds SUBSPACE_CAP: sampled mode must not enumerate
+    # the exhaustive lattice of k = 13 is refused: sampled mode must not
+    # enumerate
     rng = random.Random(271)
     C = zoo.parity(GF2, 14)
-    assert C.field.q ** C.k > SUBSPACE_CAP
+    with pytest.raises(SizeLimitExceeded):
+        hn.subcode_lattice(C)
     subcodes = [C.zero_subcode(), C.whole_subcode()]
     subcodes += [zoo.random_subcode(rng, C, rng.randrange(1, 4))
                  for _ in range(8)]
     subsets = [rng.randrange(1 << C.n) for _ in range(28)]
     subsets += [0, (1 << C.n) - 1]
     assert verify_galois(C, subcodes=subcodes, subsets=subsets)
+
+
+def test_exhaustive_galois_laws_are_capped_by_their_pairs(monkeypatch):
+    # the laws walk 4^n subset pairs: n = 11 is 2^22 of them, refused
+    # before any subset is read
+    def refuse(*args):
+        raise AssertionError("the subsets were walked")
+    monkeypatch.setattr(hn, "subset_to_subcode", refuse)
+    C = LinearCode.from_rows(GF2, [(1,) * 6 + (0,) * 5, (0,) * 6 + (1,) * 5])
+    with pytest.raises(SizeLimitExceeded) as err:
+        verify_galois(C)
+    assert err.value.needed == 22 and "pairs" in str(err.value)
 
 
 def test_subset_to_subcode_and_cosupport():

@@ -132,6 +132,13 @@ def test_bases_of_a_large_uniform_matroid_are_read_fast():
 def test_ground_set_cap():
     with pytest.raises(SizeLimitExceeded):
         Matroid.from_ranks(17, bytes(1 << 17))
+    # a code matroid is refused by the matroid cap, which no --max-enum
+    # raises, not by the code's enumeration cap
+    C = LinearCode.from_rows(GF2, [(1,) * 9 + (0,) * 9, (0,) * 9 + (1,) * 9])
+    with pytest.raises(SizeLimitExceeded) as err:
+        matroid_from_code(C)
+    assert "matroid ground sets" in str(err.value)
+    assert "--max-enum" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +249,14 @@ def test_matroid_check_functions():
 # ---------------------------------------------------------------------------
 
 def test_restrict_and_contract():
+    # both are minors of the one table: contract S, keep the given elements
     M = matroid_from_code(zoo.binary_9_7())
-    R = M.restrict(0b1111)
+    R = M._minor([0, 1, 2, 3], 0)
     assert R.n == 4
     assert R.k == M.rank_of(0b1111)
     for S in range(1 << 4):
         assert R.rank_of(S) == M.rank_of(S)      # low bits map to themselves
-    Cn = M.contract(0b1111)
+    Cn = M._minor([4, 5, 6, 7, 8], 0b1111)
     assert Cn.n == 5
     assert Cn.k == M.k - M.rank_of(0b1111)
     for S in range(1 << 5):
@@ -281,17 +289,22 @@ def test_graded_minors_are_semistable():
 
 
 def test_graded_minors_take_one_table_pass(monkeypatch):
-    # each piece is one minor of the matroid's own table; no contraction
-    # or restriction is built on the way
-    def refuse(self, S):
-        raise AssertionError("graded() built an intermediate minor")
-    monkeypatch.setattr(Matroid, "contract", refuse)
-    monkeypatch.setattr(Matroid, "restrict", refuse)
+    # each piece is one minor of the matroid's own table; no intermediate
+    # contraction or restriction is built on the way
+    minors = []
+    minor = Matroid._minor
+
+    def counted(self, elems, S):
+        minors.append((self, S))
+        return minor(self, elems, S)
+    monkeypatch.setattr(Matroid, "_minor", counted)
     M = matroid_from_code(zoo.binary_9_7())
     assert [(g.n, g.k) for g in M.graded()] == [(4, 3), (5, 4)]
+    assert minors == [(M, 0), (M, M.filtration().steps[1])]
     U = uniform_matroid(2, 4)
     (piece,) = U.graded()
     assert piece is U
+    assert len(minors) == 2
 
 
 def test_semistable_matches_subset_side():

@@ -221,6 +221,16 @@ def test_tensor_checks_honour_a_raised_cap():
         tensor_semistable_check(R21, R1, max_enum=20)
 
 
+def test_products_have_the_default_cap_of_any_code():
+    # a product's columns count against the same 2^20 as any code's
+    A = LinearCode.from_rows(GF2, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    B = zoo.binary_5_2()
+    assert schaathun_verify(A, B)
+    assert tensor_semistable_check(A, B)
+    with pytest.raises(SizeLimitExceeded):
+        schaathun_verify(zoo.repetition(GF2, 7), zoo.repetition(GF2, 3))
+
+
 # ---------------------------------------------------------------------------
 # semistability of products
 # ---------------------------------------------------------------------------
