@@ -3,8 +3,9 @@
 Field elements are plain integers in [0, q).  The integer's little-endian
 base-p digits are the coefficients of the residue polynomial, so 0 and 1 are
 the field's zero and one for every (p, m) and prime subfields embed as the
-integers [0, p).  Multiplication runs on log/antilog tables built once at
-construction; addition is digit-wise mod p.  All matrix routines are exact
+integers [0, p).  Every operation is a lookup in addition and
+multiplication tables built once at construction from two recurrences on
+those digits (`FieldSpec._build_tables`).  All matrix routines are exact
 (no floats anywhere) and deterministic.
 
 The subset-rank helpers at the bottom enumerate column subsets by
@@ -47,39 +48,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _to_digits(x: int, p: int) -> list[int]:
-    """Little-endian base-p digits of x (empty list for 0)."""
-    out = []
-    while x:
-        out.append(x % p)
-        x //= p
-    return out
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of polynomial a modulo monic polynomial b, digit lists."""
-    a = list(a)
-    while len(a) >= len(b):
-        c = a[-1]
-        if c:
-            off = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[off + i] = (a[off + i] - c * bi) % p
-        a.pop()
-    return a
-
-
-def _poly_is_irreducible(mod_digits: list[int], p: int) -> bool:
-    """Trial division by every lower-degree monic polynomial."""
-    m = len(mod_digits) - 1
-    for d in range(1, m):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not any(_poly_rem(mod_digits, divisor, p)):
-                return False
-    return True
-
-
 class FieldSpec:
     """A concrete finite field GF(p^m) with q = p^m <= 256.
 
@@ -95,10 +63,14 @@ class FieldSpec:
 
     Elements are ints in [0, q).  Methods do not range-check their
     arguments on the hot path.  The constructor checks the cheap bounds
-    (p and m) before the primality test and before computing p^m.
+    (p and m) before the primality test and before computing p^m, and the
+    modulus range before any table is built.  Irreducibility is checked
+    last, on the finished multiplication table: the modulus is refused
+    with ReducibleModulus when a product of nonzero elements is 0, so the
+    refusal costs one table build.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_mod_digits", "_exp", "_log",
+    __slots__ = ("p", "m", "q", "modulus",
                  "_add", "_sub", "_neg", "_mul", "_inv")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
@@ -124,99 +96,50 @@ class FieldSpec:
             raise InvariantViolation(
                 f"modulus {modulus} does not encode a monic degree-{m} "
                 f"polynomial over GF({p})")
-        digits = _to_digits(modulus, p)
-        if not _poly_is_irreducible(digits, p):
-            raise ReducibleModulus(
-                f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._mod_digits = digits
         self._build_tables()
 
     # -- table construction -------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da = _to_digits(a, p)
-        db = _to_digits(b, p)
-        if not da or not db:
-            return 0
-        conv = [0] * (len(da) + len(db) - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        rem = conv if len(conv) <= m else _poly_rem(conv, self._mod_digits, p)
-        out = 0
-        for d in reversed(rem):
-            out = out * p + d
-        return out
-
-    def _raw_add(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _multiplicative_order(self, g: int) -> int:
-        acc, k = g, 1
-        while acc != 1:
-            acc = self._raw_mul(acc, g)
-            k += 1
-            if k > self.q:
-                raise InvariantViolation("order search did not terminate")
-        return k
-
     def _build_tables(self):
-        q = self.q
-        # generator of the multiplicative group, then log/antilog tables
-        if q == 2:
-            gen = 1
-        else:
-            gen = next(g for g in range(2, q)
-                       if self._multiplicative_order(g) == q - 1)
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
-        mul = [[0] * q for _ in range(q)]
+        """Fill the tables from two recurrences on the base-p digits.
+
+        Write a = a0 + p*a1 with a0 = a % p.  Addition is digit-wise, so
+        row a is (a0 + b) % p + p * add[a1][b // p] over the earlier row
+        a1.  The scalar rows a < p are digit-wise the same way; xc[c] is
+        x*c, the digits of c shifted up with the carried top digit folded
+        back in times x^m = -(modulus - q); and every other row is
+        mul[a0][b] + x*mul[a1][b], since a = a0 + x*a1.  The ring
+        GF(p)[x]/(modulus) is a field exactly when it has no zero divisors
+        (Lidl-Niederreiter, Thm. 1.61), which the finished `mul` shows.
+        """
+        p, q = self.p, self.q
+        add = [list(range(q))]
         for a in range(1, q):
-            la = log[a]
-            row = mul[a]
+            a0, up = a % p, add[a // p]
+            add.append([(a0 + b) % p + p * up[b // p] for b in range(q)])
+        mul = [[0] * q]
+        for a in range(1, p):
+            row = [0] * q
             for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
-        self._mul = mul
-        neg = [0] * q
-        p = self.p
-        for a in range(q):
-            neg[a] = sum(((p - d) % p) * p ** i
-                         for i, d in enumerate(_to_digits(a, p)))
-        self._neg = neg
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = add[a]
-            for b in range(q):
-                row[b] = self._raw_add(a, b)
-        self._add = add
-        sub = [[0] * q for _ in range(q)]
-        for a in range(q):
-            rowa, rows = add[a], sub[a]
-            for b in range(q):
-                rows[b] = rowa[neg[b]]
-        self._sub = sub
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._inv = inv
+                row[b] = a * b % p + p * row[b // p]
+            mul.append(row)
+        top = q // p
+        xm = mul[p - 1][self.modulus - q]
+        xc = [add[c % top * p][mul[c // top][xm]] for c in range(q)]
+        for a in range(p, q):
+            low, up = mul[a % p], mul[a // p]
+            mul.append([add[low[b]][xc[up[b]]] for b in range(q)])
+        if any(0 in row[1:] for row in mul[1:]):
+            raise ReducibleModulus(
+                f"modulus {self.modulus} is reducible over GF({p})")
+        neg = [row.index(0) for row in add]
+        self._add, self._mul, self._neg = add, mul, neg
+        self._sub = [[row[nb] for nb in neg] for row in add]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     # -- scalar operations --------------------------------------------------
 
@@ -244,8 +167,10 @@ class FieldSpec:
             if e < 0:
                 raise DivisionByZero(f"0**{e} in GF({self.q})")
             return 0
-        le = (self._log[a] * e) % (self.q - 1)
-        return self._exp[le]
+        row, out = self._mul[a], 1
+        for _ in range(e % (self.q - 1)):
+            out = row[out]
+        return out
 
     def elements(self) -> range:
         return range(self.q)

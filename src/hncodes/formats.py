@@ -137,6 +137,9 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
             raise ParseError("from-code takes exactly one path",
                              line=head[0][1], col=head[0][2])
         rel = head[1][0]
+        if "\0" in rel:
+            raise ParseError("from-code path contains a NUL byte",
+                             line=head[1][1], col=head[1][2])
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         return matroid_from_code(parse_code_file(path))
     _expect_keyword(head[0], "matroid")

@@ -501,16 +501,18 @@ def subcode_lattice(C: LinearCode,
     return C._lattice
 
 
-def verify_parallelogram(lattice, pairs=None) -> bool:
-    """Modularity of rank and lower semimodularity of degree on pairs.
+def verify_parallelogram(lattice) -> bool:
+    """Modularity of rank and lower semimodularity of degree on all pairs.
 
     rank(x) + rank(y) == rank(join) + rank(meet) and
-    deg(x) + deg(y) <= deg(join) + deg(meet); exhaustive when pairs is
-    None.
+    deg(x) + deg(y) <= deg(join) + deg(meet).  A lattice of at most 2^b
+    elements counts as 2^(2b) pairs against the default cap, checked
+    before any pair is read.
     """
+    _check_cap(2 * (len(lattice) - 1).bit_length(), SUBSET_ENUM_CAP,
+               "pairs of lattice elements")
     idx = range(len(lattice))
-    if pairs is None:
-        pairs = ((i, j) for i in idx for j in idx)
+    pairs = ((i, j) for i in idx for j in idx)
     for i, j in pairs:
         m = lattice.meet(i, j)
         v = lattice.join(i, j)

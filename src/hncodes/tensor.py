@@ -130,24 +130,20 @@ def _column_projection(D: Subcode, nA: int, nB: int, j: int):
 
 def witness(D: Subcode, A: LinearCode, B: LinearCode,
             max_enum: int = SUBSET_ENUM_CAP) -> SchaathunWitness:
-    """Build and check the weight certificate for a subcode of A (x) B."""
+    """Build and check the weight certificate for a subcode of A (x) B.
+
+    D must lie in the product: A (x) B is exactly the set of arrays whose
+    columns lie in A and whose rows lie in B, so membership is one rank
+    test of D's basis against the product's generator (NotASubcode
+    otherwise)."""
     nA, nB = A.n, B.n
-    C = D.parent
-    if C.n != nA * nB:
+    if D.parent.n != nA * nB:
         raise NotASubcode("ambient length is not the product of the "
                           "factor lengths")
-    # every matrix column must lie in A, every matrix row in B
-    for b in range(D.dim):
-        word = D.basis.row(b)
-        for i in range(nA):
-            if not B.gen.row_space_contains(word[i * nB:(i + 1) * nB]):
-                raise NotASubcode(f"matrix row {i} of basis vector {b} "
-                                  "is outside the second factor")
-        for j in range(nB):
-            col = [word[i * nB + j] for i in range(nA)]
-            if not A.gen.row_space_contains(col):
-                raise NotASubcode(f"matrix column {j} of basis vector {b} "
-                                  "is outside the first factor")
+    T = A.tensor(B)
+    if T.gen.stack(D.basis).rank() != T.k:
+        raise NotASubcode("a basis vector has a matrix column outside the "
+                          "first factor or a matrix row outside the second")
     r = D.dim
     dA = A.weight_hierarchy(max_enum)
     dB = B.weight_hierarchy(max_enum)

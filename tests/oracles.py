@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: plain enumeration over
 codewords, coefficient tuples, and subsets.  No pruning and no shared code
-paths with the library beyond raw field arithmetic.  Rank tables appear
+paths with the library beyond raw field arithmetic, and that arithmetic has
+its own reference at the end: digit polynomials multiplied and reduced by
+the modulus, and irreducibility by trial division.  Rank tables appear
 only as given data: the matroid references scan a table mask by mask, and
 `SubsetLattice.for_code` is a lattice view over a code's own table.
 """
@@ -339,3 +341,46 @@ class SubsetLattice:
 
     def join(self, I: int, J: int) -> int:
         return I | J
+
+
+# -- field arithmetic ---------------------------------------------------------
+
+def digits(x: int, p: int, count: int) -> list[int]:
+    """The `count` little-endian base-p digits of x."""
+    return [x // p ** i % p for i in range(count)]
+
+
+def poly_rem(a, b, p: int) -> list[int]:
+    """Remainder of digit polynomial a modulo the monic digit polynomial b
+    (coefficient lists, lowest degree first)."""
+    a = list(a)
+    while len(a) >= len(b):
+        c, off = a[-1], len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[off + i] = (a[off + i] - c * bi) % p
+        a.pop()
+    return a
+
+
+def field_add(p: int, m: int, a: int, b: int) -> int:
+    """a + b in GF(p^m): digit-wise sum mod p."""
+    return sum((x + y) % p * p ** i for i, (x, y) in
+               enumerate(zip(digits(a, p, m), digits(b, p, m))))
+
+
+def field_mul(p: int, m: int, modulus: int, a: int, b: int) -> int:
+    """a * b in GF(p)[x]/(modulus): the schoolbook product of the digit
+    polynomials, reduced by the modulus."""
+    conv = [0] * (2 * m - 1)
+    for i, x in enumerate(digits(a, p, m)):
+        for j, y in enumerate(digits(b, p, m)):
+            conv[i + j] = (conv[i + j] + x * y) % p
+    rem = poly_rem(conv, digits(modulus, p, m + 1), p)
+    return sum(d * p ** i for i, d in enumerate(rem))
+
+
+def is_irreducible(p: int, m: int, modulus: int) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. m - 1."""
+    f = digits(modulus, p, m + 1)
+    return all(any(poly_rem(f, [*tail, 1], p))
+               for d in range(1, m) for tail in product(range(p), repeat=d))

@@ -1,5 +1,7 @@
 """Field construction, exact linear algebra, and subset-rank machinery."""
 
+import random
+
 import pytest
 
 from hncodes import (
@@ -110,6 +112,60 @@ def test_field_rebuild_agrees():
     a, b = FieldSpec(2, 2, 0b111), FieldSpec(2, 2, 0b111)
     assert (a.p, a.m, a.q, a.modulus) == (b.p, b.m, b.q, b.modulus)
     assert all(a.mul(x, y) == b.mul(x, y) for x in range(4) for y in range(4))
+
+
+def _agrees_with_oracle(F, rows):
+    """add and mul on the given rows (all columns) equal the digit
+    polynomial reference; neg, sub, inv and pow agree with them."""
+    p, m, q, f = F.p, F.m, F.q, F.modulus
+    for a in rows:
+        for b in range(q):
+            assert F.add(a, b) == oracles.field_add(p, m, a, b), (f, a, b)
+            assert F.mul(a, b) == oracles.field_mul(p, m, f, a, b), (f, a, b)
+            assert F.add(F.sub(a, b), b) == a
+        assert F.add(a, F.neg(a)) == 0
+        if a:
+            assert oracles.field_mul(p, m, f, a, F.inv(a)) == 1
+        power = 1
+        for e in range(q + 1):
+            assert F.pow(a, e) == power, (f, a, e)
+            power = oracles.field_mul(p, m, f, power, a)
+        if a:
+            assert F.pow(a, -1) == F.inv(a)
+            assert F.pow(a, -2) == F.mul(F.inv(a), F.inv(a))
+
+
+def test_fields_match_the_polynomial_oracle_up_to_order_32():
+    # every (p, m, modulus) with q <= 32: the field is refused exactly when
+    # trial division finds a factor, and otherwise its tables are GF(p)[x]
+    # modulo the modulus
+    specs = [(p, m, f) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+             for m in range(1, 6) if p ** m <= 32
+             for f in range(p ** m, 2 * p ** m)]
+    assert len(specs) == 281
+    refused = 0
+    for p, m, f in specs:
+        if not oracles.is_irreducible(p, m, f):
+            with pytest.raises(ReducibleModulus):
+                FieldSpec(p, m, f)
+            refused += 1
+            continue
+        F = FieldSpec(p, m, f)
+        _agrees_with_oracle(F, range(F.q))
+    # the 160 moduli of degree 1 are irreducible, and of degree 2..5 there
+    # are 1, 2, 3, 6 over GF(2), 3 and 8 over GF(3) and 10 over GF(5)
+    assert refused == 281 - 160 - (1 + 2 + 3 + 6) - (3 + 8) - 10
+
+
+def test_gf256_matches_the_polynomial_oracle_on_sampled_rows():
+    rng = random.Random(0x100)
+    for f in (285, 283):
+        assert oracles.is_irreducible(2, 8, f)
+        _agrees_with_oracle(FieldSpec(2, 8, f),
+                            [0, 1, 2, 255] + rng.sample(range(3, 255), 6))
+    assert not oracles.is_irreducible(2, 8, 284)
+    with pytest.raises(ReducibleModulus):
+        FieldSpec(2, 8, 284)
 
 
 def test_field_repr_tells_unequal_fields_apart():

@@ -106,6 +106,9 @@ def test_parse_matroid_from_code_relative_to_text_dir():
     ("matroid 2 1\n", "no bases listed"),
     ("matroid 2 1\n0b101\n", "outside the ground set"),
     ("matroid 2 1\n0b11\n", "has 2 elements, expected 1"),
+    # open() refuses a NUL with ValueError, which no exit code maps
+    ("from-code \0binary_9_7.code\n", "line 1, column 11: from-code path "
+     "contains a NUL byte"),
 ])
 def test_parse_matroid_errors(text, fragment):
     with pytest.raises((ParseError, InvariantViolation)) as err:

@@ -552,6 +552,19 @@ def test_parallelogram_exhaustive_small():
         assert verify_parallelogram(SubspaceLattice(C))
 
 
+def test_parallelogram_counts_its_pairs_against_the_cap():
+    # 2^11 elements make 2^22 pairs, past the default cap of 2^20: refused
+    # before any pair is read
+    lat = oracles.SubsetLattice(11, lambda J: 0)
+
+    def unread(I, J):
+        raise AssertionError("a pair was read past the cap")
+
+    lat.meet = lat.join = unread
+    with pytest.raises(SizeLimitExceeded, match="pairs of lattice"):
+        verify_parallelogram(lat)
+
+
 def test_subset_lattice_for_code():
     C = zoo.binary_9_7()
     S = oracles.SubsetLattice.for_code(C)

@@ -147,6 +147,50 @@ def test_witness_rejects_foreign_subcode():
         witness(D, zoo.binary_3_2(), zoo.binary_5_2())
 
 
+def _inside_product_by_words(D, A, B) -> bool:
+    """Every basis row of D, read as an nA x nB array, has each column a
+    codeword of A and each row a codeword of B."""
+    words_A = set(oracles.codewords(A.field, oracles.rows_of(A)))
+    words_B = set(oracles.codewords(B.field, oracles.rows_of(B)))
+    nA, nB = A.n, B.n
+    for b in range(D.dim):
+        w = D.basis.row(b)
+        if any(tuple(w[i * nB:(i + 1) * nB]) not in words_B
+               for i in range(nA)):
+            return False
+        if any(tuple(w[i * nB + j] for i in range(nA)) not in words_A
+               for j in range(nB)):
+            return False
+    return True
+
+
+def test_witness_refuses_exactly_the_subcodes_outside_the_product():
+    rng = random.Random(0x7E5)
+    outcomes = {True: 0, False: 0}
+
+    def rand(field, n):
+        return zoo.random_code(rng, field, n, rng.randrange(1, n + 1))
+
+    for _ in range(400):
+        field = rng.choice([GF2, GF3, zoo.gf4()])
+        nA, nB = rng.randrange(1, 5), rng.randrange(1, 5)
+        A, B = rand(field, nA), rand(field, nB)
+        parent = rng.choice([
+            lambda: A.tensor(B),
+            lambda: rand(field, nA * nB),
+            lambda: rand(field, nA).tensor(rand(field, nB)),
+        ])()
+        D = zoo.random_subcode(rng, parent, rng.randrange(1, parent.k + 1))
+        inside = _inside_product_by_words(D, A, B)
+        outcomes[inside] += 1
+        if inside:
+            assert witness(D, A, B).r == D.dim
+        else:
+            with pytest.raises(NotASubcode):
+                witness(D, A, B)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_schaathun_verify_pairs():
     rng = random.Random(521)
     for _ in range(10):
