@@ -450,28 +450,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} /GF({self.field.q}): {body})"
 
 
-def row_space_intersection(A: Matrix, B: Matrix) -> Matrix:
-    """Basis (RREF, zero rows dropped) of rowspace(A) & rowspace(B).
-
-    Zassenhaus: reduce [A|A; B|0]; rows whose left half vanished carry the
-    intersection in their right half.
-    """
-    if A.field != B.field or A.cols != B.cols:
-        raise FieldMismatch("incompatible ambient spaces")
-    f, n = A.field, A.cols
-    ent = []
-    for i in range(A.rows):
-        r = A.row(i)
-        ent += r + r
-    for i in range(B.rows):
-        ent += B.row(i) + (0,) * n
-    R, piv = Matrix(f, A.rows + B.rows, 2 * n, tuple(ent)).rref()
-    keep = [row[n:] for row in R.row_list()
-            if not any(row[:n]) and any(row[n:])]
-    return Matrix(f, len(keep), n,
-                  tuple(x for r in keep for x in r)).rref_nonzero()
-
-
 # -- column subset enumeration ---------------------------------------------
 
 SUBSET_ENUM_CAP = 20
@@ -554,6 +532,16 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
 
     rec(0, 0, 0, 0, empty)
     return best, wit
+
+
+def least_ranks(X, max_enum: int = SUBSET_ENUM_CAP):
+    """`min_column_rank_by_size` of a code or matroid X, searched once and
+    kept on X._minr; the cap is checked on every call, so whether it is
+    honoured does not depend on what was computed before."""
+    _check_cap(X.n, max_enum)
+    if X._minr is None:
+        X._minr = min_column_rank_by_size(X, max_enum)
+    return X._minr
 
 
 def column_subsets_attaining(M, targets,

@@ -23,9 +23,8 @@ from .algebra import (
     FieldSpec,
     Matrix,
     _check_cap,
-    min_column_rank_by_size,
     column_rank_table,
-    row_space_intersection,
+    least_ranks,
 )
 from .errors import (
     FieldMismatch,
@@ -68,9 +67,9 @@ class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
     # Memos of the code's own analysis: the min-rank search as (minima,
-    # witnesses), the rank table, the dual, the canonical filtration and
-    # the subcode lattice (both filled by hn.py), and the last tensor
-    # product as (other, product).
+    # witnesses) kept by `algebra.least_ranks`, the rank table, the dual,
+    # the canonical filtration and the subcode lattice (both filled by
+    # hn.py), and the last tensor product as (other, product).
     __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_dual",
                  "_filt", "_lattice", "_tensor")
 
@@ -165,14 +164,11 @@ class LinearCode:
 
     # -- weight data ---------------------------------------------------------
 
-    # Both memos check the cap on every call, so whether a cap is honoured
-    # does not depend on what was computed before.
+    def independence(self):
+        """The generator's column oracle: the searches take the code."""
+        return self.gen.independence()
 
-    def _min_ranks(self, max_enum: int):
-        _check_cap(self.n, max_enum)
-        if self._minr is None:
-            self._minr = min_column_rank_by_size(self.gen, max_enum)
-        return self._minr
+    # Like `least_ranks`, the rank table checks the cap on every call.
 
     def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
@@ -190,12 +186,11 @@ class LinearCode:
     def dlp(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """Dimension/length profile (k_0, ..., k_n), k_j = max dim C_J."""
         from .hn import subset_profile  # hn builds on this module
-        minima, _ = self._min_ranks(max_enum)
-        return subset_profile(self.n, self.k, minima)
+        return subset_profile(self, max_enum)
 
     def dlp_witnesses(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
         """One maximizing coordinate set per profile entry."""
-        _, wit = self._min_ranks(max_enum)
+        _, wit = least_ranks(self, max_enum)
         full = (1 << self.n) - 1
         return tuple(full ^ wit[self.n - j] for j in range(self.n + 1))
 
@@ -306,8 +301,9 @@ class Subcode:
         return self.basis.stack(other.basis).rank() == self.dim
 
     def meet(self, other: "Subcode") -> "Subcode":
-        B = row_space_intersection(self.basis, other.basis)
-        return Subcode(self.parent, B)
+        """U & W = (U^perp + W^perp)^perp, complements taken in F^n."""
+        N = self.basis.right_nullspace().stack(other.basis.right_nullspace())
+        return Subcode(self.parent, N.right_nullspace().rref_nonzero())
 
     def join(self, other: "Subcode") -> "Subcode":
         B = self.basis.stack(other.basis).rref_nonzero()

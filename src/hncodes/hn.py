@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap,
+from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap, least_ranks,
                       column_subsets_attaining, iter_rref_matrices)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
@@ -155,7 +155,7 @@ class CanonicalPolygon:
 
 def polygon_from_profile(maxdeg) -> CanonicalPolygon:
     """Polygon from the profile maxdeg[i] = max degree among rank-i elements."""
-    pts = [(i, Fraction(v)) for i, v in enumerate(maxdeg)]
+    pts = list(enumerate(maxdeg))
     if not pts:
         raise EmptyProfile("empty rank/degree profile")
     return CanonicalPolygon(_upper_hull(pts))
@@ -163,16 +163,17 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 
 # -- the subset engine ------------------------------------------------------
 #
-# Codes and matroids share everything below: it sees only n, k = r(E), the
-# least rank of an s-element subset for each s ("minima"), and, for
-# filtrations, the subsets of least rank at each vertex size.  Both come
-# from the same pruned column searches in `algebra.py`, run on a code's
-# generator matrix or on a matroid's rank table.  A subset S has degree
-# k - r(S); for a code that is dim C_{[n]-S}.
+# Codes and matroids share everything below.  It takes the object X itself
+# (a LinearCode or a Matroid) and reads only X.n, X.k = r(E), its
+# independence oracle and its memo of least ranks by subset size
+# (`algebra.least_ranks`); the filtration is the subsets of least rank at
+# the polygon's vertex sizes.  A subset S has degree k - r(S); for a code
+# that is dim C_{[n]-S}.
 
-def subset_profile(n: int, k: int, minr) -> tuple[int, ...]:
+def subset_profile(X, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
-    return tuple(k - minr[n - j] for j in range(n + 1))
+    minr, n = least_ranks(X, max_enum)[0], X.n
+    return tuple(X.k - minr[n - j] for j in range(n + 1))
 
 
 def profile_hierarchy(k: int, kj) -> tuple[int, ...]:
@@ -202,37 +203,6 @@ def hierarchies_tile(n: int, k: int, d, dual_d) -> bool:
             and left | right == set(range(1, n + 1)))
 
 
-def minima_polygon(k: int, minr) -> CanonicalPolygon:
-    """Polygon of the subset lattice: profile (s, k - min {r(S) : #S = s})."""
-    return polygon_from_profile([k - m for m in minr])
-
-
-def vertex_subsets(M, targets, max_enum: int = SUBSET_ENUM_CAP
-                   ) -> list[int]:
-    """The subset attaining each subset-lattice vertex, in order.
-
-    `targets` are the vertices (s, r), s increasing, with r the least rank
-    of an s-subset; `column_subsets_attaining` on M (a code's generator or
-    a matroid) finds every subset on the polygon at each size.  Uniqueness
-    is a theorem at polygon vertices, so a second attaining subset raises,
-    as does a missing one or a chain that does not nest.
-    """
-    hits = column_subsets_attaining(M, targets, max_enum)
-    out = []
-    for s, _ in targets:
-        found = hits[s]
-        if not found:
-            raise InvariantViolation(f"no subset attains vertex size {s}")
-        if len(found) > 1:
-            raise InvariantViolation(
-                f"polygon vertex at size {s} attained twice")
-        out.append(found[0])
-    for A, B in zip(out, out[1:]):
-        if A & ~B:
-            raise InvariantViolation("filtration subsets do not nest")
-    return out
-
-
 def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                  ) -> CanonicalPolygon:
     """Polygon of the subcode lattice: profile (i, n - d_i)."""
@@ -240,10 +210,10 @@ def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     return polygon_from_profile([C.n - di for di in d])
 
 
-def subset_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                   ) -> CanonicalPolygon:
-    """Polygon of the coordinate-subset lattice: profile (j, k_{n-j})."""
-    return minima_polygon(C.k, C._min_ranks(max_enum)[0])
+def subset_polygon(X, max_enum: int = SUBSET_ENUM_CAP) -> CanonicalPolygon:
+    """Polygon of the coordinate-subset lattice: profile
+    (s, k - min {r(S) : #S = s})."""
+    return polygon_from_profile([X.k - m for m in least_ranks(X, max_enum)[0]])
 
 
 class Filtration:
@@ -271,16 +241,43 @@ class Filtration:
         return self.polygon.vertex_ranks
 
 
+def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
+    """The chain of subsets attaining the subset polygon's vertices.
+
+    `column_subsets_attaining` on X finds every subset on the polygon at
+    each vertex size.  Uniqueness is a theorem at polygon vertices, so a
+    second attaining subset raises, as does a missing one or a chain that
+    does not nest.
+    """
+    poly = subset_polygon(X, max_enum)
+    targets = [(s, X.k - int(t)) for s, t in poly.vertices]
+    hits = column_subsets_attaining(X, targets, max_enum)
+    out = []
+    for s, _ in targets:
+        found = hits[s]
+        if not found:
+            raise InvariantViolation(f"no subset attains vertex size {s}")
+        if len(found) > 1:
+            raise InvariantViolation(
+                f"polygon vertex at size {s} attained twice")
+        out.append(found[0])
+    for A, B in zip(out, out[1:]):
+        if A & ~B:
+            raise InvariantViolation("filtration subsets do not nest")
+    return Filtration(out, poly)
+
+
 def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                          ) -> Filtration:
     """The chain of subcodes attaining the code polygon's vertices.
 
-    This is the Galois image of the subset-lattice filtration: the code
-    vertex (i, v) is the subset vertex (v, i), and its step is the subcode
+    This is the Galois image of `subset_filtration`: the code vertex
+    (i, v) is the subset vertex (v, i), and its step is the subcode
     vanishing on the attaining subset S, C_{[n]-S}.  The chain property
-    follows from the nesting of the subsets.  The attaining subsets come
-    from `column_subsets_attaining`, which walks only the column subsets
-    that stay at or below a vertex's rank; no rank table is built.
+    follows from the nesting of the subsets.  Zero columns only add a
+    leading subset vertex (0, k), so the code's N - 1 interior steps are
+    the images of the subset steps just before the last, in reverse.  The
+    zero and the whole subcode are the ends.  No rank table is built.
 
     The filtration is memoized on C; the cap is checked on every call, as
     the code's other memos do.
@@ -288,11 +285,9 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     _check_cap(C.n, max_enum)
     if C._filt is None:
         poly = code_polygon(C, max_enum)
-        inner = poly.vertices[-2:0:-1]           # interior, increasing v
-        targets = [(int(v), C.k - i) for i, v in inner]
-        subsets = vertex_subsets(C.gen, targets, max_enum)
+        inner = subset_filtration(C, max_enum).steps[-poly.N:-1]
         steps = [C.zero_subcode()]
-        steps += [subset_to_subcode(C, S) for S in reversed(subsets)]
+        steps += [subset_to_subcode(C, S) for S in reversed(inner)]
         steps.append(C.whole_subcode())
         C._filt = Filtration(steps, poly)
     return C._filt

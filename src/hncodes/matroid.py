@@ -4,9 +4,9 @@ The ground set is [n] with n <= 16; the rank of every subset is stored
 (2^n bytes).  Degree of a subset J is k - r(J) with k = r(E), so the top
 has degree 0 and the empty set degree k; the canonical polygon, filtration
 and graded pieces on the subset lattice come from that degree.  They are
-found by the same pruned column searches that codes use (`algebra.py`),
-run on the table through `Matroid.independence`.  The constructor trusts
-its table; `Matroid.from_ranks` checks the local exchange axioms
+found by the subset engine that codes use (`hn.py`), whose column
+searches read the table through `Matroid.independence`.  The constructor
+trusts its table; `Matroid.from_ranks` checks the local exchange axioms
 (equivalent to semimodularity) on every subset.
 
 Cohomology on this lattice: h0(M, J) = k - r(E - J) and
@@ -16,17 +16,18 @@ rank complement formula.
 
 from __future__ import annotations
 
-from .algebra import min_column_rank_by_size
 from .code import LinearCode, bits_of
 from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
-                 minima_polygon, profile_gaps, profile_hierarchy,
-                 subset_profile, vertex_subsets)
+                 profile_gaps, profile_hierarchy, subset_filtration,
+                 subset_polygon, subset_profile)
 
 MATROID_CAP = 16
 
 
 def _check_ground_set(n: int):
+    if n < 0:
+        raise InvariantViolation(f"a ground set has n >= 0 elements, got {n}")
     if n > MATROID_CAP:
         raise SizeLimitExceeded(
             f"matroid ground sets are capped at {MATROID_CAP} elements",
@@ -36,7 +37,7 @@ def _check_ground_set(n: int):
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
-    # Memos: the least rank per subset size, the filtration and the dual.
+    # Memos: the least ranks by size (`least_ranks`), the filtration, the dual.
     __slots__ = ("n", "k", "ranks", "_minr", "_filt", "_dual")
 
     def __init__(self, n: int, ranks: bytes):
@@ -134,15 +135,9 @@ class Matroid:
 
         return insert, [1 << e for e in range(self.n)], 0
 
-    def _minima(self) -> list[int]:
-        """Least rank of an s-element subset, for each s (searched once)."""
-        if self._minr is None:
-            self._minr = min_column_rank_by_size(self)[0]
-        return self._minr
-
     def profile(self) -> tuple[int, ...]:
         """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""
-        return subset_profile(self.n, self.k, self._minima())
+        return subset_profile(self)
 
     def hierarchy(self) -> tuple[int, ...]:
         """(d_1, ..., d_k): least #J with h0 reaching each dimension."""
@@ -156,16 +151,14 @@ class Matroid:
         return profile_gaps(self.profile())[1]
 
     def polygon(self) -> CanonicalPolygon:
-        return minima_polygon(self.k, self._minima())
+        return subset_polygon(self)
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
         vertex; a second attaining subset raises), found by one search for
         all vertices; the result is kept."""
         if self._filt is None:
-            poly = self.polygon()
-            targets = [(s, self.k - int(t)) for s, t in poly.vertices]
-            self._filt = Filtration(vertex_subsets(self, targets), poly)
+            self._filt = subset_filtration(self)
         return self._filt
 
     def graded(self) -> list["Matroid"]:

@@ -11,6 +11,7 @@ from hncodes import (
     NonPrime,
     ReducibleModulus,
     SizeLimitExceeded,
+    zoo,
 )
 from hncodes.algebra import (
     FieldSpec,
@@ -18,8 +19,8 @@ from hncodes.algebra import (
     column_rank_table,
     iter_rref_matrices,
     min_column_rank_by_size,
-    row_space_intersection,
 )
+from hncodes.code import Subcode
 
 import oracles
 
@@ -255,28 +256,36 @@ def test_kron_entries():
 
 
 def test_row_space_intersection():
+    # Subcode.meet intersects row spaces, here inside the full space F^4
     f2 = FieldSpec(2)
-    A = Matrix.from_rows(f2, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    B = Matrix.from_rows(f2, [(0, 1, 0, 0), (0, 0, 1, 0)])
-    I = row_space_intersection(A, B)
+    F = zoo.full_space(f2, 4)
+    A = Subcode.from_rows(F, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    B = Subcode.from_rows(F, [(0, 1, 0, 0), (0, 0, 1, 0)])
+    I = A.meet(B).basis
     assert I.rows == 1
     assert I.row(0) == (0, 1, 0, 0)
     # brute cross-check: exactly the words lying in both spans
     for field in [f2, FieldSpec(3)]:
         import random
         rng = random.Random(3)
+        F = zoo.full_space(field, 4)
+        zero = F.zero_subcode()
         for _ in range(20):
             rows = lambda: [[rng.randrange(field.q) for _ in range(4)]
                             for _ in range(2)]
             A = Matrix.from_rows(field, rows())
             B = Matrix.from_rows(field, rows())
-            I = row_space_intersection(A, B)
+            SA = Subcode.from_rows(F, A.row_list())
+            SB = Subcode.from_rows(F, B.row_list())
+            I = SA.meet(SB).basis
             words_a = set(oracles.codewords(field, [A.row(i) for i in range(2)]))
             words_b = set(oracles.codewords(field, [B.row(i) for i in range(2)]))
             both = words_a & words_b
             assert len(both) == field.q ** I.rows
             for i in range(I.rows):
                 assert I.row(i) in both
+            # the zero subcode meets anything in itself
+            assert SA.meet(zero) == zero and zero.meet(SB) == zero
 
 
 # ---------------------------------------------------------------------------

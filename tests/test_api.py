@@ -43,11 +43,18 @@ def test_bench_trace_targets_exist():
         and [getattr(t, "id", None) for t in node.targets] == ["footprints"]]
     targets += footprints
     assert footprints and len(targets) > 50
-    missing = []
+    missing, functions = [], {}
     for modname, clsname, attr in targets:
         owner = importlib.import_module(modname)
         if clsname:
             owner = owner.__dict__.get(clsname)
         if owner is None or attr not in owner.__dict__:
             missing.append((modname, clsname, attr))
+        else:
+            functions[modname, clsname, attr] = owner.__dict__[attr]
     assert not missing
+    # tracing.py rebinds by identity, so two targets that are one function
+    # (an alias) would be wrapped twice and bill their time to one layer;
+    # a target listed twice (a span and a footprint) is one target
+    ids = {id(fn) for fn in functions.values()}
+    assert len(ids) == len(functions)

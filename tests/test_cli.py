@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hncodes.algebra as algebra
 import hncodes.cli as cli
 import hncodes.code as code
 from hncodes import zoo
@@ -194,12 +195,12 @@ def test_rr_honours_a_raised_cap(tmp_path, capsys):
 def test_tensor_searches_each_code_once(monkeypatch, capsys):
     # cmd_tensor and tensor_semistable_check share one product code
     lengths = []
-    search = code.min_column_rank_by_size
+    search = algebra.min_column_rank_by_size
 
     def spy(M, *args, **kwargs):
-        lengths.append(M.cols)
+        lengths.append(M.n)
         return search(M, *args, **kwargs)
-    monkeypatch.setattr(code, "min_column_rank_by_size", spy)
+    monkeypatch.setattr(algebra, "min_column_rank_by_size", spy)
     data = HERE / "data"
     assert cli.main(["tensor", str(data / "binary_3_2_2.code"),
                      str(data / "binary_5_2.code")]) == 0

@@ -322,6 +322,26 @@ def test_matroid_filtration_is_the_galois_preimage():
     assert seen >= 20
 
 
+def test_code_and_matroid_share_the_subset_filtration():
+    # the code path (generator oracle, then the Galois image) and the
+    # matroid path (rank-table oracle) agree: the matroid's steps are the
+    # cosupports of the code's steps in reverse, after a leading empty set
+    # when the code has zero columns
+    rng = random.Random(263)
+    multi = padded = 0
+    for C in filtration_codes(rng, 80):
+        M = matroid_from_code(C)
+        steps = canonical_filtration(C).steps
+        expect = tuple(cosupport(S) for S in reversed(steps))
+        if not C.is_full_support:
+            expect = (0,) + expect
+        assert M.filtration().steps == expect
+        assert M.polygon() == subset_polygon(C)
+        multi += len(steps) >= 3
+        padded += not C.is_full_support
+    assert multi >= 10 and padded >= 10
+
+
 def table_scan(C, targets):
     """Every column subset of each target (size, rank), read off the full
     rank table mask by mask."""
@@ -394,12 +414,12 @@ def test_semistable_code_is_searched_once(monkeypatch):
     # a semistable code is its own only graded piece, so graded_pieces
     # reads the code's memoized search instead of searching a copy
     searches = []
-    search = hncodes.code.min_column_rank_by_size
+    search = hncodes.algebra.min_column_rank_by_size
 
     def counted(M, *args, **kwargs):
-        searches.append(M.cols)
+        searches.append(M.n)
         return search(M, *args, **kwargs)
-    monkeypatch.setattr(hncodes.code, "min_column_rank_by_size", counted)
+    monkeypatch.setattr(hncodes.algebra, "min_column_rank_by_size", counted)
     C = zoo.binary_5_2()
     assert is_semistable(C) and C.is_full_support
     C.weight_hierarchy()
@@ -640,7 +660,7 @@ def test_one_analysis_per_code(monkeypatch):
     # the filtration and the subcode lattice are built once per code and
     # read by every check that needs them
     scans, builds = [], []
-    scan, build = hn.vertex_subsets, hn.SubspaceLattice.__init__
+    scan, build = hn.subset_filtration, hn.SubspaceLattice.__init__
 
     def counted_scan(*args):
         scans.append(args)
@@ -649,7 +669,7 @@ def test_one_analysis_per_code(monkeypatch):
     def counted_build(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
-    monkeypatch.setattr(hn, "vertex_subsets", counted_scan)
+    monkeypatch.setattr(hn, "subset_filtration", counted_scan)
     monkeypatch.setattr(hn.SubspaceLattice, "__init__", counted_build)
     C = zoo.binary_9_7()                 # unstable, full support
     W = semistability_witness(C)

@@ -141,6 +141,14 @@ def test_ground_set_cap():
     assert "--max-enum" not in str(err.value)
 
 
+def test_negative_ground_set_refused():
+    # refused by the ground-set check, before any 1 << n is formed
+    with pytest.raises(InvariantViolation):
+        Matroid.from_ranks(-1, [])
+    with pytest.raises(InvariantViolation):
+        matroid_from_bases(-2, [0])
+
+
 # ---------------------------------------------------------------------------
 # code matroids
 # ---------------------------------------------------------------------------

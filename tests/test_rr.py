@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import hncodes.code
+import hncodes.algebra
 from hncodes import (
     InvariantViolation,
     LinearCode,
@@ -226,12 +226,12 @@ def test_wei_duality_without_full_support(monkeypatch):
             assert wei_duality_check(C)
     # once both hierarchies are memoized the check searches nothing more
     searches = []
-    search = hncodes.code.min_column_rank_by_size
+    search = hncodes.algebra.min_column_rank_by_size
 
     def counted(M, *args, **kwargs):
-        searches.append(M.cols)
+        searches.append(M.n)
         return search(M, *args, **kwargs)
-    monkeypatch.setattr(hncodes.code, "min_column_rank_by_size", counted)
+    monkeypatch.setattr(hncodes.algebra, "min_column_rank_by_size", counted)
     for codes in by_status.values():
         for C in codes:
             C.weight_hierarchy()
