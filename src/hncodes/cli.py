@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import SUBSET_ENUM_CAP, _check_cap
+from .algebra import SUBSET_ENUM_CAP
 from .code import bits_of
 from .errors import (Error, InvariantViolation, NotFullSupport, ParseError,
                      SizeLimitExceeded)
@@ -39,8 +39,8 @@ from .rr import (cohomology, dual_code_slopes, dual_dlp_check, dual_polygon,
                  dual_subset_polygon_check, rr_check, rr_normalized,
                  serre_check, wei_duality_check)
 from .tensor import (is_chained, schaathun_bound, schaathun_bound_table,
-                     schaathun_verify, tensor_semistable_check,
-                     wei_yang_check, witness)
+                     schaathun_verify, tensor_product,
+                     tensor_semistable_check, wei_yang_check, witness)
 from . import zoo
 
 
@@ -362,8 +362,7 @@ def cmd_tensor(args):
     A = parse_code_file(args.file_a)
     B = parse_code_file(args.file_b)
     cap = _cap(args)
-    _check_cap(A.n * B.n, cap)
-    T = A.tensor(B)
+    T = tensor_product(A, B, cap)
     d = T.weight_hierarchy(cap)
     star = schaathun_bound_table(A, B, cap)
     bound_ok = all(d[r] >= star[r] for r in range(T.k + 1))

@@ -68,10 +68,11 @@ class LinearCode:
 
     # Memos of the code's own analysis: the min-rank search as (minima,
     # witnesses) kept by `algebra.least_ranks`, the rank table, the dual,
-    # the canonical filtration and the subcode lattice (both filled by
-    # hn.py), and the last tensor product as (other, product).
+    # the subset and the canonical filtration and the subcode lattice (all
+    # three filled by hn.py), and the last tensor product as (other,
+    # product).
     __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_dual",
-                 "_filt", "_lattice", "_tensor")
+                 "_sfilt", "_filt", "_lattice", "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -89,6 +90,7 @@ class LinearCode:
         self._minr = None
         self._rtab = None
         self._dual = None
+        self._sfilt = None
         self._filt = None
         self._lattice = None
         self._tensor = None
@@ -150,6 +152,11 @@ class LinearCode:
         if not cols:
             raise InvariantViolation("cannot puncture onto the empty set")
         return LinearCode.span(self.gen.col_submatrix(cols))
+
+    def _minor(self, elems, S: int) -> "LinearCode":
+        """Shorten on S, puncture onto `elems`: the minor M/S | elems."""
+        sub = self.shorten(((1 << self.n) - 1) ^ S)
+        return LinearCode.span(sub.basis.col_submatrix(elems))
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] dual code (defined for k < n)."""
@@ -306,6 +313,8 @@ class Subcode:
         return Subcode(self.parent, N.right_nullspace().rref_nonzero())
 
     def join(self, other: "Subcode") -> "Subcode":
+        if other.parent != self.parent:
+            raise NotASubcode("join of subcodes of two different codes")
         B = self.basis.stack(other.basis).rref_nonzero()
         return Subcode(self.parent, B)
 

@@ -165,10 +165,11 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 #
 # Codes and matroids share everything below.  It takes the object X itself
 # (a LinearCode or a Matroid) and reads only X.n, X.k = r(E), its
-# independence oracle and its memo of least ranks by subset size
-# (`algebra.least_ranks`); the filtration is the subsets of least rank at
-# the polygon's vertex sizes.  A subset S has degree k - r(S); for a code
-# that is dim C_{[n]-S}.
+# independence oracle, its memos of least ranks by subset size
+# (`algebra.least_ranks`) and of the filtration (X._sfilt), and its minor
+# X._minor(elems, S) for the graded pieces; the filtration is the subsets
+# of least rank at the polygon's vertex sizes.  A subset S has degree
+# k - r(S); for a code that is dim C_{[n]-S}.
 
 def subset_profile(X, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
@@ -247,24 +248,50 @@ def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
     `column_subsets_attaining` on X finds every subset on the polygon at
     each vertex size.  Uniqueness is a theorem at polygon vertices, so a
     second attaining subset raises, as does a missing one or a chain that
-    does not nest.
+    does not nest.  The result is kept on X._sfilt; the cap is checked on
+    every call, as `least_ranks` does.
     """
-    poly = subset_polygon(X, max_enum)
-    targets = [(s, X.k - int(t)) for s, t in poly.vertices]
-    hits = column_subsets_attaining(X, targets, max_enum)
-    out = []
-    for s, _ in targets:
-        found = hits[s]
-        if not found:
-            raise InvariantViolation(f"no subset attains vertex size {s}")
-        if len(found) > 1:
+    _check_cap(X.n, max_enum)
+    if X._sfilt is None:
+        poly = subset_polygon(X, max_enum)
+        targets = [(s, X.k - int(t)) for s, t in poly.vertices]
+        hits = column_subsets_attaining(X, targets, max_enum)
+        out = []
+        for s, _ in targets:
+            found = hits[s]
+            if not found:
+                raise InvariantViolation(f"no subset attains vertex size {s}")
+            if len(found) > 1:
+                raise InvariantViolation(
+                    f"polygon vertex at size {s} attained twice")
+            out.append(found[0])
+        for A, B in zip(out, out[1:]):
+            if A & ~B:
+                raise InvariantViolation("filtration subsets do not nest")
+        X._sfilt = Filtration(out, poly)
+    return X._sfilt
+
+
+def subset_graded(X, max_enum: int = SUBSET_ENUM_CAP) -> list:
+    """Minors between consecutive subset-filtration steps.
+
+    Piece a contracts step a-1 and keeps the elements step a adds,
+    `X._minor(elems, S)`: one minor of a matroid's table, or for a code the
+    subcode vanishing on S projected onto those coordinates.  Each piece
+    must have a one-sided subset polygon of the side slope.  A semistable
+    X is its own only piece, so its checks read X's memos.
+    """
+    filt = subset_filtration(X, max_enum)
+    pieces = []
+    for a, mu in enumerate(filt.slopes):
+        S = filt.steps[a]
+        elems = bits_of(filt.steps[a + 1] & ~S)
+        piece = X if len(elems) == X.n else X._minor(elems, S)
+        if subset_polygon(piece, max_enum).slopes != (mu,):
             raise InvariantViolation(
-                f"polygon vertex at size {s} attained twice")
-        out.append(found[0])
-    for A, B in zip(out, out[1:]):
-        if A & ~B:
-            raise InvariantViolation("filtration subsets do not nest")
-    return Filtration(out, poly)
+                "graded piece is not semistable of the side slope")
+        pieces.append(piece)
+    return pieces
 
 
 def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
@@ -325,34 +352,14 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 
     Piece a is the projection of step a onto the coordinates its support
     adds over step a-1; it is an [n_a - n_{a-1}, i_a - i_{a-1}] code,
-    semistable of slope mu_a.  Requires full support.  A semistable code
-    (filtration 0 < C) is its own only piece, so its checks read C's memos
-    instead of searching a copy.
+    semistable of slope mu_a.  These are the subset-side pieces
+    (`subset_graded`) in reverse order.  Requires full support.
     """
     if not C.is_full_support:
         raise NotFullSupport("graded pieces need a full-support code",
                              side="primal",
                              zero_columns=((1 << C.n) - 1) ^ C.support_mask)
-    filt = canonical_filtration(C, max_enum)
-    pieces = []
-    prev_mask = 0
-    for a in range(1, len(filt.steps)):
-        step = filt.steps[a]
-        T = step.support_mask & ~prev_mask
-        cols = bits_of(T)
-        piece = (C if len(cols) == C.n
-                 else LinearCode.span(step.basis.col_submatrix(cols)))
-        exp_k = step.dim - filt.steps[a - 1].dim
-        if piece.n != T.bit_count() or piece.k != exp_k:
-            raise InvariantViolation("graded piece has wrong parameters")
-        mu = filt.slopes[a - 1]
-        if (Fraction(-piece.n, piece.k) != mu
-                or not is_semistable(piece, max_enum)):
-            raise InvariantViolation(
-                "graded piece is not semistable of the side slope")
-        pieces.append(piece)
-        prev_mask = step.support_mask
-    return pieces
+    return subset_graded(C, max_enum)[::-1]
 
 
 # -- enumerable lattice views ----------------------------------------------

@@ -11,16 +11,20 @@ trusts its table; `Matroid.from_ranks` checks the local exchange axioms
 
 Cohomology on this lattice: h0(M, J) = k - r(E - J) and
 h1(M, J) = #(E - J) - r(E - J), tied to the dual matroid through the usual
-rank complement formula.
+rank complement formula.  The Riemann-Roch, Serre and dual polygon checks
+are the codes' own (`rr.py`), reading `Matroid.rank_table`.
 """
 
 from __future__ import annotations
 
-from .code import LinearCode, bits_of
+from .algebra import SUBSET_ENUM_CAP, _check_cap
+from .code import LinearCode
 from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
                  profile_gaps, profile_hierarchy, subset_filtration,
-                 subset_polygon, subset_profile)
+                 subset_graded, subset_polygon, subset_profile)
+from .rr import (dual_filtration_check, dual_subset_polygon_check, rr_check,
+                 serre_check)
 
 MATROID_CAP = 16
 
@@ -37,8 +41,9 @@ def _check_ground_set(n: int):
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
-    # Memos: the least ranks by size (`least_ranks`), the filtration, the dual.
-    __slots__ = ("n", "k", "ranks", "_minr", "_filt", "_dual")
+    # Memos: the least ranks by size (`least_ranks`), the filtration
+    # (`subset_filtration`), the dual.
+    __slots__ = ("n", "k", "ranks", "_minr", "_sfilt", "_dual")
 
     def __init__(self, n: int, ranks: bytes):
         """Trusts `ranks` to be a rank table of 2^n bytes."""
@@ -46,7 +51,7 @@ class Matroid:
         self.ranks = ranks
         self.k = ranks[(1 << n) - 1]
         self._minr = None
-        self._filt = None
+        self._sfilt = None
         self._dual = None
 
     @classmethod
@@ -84,6 +89,12 @@ class Matroid:
                             f"local semimodularity fails at subset {J}, "
                             f"elements {free[a]}, {free[b]}")
         return cls(n, r)
+
+    def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
+        """The rank of every subset, indexed by bitmask; a read of all 2^n
+        entries counts against the cap, as a code's table does."""
+        _check_cap(self.n, max_enum)
+        return self.ranks
 
     def rank_of(self, J: int) -> int:
         return self.ranks[J]
@@ -155,30 +166,13 @@ class Matroid:
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
-        vertex; a second attaining subset raises), found by one search for
-        all vertices; the result is kept."""
-        if self._filt is None:
-            self._filt = subset_filtration(self)
-        return self._filt
+        vertex; a second attaining subset raises)."""
+        return subset_filtration(self)
 
     def graded(self) -> list["Matroid"]:
-        """Minors between consecutive filtration steps (contract the
-        previous step, keep the new elements), each one minor of the
-        table; each is semistable of the corresponding side slope.  A
-        semistable matroid is its own only piece."""
-        filt = self.filtration()
-        out = []
-        for a in range(1, len(filt.steps)):
-            prev = filt.steps[a - 1]
-            T = filt.steps[a] & ~prev
-            elems = bits_of(T)
-            piece = self if len(elems) == self.n else self._minor(elems, prev)
-            mu = filt.slopes[a - 1]
-            if piece.polygon().slopes != (mu,):
-                raise InvariantViolation(
-                    "graded restriction is not semistable of the side slope")
-            out.append(piece)
-        return out
+        """Minors between consecutive filtration steps, each semistable of
+        its side slope (`subset_graded`)."""
+        return subset_graded(self)
 
     def is_semistable(self) -> bool:
         return self.polygon().N <= 1
@@ -240,15 +234,7 @@ def matroid_from_bases(n: int, bases) -> Matroid:
 def rr_matroid_check(M: Matroid) -> bool:
     """h0(M, J) - h0(M*, E - J) = #J + k - n for every subset J, with the
     dual h0 agreeing with h1(M, J) (the Serre pairing at dimension level)."""
-    Md = M.dual()
-    full = (1 << M.n) - 1
-    for J in range(1 << M.n):
-        dual_h0 = Md.h0(full ^ J)
-        if M.h0(J) - dual_h0 != J.bit_count() + M.k - M.n:
-            return False
-        if dual_h0 != M.h1(J):
-            return False
-    return True
+    return rr_check(M) and serre_check(M)
 
 
 def gap_counts_check(M: Matroid) -> bool:
@@ -270,16 +256,7 @@ def wei_partition_check(M: Matroid) -> bool:
 
 
 def dual_polygon_check(M: Matroid) -> bool:
-    """P_{M*}(x) = P_M(n - x) + n - x - k, vertexwise, slopes -1 - mu
-    reversed, and the dual filtration is the complement chain reversed."""
-    Pd = M.dual().polygon()
-    expect = M.polygon().opposite().affine(M.n - M.k, -1, 1)
-    if Pd != expect:
-        return False
-    mus = M.polygon().slopes
-    if Pd.slopes != tuple(-1 - mu for mu in reversed(mus)):
-        return False
-    full = (1 << M.n) - 1
-    steps = M.filtration().steps
-    dual_steps = M.dual().filtration().steps
-    return dual_steps == tuple(full ^ J for J in reversed(steps))
+    """P_{M*}(x) = P_M(n - x) + n - x - k, vertexwise (so the slopes are
+    -1 - mu reversed), and the dual filtration is the complement chain
+    reversed."""
+    return dual_subset_polygon_check(M) and dual_filtration_check(M)

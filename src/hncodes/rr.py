@@ -9,12 +9,15 @@ identity h0(C, J) - h0(C-dual, [n]-J) = #J + k - n.
 
 The Riemann-Roch, Serre and Clifford checks read h0(C, J) = k - rank of
 the columns outside J off the rank tables of C and its dual, over all 2^n
-subsets; past the max_enum cap they raise SizeLimitExceeded.
+subsets; past the max_enum cap they raise SizeLimitExceeded.  A matroid
+has the same h0 and h1 on its rank table, so the Riemann-Roch and Serre
+checks take a code or a matroid.
 
 The same module hosts Wei's duality partition (checked on the code itself
 from the memoized weight hierarchies of C and its dual), the profile
-duality with witness transfer, and the two polygon-level duality laws
-(subset side and code side with the slope map mu -> -1 + 1/(mu + 1)).
+duality with witness transfer, and the polygon-level duality laws: on the
+subset side (polygon and complement-chain filtration, for a code or a
+matroid) and on the code side with the slope map mu -> -1 + 1/(mu + 1).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from fractions import Fraction
 from .algebra import SUBSET_ENUM_CAP
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
-from .hn import (CanonicalPolygon, canonical_filtration, code_polygon,
-                 hierarchies_tile, subset_polygon)
+from .hn import (CanonicalPolygon, code_polygon, hierarchies_tile,
+                 subset_filtration, subset_polygon)
 
 
 class CohomologyPair:
@@ -69,35 +72,33 @@ def cohomology(C: LinearCode, J: int) -> CohomologyPair:
     return pair
 
 
-def _subset_dims(C: LinearCode, max_enum: int):
-    """(J, h0(C, J), h1(C, J), h0(C-dual, [n]-J)) for all 2^n subsets J,
-    read off the rank tables of C and then of its dual."""
-    tab = C.rank_table(max_enum)
-    D = C.dual()
+def rr_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """h0(X, J) - h0(X-dual, [n]-J) == #J + k - n for every subset J, for
+    a code or a matroid X, read off the rank tables of X and then of its
+    dual, with h0(X, J) = k - r([n]-J)."""
+    tab = X.rank_table(max_enum)
+    D = X.dual()
     tabd = D.rank_table(max_enum)
-    full = (1 << C.n) - 1
-    for J in range(1 << C.n):
-        comp = full ^ J
-        yield J, C.k - tab[comp], comp.bit_count() - tab[comp], D.k - tabd[J]
+    full, k, dk, n = (1 << X.n) - 1, X.k, D.k, X.n
+    return all(k - tab[full ^ J] - (dk - tabd[J]) == J.bit_count() + k - n
+               for J in range(1 << n))
 
 
-def rr_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
-    """h0(C, J) - h0(C-dual, [n]-J) == #J + k - n for every subset J."""
-    return all(h0 - h0d == J.bit_count() + C.k - C.n
-               for J, h0, _, h0d in _subset_dims(C, max_enum))
-
-
-def serre_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
-    """h1(C, J) == h0(C-dual, [n]-J) for every subset J."""
-    return all(h1 == h0d for _, _, h1, h0d in _subset_dims(C, max_enum))
+def serre_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """h1(X, J) == h0(X-dual, [n]-J) for every subset J, for a code or a
+    matroid X, with h1(X, J) = #([n]-J) - r([n]-J)."""
+    tab = X.rank_table(max_enum)
+    D = X.dual()
+    tabd = D.rank_table(max_enum)
+    full, dk = (1 << X.n) - 1, D.k
+    return all((full ^ J).bit_count() - tab[full ^ J] == dk - tabd[J]
+               for J in range(1 << X.n))
 
 
 def rr_normalized(C: LinearCode, J: int,
                   max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, int]:
-    """(deg, g) normal form of the identity: h0 - h1 = deg - g + 1 with
-    deg = #J - d_1(C) + 1 shifted so that g = n - k - d_1 + 1 >= 0 exactly
-    measures the defect from Singleton.  Returns (#J - d_1 + 1 - 1, g)
-    packaged as (degree-like term, genus-like term)."""
+    """(deg, g) with h0 - h1 = deg - g + 1, where deg = #J - d_1 and
+    g = n - k + 1 - d_1 >= 0, the defect of C from the Singleton bound."""
     d1 = C.weight_hierarchy(max_enum)[1]
     g = C.n - C.k - d1 + 1
     return (J.bit_count() - d1, g)
@@ -192,17 +193,25 @@ def dual_dlp_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     return True
 
 
-def dual_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                 ) -> CanonicalPolygon:
-    """Subset polygon of the dual code."""
-    return subset_polygon(C.dual(), max_enum)
+def dual_polygon(X, max_enum: int = SUBSET_ENUM_CAP) -> CanonicalPolygon:
+    """Subset polygon of the dual code or matroid."""
+    return subset_polygon(X.dual(), max_enum)
 
 
-def dual_subset_polygon_check(C: LinearCode,
-                              max_enum: int = SUBSET_ENUM_CAP) -> bool:
-    """P_subset(C-dual)(x) = P_subset(C)(n - x) + n - x - k, exactly."""
-    expect = subset_polygon(C, max_enum).opposite().affine(C.n - C.k, -1, 1)
-    return dual_polygon(C, max_enum) == expect
+def dual_subset_polygon_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """P_subset(X-dual)(x) = P_subset(X)(n - x) + n - x - k, exactly, for a
+    code or a matroid X."""
+    expect = subset_polygon(X, max_enum).opposite().affine(X.n - X.k, -1, 1)
+    return dual_polygon(X, max_enum) == expect
+
+
+def dual_filtration_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+    """The dual's subset filtration is the complement chain of X's,
+    reversed, for a code or a matroid X."""
+    full = (1 << X.n) - 1
+    steps = subset_filtration(X, max_enum).steps
+    return (subset_filtration(X.dual(), max_enum).steps
+            == tuple(full ^ S for S in reversed(steps)))
 
 
 def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
@@ -210,9 +219,10 @@ def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     """Slopes of the dual code's polygon; requires both codes full
     support, in which case they are -1 + 1/(mu + 1) for the primal slopes
     mu in reverse order, and the dual filtration is obtained by shortening
-    the dual to the complements of the primal supports.  Violations of
-    either law raise; degenerate support raises NotFullSupport carrying
-    the reduction data.
+    the dual to the complements of the primal supports (the subset
+    filtrations are complement chains, `dual_filtration_check`).
+    Violations of either law raise; degenerate support raises
+    NotFullSupport carrying the reduction data.
     """
     primal, dual_full = full_support_status(C)
     if not primal:
@@ -225,20 +235,13 @@ def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
             "the dual code is not full support (the code has weight-1 "
             "words, i.e. mu_max = -1)", side="dual",
             weight_one_span=weight_one_span(C))
-    D = C.dual()
-    got = code_polygon(D, max_enum).slopes
+    got = code_polygon(C.dual(), max_enum).slopes
     mus = code_polygon(C, max_enum).slopes
     expect = tuple(-1 + 1 / (mu + 1) for mu in reversed(mus))
     if got != expect:
         raise InvariantViolation(
             f"dual slope law fails: expected {expect}, got {got}")
-    filt = canonical_filtration(C, max_enum)
-    dual_filt = canonical_filtration(D, max_enum)
-    full = (1 << C.n) - 1
-    expect_steps = [D.zero_subcode()]
-    expect_steps += [D.shorten(full ^ s.support_mask)
-                     for s in reversed(filt.steps[:-1])]
-    if list(dual_filt.steps) != expect_steps:
+    if not dual_filtration_check(C, max_enum):
         raise InvariantViolation("dual filtration is not the complement "
                                  "chain of the primal one")
     return got

@@ -51,7 +51,7 @@ def schaathun_bound(dA, dB, r: int, exact_sum: bool = False) -> int:
     dB = _validate_hierarchy(dB, "second hierarchy")
     kA, kB = len(dA) - 1, len(dB) - 1
     if not 0 <= r <= kA * kB:
-        raise ValueError(f"r must lie in [0, {kA * kB}], got {r}")
+        raise InvariantViolation(f"r must lie in [0, {kA * kB}], got {r}")
     w = [dA[i] - dA[i - 1] for i in range(1, kA + 1)]
 
     @lru_cache(maxsize=None)
@@ -83,11 +83,17 @@ def schaathun_bound_table(A: LinearCode, B: LinearCode,
                  for r in range(A.k * B.k + 1))
 
 
+def tensor_product(A: LinearCode, B: LinearCode,
+                   max_enum: int = SUBSET_ENUM_CAP) -> LinearCode:
+    """A (x) B, refused past the cap before the Kronecker product."""
+    _check_cap(A.n * B.n, max_enum)
+    return A.tensor(B)
+
+
 def schaathun_verify(A: LinearCode, B: LinearCode,
                      max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """d_r(A (x) B) >= d*_r for every r, by exact computation."""
-    _check_cap(A.n * B.n, max_enum)
-    C = A.tensor(B)
+    C = tensor_product(A, B, max_enum)
     d = C.weight_hierarchy(max_enum)
     star = schaathun_bound_table(A, B, max_enum)
     return all(d[r] >= star[r] for r in range(C.k + 1))
@@ -201,8 +207,7 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
     from .zoo import random_subcode
     if not (is_semistable(A, max_enum) and is_semistable(B, max_enum)):
         raise InvariantViolation("both factors must be semistable")
-    _check_cap(A.n * B.n, max_enum)
-    C = A.tensor(B)
+    C = tensor_product(A, B, max_enum)
     rng = random.Random(0x7E45)
     rate = Fraction(C.k, C.weight)
     for _ in range(_CERTIFIED_SUBCODES):
@@ -221,7 +226,7 @@ def _levels(C: LinearCode, max_enum: int):
     d = C.weight_hierarchy(max_enum)
     n, k = C.n, C.k
     hits = column_subsets_attaining(
-        C.gen, [(n - d[i], k - i) for i in range(1, k + 1)], max_enum)
+        C, [(n - d[i], k - i) for i in range(1, k + 1)], max_enum)
     full = (1 << n) - 1
     return [[full ^ S for S in hits[n - d[i]]] for i in range(1, k + 1)]
 
@@ -250,8 +255,7 @@ def wei_yang_check(A: LinearCode, B: LinearCode,
     if not (is_chained(A, max_enum) and is_chained(B, max_enum)):
         raise InvariantViolation("both factors must satisfy the chain "
                                  "condition")
-    _check_cap(A.n * B.n, max_enum)
-    C = A.tensor(B)
+    C = tensor_product(A, B, max_enum)
     d = C.weight_hierarchy(max_enum)
     star = schaathun_bound_table(A, B, max_enum)
     return tuple(d) == star

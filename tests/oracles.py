@@ -304,6 +304,29 @@ def table_subsets_attaining(ranks, targets):
     return hits
 
 
+def dual_rank_table(n: int, ranks) -> bytes:
+    """r*(J) = #J + r(E - J) - r(E), subset by subset."""
+    full = (1 << n) - 1
+    return bytes(J.bit_count() + ranks[full ^ J] - ranks[full]
+                 for J in range(1 << n))
+
+
+def table_rr_serre(n: int, ranks, dual_ranks) -> tuple[bool, bool]:
+    """(Riemann-Roch, Serre) for a rank table and a dual table, by a scan
+    of h0(J) = k - r(E - J), h1(J) = #(E - J) - r(E - J) and the dual
+    h0(E - J) = k* - r*(J), subset by subset."""
+    full = (1 << n) - 1
+    k, dual_k = ranks[full], dual_ranks[full]
+    rr = serre = True
+    for J in range(1 << n):
+        comp = full ^ J
+        h0, h1 = k - ranks[comp], comp.bit_count() - ranks[comp]
+        dual_h0 = dual_k - dual_ranks[J]
+        rr = rr and h0 - dual_h0 == J.bit_count() + k - n
+        serre = serre and h1 == dual_h0
+    return rr, serre
+
+
 def bases_rank_table(n: int, bases) -> bytes:
     """r(J) = max #(B & J) over the bases, subset by subset."""
     return bytes(max((b & J).bit_count() for b in bases)

@@ -24,6 +24,14 @@ GOLDEN_CASES = [
     ("semistable_5_2_square.json",
      ["semistable", "data/binary_5_2_square.code"]),
     ("weights_3_2_2.json", ["weights", "data/binary_3_2_2.code"]),
+    ("filtration_9_7.json", ["filtration", "data/binary_9_7.code"]),
+    ("dual_5_2.json", ["dual", "data/binary_5_2.code"]),
+    ("dual_9_7.json", ["dual", "data/binary_9_7.code"]),
+    ("rr_all_5_2.json", ["rr", "data/binary_5_2.code", "--all"]),
+    ("tensor_3_2_2_5_2.json",
+     ["tensor", "data/binary_3_2_2.code", "data/binary_5_2.code"]),
+    ("matroid_u24.json", ["matroid", "data/u24.matroid"]),
+    ("matroid_from_code_9_7.json", ["matroid", "data/from_code_9_7.matroid"]),
 ]
 
 

@@ -273,6 +273,16 @@ def test_subcode_meet_join_closure():
     assert S.closure().contains(S)
 
 
+def test_subcode_join_refuses_another_code():
+    # the join of two whole [4,1] codes would be 2-dimensional, so it
+    # cannot be a subcode of either
+    A = LinearCode.from_rows(GF2, [(1, 1, 0, 0)])
+    B = LinearCode.from_rows(GF2, [(0, 0, 1, 1)])
+    with pytest.raises(NotASubcode):
+        A.whole_subcode().join(B.whole_subcode())
+    assert A.zero_subcode().join(A.whole_subcode()) == A.whole_subcode()
+
+
 def test_subcode_closure_oracle():
     rng = random.Random(137)
     for C in small_codes(rng, 10, nmax=6):

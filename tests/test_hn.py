@@ -444,6 +444,51 @@ def test_graded_pieces_random_full_support():
             assert code_polygon(g).slopes == (mu,)
 
 
+def code_direct_sum(A, B):
+    rows = [row + (0,) * B.n for row in oracles.rows_of(A)]
+    rows += [(0,) * A.n + row for row in oracles.rows_of(B)]
+    return LinearCode.from_rows(A.field, rows)
+
+
+def full_support_codes(rng, field, count, nmin, nmax):
+    out = []
+    while len(out) < count:
+        n = rng.randrange(nmin, nmax + 1)
+        C = zoo.random_code(rng, field, n, rng.randrange(1, n + 1))
+        if C.is_full_support:
+            out.append(C)
+    return out
+
+
+def test_graded_pieces_are_the_matroid_minors_reversed():
+    # the code pieces (shorten, then puncture) and the table minors of the
+    # column matroid are one subset-side construction in reverse order;
+    # both must be the projections of consecutive canonical-filtration
+    # steps onto the coordinates each step's support adds
+    rng = random.Random(257)
+    codes = []
+    for field in (GF2, GF3, GF4):
+        codes += full_support_codes(rng, field, 12, 2, 10)
+        for _ in range(8):                   # multi-slope direct sums
+            A, B = full_support_codes(rng, field, 2, 2, 5)
+            codes.append(code_direct_sum(A, B))
+    multi = 0
+    for C in codes:
+        assert C.n <= 10 and C.is_full_support
+        pieces = graded_pieces(C)
+        assert ([matroid_from_code(P) for P in pieces]
+                == matroid_from_code(C).graded()[::-1])
+        steps = canonical_filtration(C).steps
+        expect = []
+        for lo, hi in zip(steps, steps[1:]):
+            cols = [i for i in range(C.n)
+                    if (hi.support_mask & ~lo.support_mask) >> i & 1]
+            expect.append(LinearCode.span(hi.basis.col_submatrix(cols)))
+        assert pieces == expect
+        multi += len(pieces) > 1
+    assert len(codes) >= 50 and multi >= 20
+
+
 # ---------------------------------------------------------------------------
 # lattices and the order-reversing correspondence
 # ---------------------------------------------------------------------------
@@ -658,9 +703,9 @@ def test_subset_to_subcode_and_cosupport():
 
 def test_one_analysis_per_code(monkeypatch):
     # the filtration and the subcode lattice are built once per code and
-    # read by every check that needs them
+    # read by every check that needs them: one vertex search in all
     scans, builds = [], []
-    scan, build = hn.subset_filtration, hn.SubspaceLattice.__init__
+    scan, build = hn.column_subsets_attaining, hn.SubspaceLattice.__init__
 
     def counted_scan(*args):
         scans.append(args)
@@ -669,7 +714,7 @@ def test_one_analysis_per_code(monkeypatch):
     def counted_build(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
-    monkeypatch.setattr(hn, "subset_filtration", counted_scan)
+    monkeypatch.setattr(hn, "column_subsets_attaining", counted_scan)
     monkeypatch.setattr(hn.SubspaceLattice, "__init__", counted_build)
     C = zoo.binary_9_7()                 # unstable, full support
     W = semistability_witness(C)

@@ -27,6 +27,7 @@ from hncodes.matroid import (
     uniform_matroid,
     wei_partition_check,
 )
+from hncodes.rr import rr_check, serre_check
 
 import oracles
 
@@ -427,3 +428,24 @@ def test_table_oracle_against_table_scans():
             assert Fraction(y1 - y0, x1 - x0) == filt.slopes[a]
         multi += poly.N > 1
     assert multi >= 10
+
+
+def test_rr_serre_tables_against_the_subset_scan():
+    # the two table checks agree with the per-subset h0/h1 scan on the
+    # table-oracle pool (Vamos included), and both fail when the dual the
+    # matroid keeps has one wrong entry below the top
+    rng = random.Random(379)
+    for M in table_oracle_pool(rng):
+        n, ranks = M.n, M.ranks
+        dual = oracles.dual_rank_table(n, ranks)
+        assert M.dual().ranks == dual
+        assert ((rr_check(M), serre_check(M))
+                == oracles.table_rr_serre(n, ranks, dual) == (True, True))
+        assert rr_matroid_check(M)
+        bad = bytearray(dual)
+        bad[rng.randrange((1 << n) - 1)] += 1
+        N = Matroid(n, ranks)
+        N._dual = Matroid(n, bytes(bad))
+        assert ((rr_check(N), serre_check(N))
+                == oracles.table_rr_serre(n, ranks, bad) == (False, False))
+        assert not rr_matroid_check(N)

@@ -26,6 +26,7 @@ from hncodes.code import bits_of
 from hncodes.rr import (
     clifford_check,
     dual_code_slopes,
+    dual_filtration_check,
     dual_subset_polygon_check,
     full_support_status,
     les_check,
@@ -294,15 +295,24 @@ def test_dual_slope_law_random_full_support():
 
 
 def test_dual_filtration_correspondence():
-    # shortening the dual to the complement of each step support, reversed
-    C = zoo.binary_9_7()
-    D = C.dual()
-    filt = canonical_filtration(C)
-    dfilt = canonical_filtration(D)
-    full = (1 << C.n) - 1
-    expect = [D.shorten(full ^ s.support_mask) for s in reversed(filt.steps[:-1])]
-    for s, e in zip(dfilt.steps[1:], expect):
-        assert s.dim == e.dim and s.meet(e).dim == s.dim
+    # shortening the dual to the complement of each step support, reversed,
+    # on the [9,7] code and on the random codes of the slope-law test
+    rng = random.Random(449)
+    codes = [zoo.binary_9_7()]
+    codes += [C for C in small_codes(rng, 120, fields=(GF2, GF3, GF4),
+                                     nmax=8, kmax=5)
+              if C.k < C.n and full_support_status(C) == (True, True)]
+    for C in codes:
+        D = C.dual()
+        filt = canonical_filtration(C)
+        dfilt = canonical_filtration(D)
+        full = (1 << C.n) - 1
+        expect = [D.shorten(full ^ s.support_mask) for s in reversed(filt.steps[:-1])]
+        assert dual_filtration_check(C)
+        assert len(dfilt.steps) == len(expect) + 1
+        for s, e in zip(dfilt.steps[1:], expect):
+            assert s.dim == e.dim and s.meet(e).dim == s.dim
+    assert len(codes) >= 26
 
 
 def test_dual_slopes_not_full_support_payloads():

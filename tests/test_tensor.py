@@ -68,9 +68,9 @@ def test_schaathun_validation():
         schaathun_bound(d, (0, 2, 2), 1)
     with pytest.raises(InvalidHierarchy):
         schaathun_bound((1, 2), d, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         schaathun_bound(d, d, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         schaathun_bound(d, d, -1)
 
 
