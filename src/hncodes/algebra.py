@@ -9,15 +9,17 @@ those digits (`FieldSpec._build_tables`).  All matrix routines are exact
 (no floats anywhere) and deterministic.
 
 The subset-rank helpers at the bottom enumerate column subsets by
-depth-first extension, sharing bases along the search tree.  They take any
-M whose `independence()` is an oracle (a Matrix's column matroid or a
-Matroid's rank table), so they serve weight hierarchies, profiles,
-cohomology tables and matroids alike, and are capped because the
-enumeration is exponential.  `column_rank_table` visits every subset; the
-two searches cut the walk down.  The least-rank search visits only subsets
-that are a prefix of their closure (the columns of a flat of the column
-matroid, taken in index order), and the attaining-subset search only
-subsets at or below its target ranks.
+depth-first extension, in the lexicographic order of sorted column
+indices.  Each node keeps the later columns reduced modulo the span of its
+subset, and a child that takes an independent column reduces them by one
+elimination step against it.  They take any M whose `independence()` is
+such a contraction oracle (a Matrix's column matroid or a Matroid's rank
+table), so they serve weight hierarchies, profiles, cohomology tables and
+matroids alike, and are capped because the enumeration is exponential.
+`column_rank_table` visits every subset; the two searches cut the walk
+down.  The least-rank search cuts the later siblings of every dependent
+column and the subtrees that cannot improve a minimum, and the
+attaining-subset search visits only subsets at or below its target ranks.
 """
 
 from __future__ import annotations
@@ -389,51 +391,53 @@ class Matrix:
         return self.rank() == self.stack(vec).rank()
 
     def independence(self):
-        """(insert, cols, empty) for the column searches below.
+        """(cols, contract) for the column searches below.
 
-        `insert(basis, v)` returns an extended immutable basis when v is
-        independent of it, else None; `empty` is the empty basis.  Over
-        GF(2) columns are bit-packed ints; otherwise tuples with pivot
-        normalization.  In characteristic 2 (GF(4), GF(256), ...)
-        subtracting two field elements is XOR of their integer encodings,
-        so elimination skips the subtraction table there.
+        A column's token is the column reduced modulo the span of the
+        columns taken so far, and it is falsy exactly when the column lies
+        in that span.  `contract(tail, v)` takes v, the token of a column
+        that has just been taken, and reduces every token of `tail` by one
+        elimination step against it.  Over GF(2) tokens are bit-packed
+        ints, eliminated at the top bit of v; otherwise tuples, eliminated
+        at the first nonzero entry of v, with a zero column as 0.  In
+        characteristic 2 (GF(4), GF(256), ...) subtracting two field
+        elements is XOR of their integer encodings, so elimination skips
+        the subtraction table there.
         """
         f = self.field
         if f.q == 2:
             cols = [sum(1 << i for i, x in enumerate(self.column(j)) if x)
                     for j in range(self.cols)]
 
-            def insert(basis, v):
-                for b in basis:
-                    w = v ^ b
-                    if w < v:
-                        v = w
-                if v:
-                    return basis + (v,)
-                return None
+            def contract(tail, v):
+                top = 1 << (v.bit_length() - 1)
+                return [w ^ v if w & top else w for w in tail]
 
-            return insert, cols, ()
+            return cols, contract
 
         SUB, MUL, INV = f._sub, f._mul, f._inv
         xor = f.p == 2
-        cols = [self.column(j) for j in range(self.cols)]
+        cols = [c if any(c) else 0 for c in map(self.column, range(self.cols))]
 
-        def insert(basis, v):
-            for piv, row in basis:
-                c = v[piv]
+        def contract(tail, v):
+            i = next(i for i, x in enumerate(v) if x)
+            mi = MUL[INV[v[i]]]
+            v = [mi[y] for y in v]
+            out = []
+            for w in tail:
+                c = w and w[i]
                 if c:
                     mc = MUL[c]
                     if xor:
-                        v = tuple([x ^ mc[y] for x, y in zip(v, row)])
+                        w = tuple([x ^ mc[y] for x, y in zip(w, v)])
                     else:
-                        v = tuple([SUB[x][mc[y]] for x, y in zip(v, row)])
-            for i, x in enumerate(v):
-                if x:
-                    mi = MUL[INV[x]]
-                    return basis + ((i, tuple([mi[y] for y in v])),)
-            return None
+                        w = tuple([SUB[x][mc[y]] for x, y in zip(w, v)])
+                    if not any(w):
+                        w = 0
+                out.append(w)
+            return out
 
-        return insert, cols, ()
+        return cols, contract
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
@@ -467,21 +471,26 @@ def _check_cap(bits: int, cap: int, what: str = "column subsets"):
 
 def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
     """rank of every column subset of M, indexed by bitmask."""
-    insert, cols, empty = M.independence()
+    cols, contract = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
     table = bytearray(1 << n)
 
-    def rec(start, mask, rk, basis):
+    # red[j - base] is column j reduced modulo the span of the parent's
+    # subset.  v is the token of the column this node took: a node that
+    # took a dependent column (v = 0) has its parent's span and shares the
+    # list, any other contracts it once, before expanding.
+    def rec(start, mask, rk, red, base, v):
         table[mask] = rk
+        if start == n:
+            return
+        if v:
+            red, base = contract(red[start - base:], v), start
         for j in range(start, n):
-            nb = insert(basis, cols[j])
-            if nb is None:
-                rec(j + 1, mask | (1 << j), rk, basis)
-            else:
-                rec(j + 1, mask | (1 << j), rk + 1, nb)
+            w = red[j - base]
+            rec(j + 1, mask | (1 << j), rk + 1 if w else rk, red, base, w)
 
-    rec(0, 0, 0, empty)
+    rec(0, 0, 0, cols, 0, 0)
     return bytes(table)
 
 
@@ -492,22 +501,26 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
     witness is the first subset of its size, in the lexicographic order of
     sorted column indices, that attains the minimum.
 
-    The walk is `column_rank_table`'s DFS cut down twice.  It visits only
-    subsets S that are a prefix of their closure cl(S) (the flat they
-    span), i.e. the first #S columns of cl(S) in index order.  A least-rank
-    s-subset can always be taken so: the first s columns of its closure
-    have rank no larger, hence the same rank and the same closure.  And it
-    prunes subtrees that cannot improve any entry (subset ranks only grow
-    along extensions).
+    The walk is `column_rank_table`'s DFS cut down twice, and the DFS
+    visits subsets in exactly that lexicographic order.  At a subset S,
+    once a child S + {j} takes a column j in span(S), the later siblings
+    S + {j'} (j' > j) and their subtrees are cut.  And a subtree is pruned
+    when it cannot improve any entry (subset ranks only grow along
+    extensions).  Neither cut loses the first least-rank s-subset T.  If
+    an ancestor P of T had such a j between max(P) and the next column t
+    of T, then T + {j} - {t} would have size s, rank at most rank(T)
+    (as j is in span(P)) and come before T.  If the prune stopped at an
+    ancestor, an s-subset of least rank would have been recorded before
+    it, hence before T.
     """
-    insert, cols, empty = M.independence()
+    cols, contract = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
     INF = n + 1
     best = [INF] * (n + 1)
     wit = [0] * (n + 1)
 
-    def rec(start, mask, size, rk, basis):
+    def rec(start, mask, size, rk, red, base, v):
         if rk < best[size]:
             best[size] = rk
             wit[size] = mask
@@ -517,20 +530,17 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
         # improved on, no smaller size can either.
         if best[size + n - start] <= rk:
             return
+        if v:
+            red, base = contract(red[start - base:], v), start
         for j in range(start, n):
-            nb = insert(basis, cols[j])
-            if nb is None:
-                rec(j + 1, mask | (1 << j), size + 1, rk, basis)
-                # Closure cutoff: column j lies in span(S), so every later
-                # sibling S + {j'} (j' > j) leaves out a closure column
-                # below its last one and is not a prefix of its closure;
-                # nor is any of its descendants.  The prefixes of a closure
-                # prefix are closure prefixes, so every subset the answer
-                # needs keeps its whole DFS path and nothing it needs is cut.
+            w = red[j - base]
+            if not w:
+                # the later siblings are cut (see the docstring)
+                rec(j + 1, mask | (1 << j), size + 1, rk, red, base, 0)
                 return
-            rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
+            rec(j + 1, mask | (1 << j), size + 1, rk + 1, red, base, w)
 
-    rec(0, 0, 0, 0, empty)
+    rec(0, 0, 0, 0, cols, 0, 0)
     return best, wit
 
 
@@ -554,7 +564,7 @@ def column_subsets_attaining(M, targets,
     no greater than its target (subset ranks only grow along extensions),
     so it visits a subtree of the table's walk.
     """
-    insert, cols, empty = M.independence()
+    cols, contract = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
     want = dict(targets)
@@ -566,18 +576,21 @@ def column_subsets_attaining(M, targets,
                    n + 1) for rk in range(n + 1)]
              for size in range(n + 1)]
 
-    def rec(start, mask, size, rk, basis):
+    def rec(start, mask, size, rk, red, base, v):
         if exact[size] == rk:
             hits[size].append(mask)
         # a child at column j still has n - j - 1 columns to grow by
-        for j in range(start, n + size + 1 - reach[size][rk]):
-            nb = insert(basis, cols[j])
-            if nb is None:
-                rec(j + 1, mask | (1 << j), size + 1, rk, basis)
-            else:
-                rec(j + 1, mask | (1 << j), size + 1, rk + 1, nb)
+        stop = n + size + 1 - reach[size][rk]
+        if stop <= start:
+            return
+        if v:
+            red, base = contract(red[start - base:], v), start
+        for j in range(start, stop):
+            w = red[j - base]
+            rec(j + 1, mask | (1 << j), size + 1, rk + 1 if w else rk,
+                red, base, w)
 
-    rec(0, 0, 0, 0, empty)
+    rec(0, 0, 0, 0, cols, 0, 0)
     return hits
 
 

@@ -363,13 +363,11 @@ def cmd_tensor(args):
     B = parse_code_file(args.file_b)
     cap = _cap(args)
     T = tensor_product(A, B, cap)
-    d = T.weight_hierarchy(cap)
-    star = schaathun_bound_table(A, B, cap)
-    bound_ok = all(d[r] >= star[r] for r in range(T.k + 1))
+    bound_ok = schaathun_verify(A, B, cap)
     chained_a, chained_b = is_chained(A, cap), is_chained(B, cap)
     wei_yang = {"applicable": chained_a and chained_b, "ok": None}
     if wei_yang["applicable"]:
-        wei_yang["ok"] = tuple(d) == star
+        wei_yang["ok"] = wei_yang_check(A, B, cap)
     ss_a, ss_b = is_semistable(A, cap), is_semistable(B, cap)
     preservation = {"applicable": ss_a and ss_b, "ok": None}
     if preservation["applicable"]:
@@ -379,8 +377,8 @@ def cmd_tensor(args):
         "B": {"n": B.n, "k": B.k, "q": B.field.q},
         "product": {"n": T.n, "k": T.k, "weight": T.weight,
                     "rate": _rat(T.effective_rate)},
-        "weight_hierarchy": list(d),
-        "schaathun_bound": list(star),
+        "weight_hierarchy": list(T.weight_hierarchy(cap)),
+        "schaathun_bound": list(schaathun_bound_table(A, B, cap)),
         "bound_ok": bound_ok,
         "chained": {"A": chained_a, "B": chained_b},
         "wei_yang": wei_yang,

@@ -102,15 +102,6 @@ class Matroid:
     def degree(self, J: int) -> int:
         return self.k - self.ranks[J]
 
-    def h0(self, J: int) -> int:
-        full = (1 << self.n) - 1
-        return self.k - self.ranks[full ^ J]
-
-    def h1(self, J: int) -> int:
-        full = (1 << self.n) - 1
-        comp = full ^ J
-        return comp.bit_count() - self.ranks[comp]
-
     def dual(self) -> "Matroid":
         """The dual matroid, built once; its dual is this matroid."""
         if self._dual is None:
@@ -136,15 +127,16 @@ class Matroid:
     # -- profiles ------------------------------------------------------------
 
     def independence(self):
-        """(insert, cols, empty) for the column searches: a basis is a
-        bitmask, and an element's bit joins it when the rank rises."""
+        """(cols, contract) for the column searches: an element's token is
+        the mask of the subset taken so far plus the element, or 0 when the
+        element lies in that subset's closure (the rank does not rise)."""
         r = self.ranks
 
-        def insert(J, bit):
-            K = J | bit
-            return K if r[K] > r[J] else None
+        def contract(tail, v):
+            rv = r[v]
+            return [v | w if w and r[v | w] > rv else 0 for w in tail]
 
-        return insert, [1 << e for e in range(self.n)], 0
+        return [1 << e if r[1 << e] else 0 for e in range(self.n)], contract
 
     def profile(self) -> tuple[int, ...]:
         """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""

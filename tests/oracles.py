@@ -5,7 +5,8 @@ codewords, coefficient tuples, and subsets.  No pruning and no shared code
 paths with the library beyond raw field arithmetic, and that arithmetic has
 its own reference at the end: digit polynomials multiplied and reduced by
 the modulus, and irreducibility by trial division.  Rank tables appear
-only as given data: the matroid references scan a table mask by mask, and
+only as given data or row-reduced subset by subset (`brute_rank_table`):
+the matroid references scan a table mask by mask, and
 `SubsetLattice.for_code` is a lattice view over a code's own table.
 """
 
@@ -149,6 +150,30 @@ def brute_column_rank(field, rows, J) -> int:
     cols = sorted(set(J))
     img = {tuple(w[i] for i in cols) for w in words}
     return qlog(len(img), field.q)
+
+
+def brute_rank_table(field, rows) -> bytes:
+    """Rank of every column subset, indexed by bitmask: each subset's
+    columns are row-reduced from scratch with the scalar operations (no
+    codeword enumeration, so GF(256) stays cheap)."""
+    n = len(rows[0])
+    cols = [[r[j] for r in rows] for j in range(n)]
+    table = bytearray(1 << n)
+    for J in range(1 << n):
+        basis = []
+        for j in range(n):
+            if not (J >> j) & 1:
+                continue
+            v = cols[j]
+            for p, b in basis:
+                c = v[p]
+                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
+            p = next((i for i, x in enumerate(v) if x), None)
+            if p is not None:
+                inv = field.inv(v[p])
+                basis.append((p, [field.mul(inv, x) for x in v]))
+        table[J] = len(basis)
+    return bytes(table)
 
 
 def brute_semistable(field, rows, levels=None) -> bool:
@@ -302,6 +327,18 @@ def table_subsets_attaining(ranks, targets):
         if want.get(s) == r:
             hits[s].append(J)
     return hits
+
+
+def matroid_h0(M, J: int) -> int:
+    """h0(M, J) = k - r(E - J), read from the matroid's table."""
+    full = (1 << M.n) - 1
+    return M.k - M.ranks[full ^ J]
+
+
+def matroid_h1(M, J: int) -> int:
+    """h1(M, J) = #(E - J) - r(E - J), read from the matroid's table."""
+    comp = ((1 << M.n) - 1) ^ J
+    return comp.bit_count() - M.ranks[comp]
 
 
 def dual_rank_table(n: int, ranks) -> bytes:

@@ -264,33 +264,27 @@ def test_criterion_10_matroid_suite():
             assert len(M.gaps()) == C.n - C.k
             assert M.dual().dual() == M
             for J in range(1 << n):
-                assert M.h0(J) == C.subset_dim(J)
+                assert oracles.matroid_h0(M, J) == C.subset_dim(J)
             counted += 1
         return f"{counted} matroids, all subsets each"
     run_criterion(10, None, body)
 
 
 def test_criterion_11_cli_determinism_and_goldens():
-    """The self test passes, repeated CLI runs are byte identical, and the
-    checked-in golden outputs for the three worked examples match fresh
-    runs exactly."""
+    """The self test passes, repeated CLI runs are byte identical, and every
+    checked-in golden output (`test_cli.GOLDEN_CASES`) matches fresh runs
+    exactly."""
+    from test_cli import GOLDEN_CASES
+
     def body():
         proc = run_cli("selftest")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["all_ok"] is True
-        goldens = [
-            ("weights_9_7.json", ("weights", "data/binary_9_7.code")),
-            ("semistable_9_7.json", ("semistable", "data/binary_9_7.code")),
-            ("semistable_5_2.json", ("semistable", "data/binary_5_2.code")),
-            ("semistable_5_2_square.json",
-             ("semistable", "data/binary_5_2_square.code")),
-            ("weights_3_2_2.json", ("weights", "data/binary_3_2_2.code")),
-        ]
-        for name, args in goldens:
+        for name, args in GOLDEN_CASES:
             first, second = run_cli(*args), run_cli(*args)
             assert first.returncode == 0, first.stderr
             assert second.returncode == 0, second.stderr
             assert first.stdout == second.stdout
             assert first.stdout == (HERE / "golden" / name).read_text()
-        return f"selftest ok; {len(goldens)} goldens byte-identical"
+        return f"selftest ok; {len(GOLDEN_CASES)} goldens byte-identical"
     run_criterion(11, None, body)

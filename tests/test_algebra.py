@@ -17,10 +17,12 @@ from hncodes.algebra import (
     FieldSpec,
     Matrix,
     column_rank_table,
+    column_subsets_attaining,
     iter_rref_matrices,
     min_column_rank_by_size,
 )
 from hncodes.code import Subcode
+from hncodes.matroid import Matroid
 
 import oracles
 
@@ -358,8 +360,8 @@ def columned_matrices(rng, count, nmax=12):
 
 
 def test_min_rank_search_matches_rank_table():
-    # the least-rank search walks only closure prefixes and prunes by one
-    # lookup; the full rank table is its oracle
+    # the least-rank search cuts the siblings after a dependent column and
+    # prunes by one lookup; the full rank table is its oracle
     import random
     from test_hn import filtration_codes
     rng = random.Random(31)
@@ -376,6 +378,54 @@ def test_min_rank_search_matches_rank_table():
         assert best == expect
         for s in range(n + 1):
             assert wits[s].bit_count() == s and tab[wits[s]] == best[s]
+
+
+def parallel_class_matroids(rng, count, nmax=10):
+    """Table matroids: a uniform matroid U(r, m) whose elements are blown up
+    into parallel classes, plus loops (class -1)."""
+    out = []
+    for _ in range(count):
+        n = rng.randrange(1, nmax + 1)
+        m = rng.randrange(1, n + 1)
+        cls = [rng.randrange(-1, m) for _ in range(n)]
+        r = rng.randrange(0, m + 1)
+        out.append(Matroid(n, bytes(
+            min(r, len({cls[e] for e in range(n)
+                        if (J >> e) & 1 and cls[e] >= 0}))
+            for J in range(1 << n))))
+    return out
+
+
+def test_column_searches_against_brute_ranks():
+    # all three DFS searches against ranks row-reduced subset by subset:
+    # codes over GF(2/3/4/256) with zero, repeated and proportional columns,
+    # their column matroids, and matroids with loops and parallel classes
+    rng = random.Random(37)
+    pool = []
+    for M in columned_matrices(rng, 90, nmax=10):
+        table = oracles.brute_rank_table(M.field, M.row_list())
+        pool += [(M, table), (Matroid(M.cols, table), table)]
+    pool += [(M, M.ranks) for M in parallel_class_matroids(rng, 40)]
+    for X, table in pool:
+        n = len(table).bit_length() - 1
+
+        def lex(J):
+            return [i for i in range(n) if (J >> i) & 1]
+
+        assert column_rank_table(X) == table
+        minima = oracles.table_minima(n, table)
+        # witnesses: the first least-rank subset of each size in the order
+        # of sorted column indices, which is the DFS's visiting order
+        first = [min((J for J in range(1 << n) if J.bit_count() == s
+                      and table[J] == minima[s]), key=lex)
+                 for s in range(n + 1)]
+        assert min_column_rank_by_size(X) == (minima, first)
+        sizes = sorted(rng.sample(range(n + 1), rng.randrange(1, n + 2)))
+        targets = [(s, rng.choice([minima[s], rng.randrange(s + 1)]))
+                   for s in sizes]
+        expect = oracles.table_subsets_attaining(table, targets)
+        assert column_subsets_attaining(X, targets) == {
+            s: sorted(hits, key=lex) for s, hits in expect.items()}
 
 
 def test_rank_machinery_cap():
