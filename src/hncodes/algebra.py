@@ -24,6 +24,7 @@ attaining-subset search visits only subsets at or below its target ranks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -592,6 +593,25 @@ def column_subsets_attaining(M, targets,
 
     rec(0, 0, 0, 0, cols, 0, 0)
     return hits
+
+
+# -- whole subset tables: entry J is lane J of one int (`lanes`) ------------
+
+_INC = bytes(range(1, 256)) + b"\0"
+lanes = functools.partial(int.from_bytes, byteorder="little")
+
+
+def popcounts(n: int) -> bytes:
+    """#J for every subset J of [n], by n doublings of the table."""
+    table = b"\0"
+    for _ in range(n):
+        table += table.translate(_INC)
+    return table
+
+
+def lane_mask(n: int, e: int, lane: bytes) -> int:
+    """`lane` (one lane's bytes) at every subset of [n] without e, else 0."""
+    return lanes((lane * 2**e + bytes(len(lane) << e)) * 2**(n - e - 1))
 
 
 def iter_rref_matrices(field: FieldSpec, r: int, c: int):

@@ -154,8 +154,13 @@ class LinearCode:
         return LinearCode.span(self.gen.col_submatrix(cols))
 
     def _minor(self, elems, S: int) -> "LinearCode":
-        """Shorten on S, puncture onto `elems`: the minor M/S | elems."""
-        sub = self.shorten(((1 << self.n) - 1) ^ S)
+        """M/S | elems: the code-filtration step vanishing on the subset step
+        S (step i for the i-th from the top, else the whole code), punctured
+        onto `elems`; both memos are filled under the caller's cap check."""
+        from .hn import canonical_filtration, subset_filtration
+        i = subset_filtration(self, self.n).steps[::-1].index(S)
+        steps = canonical_filtration(self, self.n).steps
+        sub = steps[min(i, len(steps) - 1)]
         return LinearCode.span(sub.basis.col_submatrix(elems))
 
     def dual(self) -> "LinearCode":

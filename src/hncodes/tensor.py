@@ -141,13 +141,13 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
     D must lie in the product: A (x) B is exactly the set of arrays whose
     columns lie in A and whose rows lie in B, so membership is one rank
     test of D's basis against the product's generator (NotASubcode
-    otherwise)."""
+    otherwise), skipped when D is a subcode of that product code."""
     nA, nB = A.n, B.n
     if D.parent.n != nA * nB:
         raise NotASubcode("ambient length is not the product of the "
                           "factor lengths")
     T = A.tensor(B)
-    if T.gen.stack(D.basis).rank() != T.k:
+    if D.parent != T and T.gen.stack(D.basis).rank() != T.k:
         raise NotASubcode("a basis vector has a matrix column outside the "
                           "first factor or a matrix row outside the second")
     r = D.dim

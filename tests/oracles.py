@@ -305,6 +305,26 @@ def brute_semimodular(n: int, table) -> bool:
     return True
 
 
+def rank_axiom_failure(n: int, table):
+    """The message of the first local rank axiom failure of a 2^n table,
+    or None: r(empty) = 0, then subset by subset in increasing mask order
+    the unit increments r(J+e) - r(J) in {0, 1} and the pairs
+    r(J+a) + r(J+b) >= r(J+a+b) + r(J)."""
+    if table[0] != 0:
+        return "rank of the empty set must be 0"
+    for J in range(1 << n):
+        free = [e for e in range(n) if not (J >> e) & 1]
+        for e in free:
+            if table[J | (1 << e)] - table[J] not in (0, 1):
+                return f"rank must grow by 0 or 1 (subset {J}, element {e})"
+        for a, b in combinations(free, 2):
+            ea, eb = 1 << a, 1 << b
+            if table[J | ea] + table[J | eb] < table[J | ea | eb] + table[J]:
+                return (f"local semimodularity fails at subset {J}, "
+                        f"elements {a}, {b}")
+    return None
+
+
 # -- rank tables --------------------------------------------------------------
 
 def table_minima(n: int, ranks):
@@ -362,6 +382,19 @@ def table_rr_serre(n: int, ranks, dual_ranks) -> tuple[bool, bool]:
         rr = rr and h0 - dual_h0 == J.bit_count() + k - n
         serre = serre and h1 == dual_h0
     return rr, serre
+
+
+def table_clifford(n: int, ranks) -> bool:
+    """h0(J) = k - r(E - J) is at most #J / 2 for every subset J, subset
+    by subset."""
+    full = (1 << n) - 1
+    return all(2 * (ranks[full] - ranks[full ^ J]) <= J.bit_count()
+               for J in range(1 << n))
+
+
+def uniform_rank_table(n: int, k: int) -> bytes:
+    """r(J) = min(#J, k), subset by subset."""
+    return bytes(min(J.bit_count(), k) for J in range(1 << n))
 
 
 def bases_rank_table(n: int, bases) -> bytes:

@@ -410,6 +410,23 @@ def test_graded_pieces():
         graded_pieces(padded)
 
 
+def test_graded_pieces_shorten_no_filtration_step_again(monkeypatch):
+    # each piece punctures the canonical-filtration step the code keeps,
+    # so the pieces and the filtration together shorten once per interior
+    # step, in either order
+    shortened = []
+    shorten = LinearCode.shorten
+    monkeypatch.setattr(LinearCode, "shorten",
+                        lambda C, J: shortened.append(J) or shorten(C, J))
+    for first in (canonical_filtration, graded_pieces):
+        C = zoo.binary_9_7()
+        first(C)
+        assert [(g.n, g.k) for g in graded_pieces(C)] == [(5, 4), (4, 3)]
+        assert len(canonical_filtration(C).steps) == 3
+        assert len(shortened) == 1
+        shortened.clear()
+
+
 def test_semistable_code_is_searched_once(monkeypatch):
     # a semistable code is its own only graded piece, so graded_pieces
     # reads the code's memoized search instead of searching a copy

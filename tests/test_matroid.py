@@ -75,6 +75,39 @@ def test_rank_axiom_validation():
     Matroid.from_ranks(2, [0, 1, 1, 2])           # valid, no raise
 
 
+def test_rank_axioms_against_the_subset_scan():
+    # the whole-table check accepts and refuses exactly the tables the
+    # subset-by-subset scan does, with the scan's message: valid tables,
+    # one-entry corruptions, entries above n and tables that shrink
+    rng = random.Random(383)
+    kinds = {"valid": 0, "corrupt": 0, "above": 0, "shrink": 0}
+    refused = 0
+    pool = [M.ranks for M in table_oracle_pool(rng)]
+    pool += [M.ranks for M in random_matroids(rng, 150, nmax=9)]
+    for _ in range(600):
+        r = bytearray(rng.choice(pool))
+        n = len(r).bit_length() - 1
+        kind = rng.choice(sorted(kinds))
+        J = rng.randrange(len(r))
+        if kind == "corrupt":
+            r[J] = rng.randrange(n + 2)
+        elif kind == "above":
+            r[J] = rng.randrange(n + 1, 256)
+        elif kind == "shrink" and J:
+            sub = J & (J - 1) if rng.random() < 0.5 else 0
+            r[J] = max(0, r[sub] - 1)
+        kinds[kind] += 1
+        expect = oracles.rank_axiom_failure(n, r)
+        if expect is None:
+            assert Matroid.from_ranks(n, r).ranks == bytes(r)
+        else:
+            refused += 1
+            with pytest.raises(InvariantViolation) as err:
+                Matroid.from_ranks(n, r)
+            assert str(err.value) == expect
+    assert min(kinds.values()) >= 100 and 150 <= refused <= 450
+
+
 def test_corrupted_code_table_caught():
     C = zoo.binary_5_2()
     table = bytearray(C.rank_table())
@@ -430,6 +463,26 @@ def test_table_oracle_against_table_scans():
             assert Fraction(y1 - y0, x1 - x0) == filt.slopes[a]
         multi += poly.N > 1
     assert multi >= 10
+
+
+def test_whole_tables_against_the_subset_scans():
+    # the dual table, the Riemann-Roch and Serre checks and the uniform
+    # tables against the subset-by-subset references, on code matroids up
+    # to n = 12 and one n = 16 code
+    rng = random.Random(389)
+    pool = [matroid_from_code(zoo.random_code(rng, rng.choice((GF2, GF3)), n,
+                                              rng.randrange(1, n + 1)))
+            for n in [9, 10, 11, 12] * 3]
+    pool.append(matroid_from_code(zoo.random_code(rng, GF2, 16, 7)))
+    for M in pool:
+        dual = oracles.dual_rank_table(M.n, M.ranks)
+        assert M.dual().ranks == dual
+        assert oracles.table_rr_serre(M.n, M.ranks, dual) == (True, True)
+        assert rr_check(M) and serre_check(M)
+    for n in range(13):
+        for k in range(n + 1):
+            assert uniform_matroid(k, n).ranks == \
+                oracles.uniform_rank_table(n, k)
 
 
 def test_rr_serre_tables_against_the_subset_scan():

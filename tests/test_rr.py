@@ -134,6 +134,49 @@ def test_rr_serre_and_clifford_enumerate_under_the_cap():
         clifford_check(zoo.extended_hamming_8_4(), max_enum=7)
 
 
+def self_dual_sums(rng, blocks):
+    """Direct sum of self-dual codes, columns shuffled: self-dual again."""
+    n = sum(B.n for B in blocks)
+    rows, off = [], 0
+    for B in blocks:
+        rows += [(0,) * off + B.gen.row(i) + (0,) * (n - off - B.n)
+                 for i in range(B.k)]
+        off += B.n
+    perm = rng.sample(range(n), n)
+    return LinearCode.from_rows(blocks[0].field,
+                                [[r[p] for p in perm] for r in rows])
+
+
+def test_whole_table_checks_against_the_subset_scans():
+    # rr_check and serre_check on codes up to n = 12 and clifford_check on
+    # self-dual codes up to n = 16 agree with the subset-by-subset scans
+    rng = random.Random(433)
+    for C in small_codes(rng, 24, fields=(GF2, GF3, GF4), nmax=12, kmax=8):
+        if C.k == C.n:
+            continue
+        tab, dual = C.rank_table(), C.dual().rank_table()
+        assert oracles.table_rr_serre(C.n, tab, dual) == (True, True)
+        assert rr_check(C) and serre_check(C)
+    pair, ham = zoo.repetition(GF2, 2), zoo.extended_hamming_8_4()
+    tetra = LinearCode.from_rows(GF3, [(1, 0, 1, 1), (0, 1, 1, 2)])
+    for blocks in ([pair], [pair, pair, pair], [ham, pair], [ham, ham],
+                   [tetra, tetra], [tetra] * 3, [zoo.repetition(GF4, 2)] * 5):
+        C = self_dual_sums(rng, blocks)
+        assert C.dual() == C
+        assert oracles.table_clifford(C.n, C.rank_table())
+        assert clifford_check(C)
+        # one entry lowered in the table the code keeps: lowering
+        # r(E - {e}) makes h0({e}) = 1, over the bound
+        full, tab = (1 << C.n) - 1, C.rank_table()
+        for J in (full ^ (1 << rng.randrange(C.n)), rng.randrange(1, full)):
+            bad = bytearray(tab)
+            bad[J] -= bad[J] > 0
+            C._rtab = bytes(bad)
+            assert clifford_check(C) == oracles.table_clifford(C.n, bad)
+            if (full ^ J).bit_count() == 1:
+                assert not clifford_check(C)
+
+
 def test_rr_normalized_examples():
     H = zoo.hamming_7_4()                        # d1 = 3, genus 7 - 4 - 3 + 1 = 1
     assert rr_normalized(H, 0) == (-3, 1)

@@ -18,6 +18,7 @@ from hncodes import (
     tensor_semistable_check,
     zoo,
 )
+from hncodes.algebra import Matrix
 from hncodes.code import Subcode
 from hncodes.tensor import (
     schaathun_bound,
@@ -145,6 +146,28 @@ def test_witness_rejects_foreign_subcode():
                           [(1,) + (0,) * 14])
     with pytest.raises(NotASubcode):
         witness(D, zoo.binary_3_2(), zoo.binary_5_2())
+    # only a subcode of the product code itself skips the membership
+    # test: a subcode of another code of length nA nB is still refused,
+    # also once the product is built and kept
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    T = A.tensor(B)
+    outside = (1,) + (0,) * 14
+    C = LinearCode.from_rows(GF2, oracles.rows_of(T) + [outside])
+    with pytest.raises(NotASubcode):
+        witness(Subcode.from_rows(C, [outside]), A, B)
+
+
+def test_witness_of_a_product_subcode_stacks_no_generator(monkeypatch):
+    # a subcode of the code A.tensor(B) returns lies in the product by
+    # construction, so its witness runs no membership rank test
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    D = zoo.random_subcode(random.Random(541), A.tensor(B), 3)
+    stacked = []
+    stack = Matrix.stack
+    monkeypatch.setattr(Matrix, "stack",
+                        lambda M, other: stacked.append(M) or stack(M, other))
+    assert witness(D, A, B).r == 3
+    assert stacked == []
 
 
 def _inside_product_by_words(D, A, B) -> bool:
