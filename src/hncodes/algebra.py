@@ -20,10 +20,19 @@ matroids alike, and are capped because the enumeration is exponential.
 down.  The least-rank search cuts the later siblings of every dependent
 column and the subtrees that cannot improve a minimum, and the
 attaining-subset search visits only subsets at or below its target ranks.
+
+`column_rank_table` has a second engine for a Matrix with q^rows <= 2^cols:
+the number of coefficient vectors whose word lies inside each column set U
+is q to the dimension of the words there, and that number is a subset sum,
+over the supports inside U, of the words' count at each support.  So the
+table is one subset-sum transform of the words' supports, in lanes of one
+int (`lanes`), with no search (`_word_rank_table`).  Matroids and matrices
+with q^rows > 2^cols walk the DFS.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
@@ -471,7 +480,13 @@ def _check_cap(bits: int, cap: int, what: str = "column subsets"):
 
 
 def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
-    """rank of every column subset of M, indexed by bitmask."""
+    """rank of every column subset of M, indexed by bitmask.
+
+    A Matrix with q^rows <= 2^cols counts its words by support
+    (`_word_rank_table`); any other M walks the DFS."""
+    if isinstance(M, Matrix) and M.field.q ** M.rows <= 1 << M.cols:
+        _check_cap(M.cols, max_enum)
+        return _word_rank_table(M)
     cols, contract = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
@@ -612,6 +627,97 @@ def popcounts(n: int) -> bytes:
 def lane_mask(n: int, e: int, lane: bytes) -> int:
     """`lane` (one lane's bytes) at every subset of [n] without e, else 0."""
     return lanes((lane * 2**e + bytes(len(lane) << e)) * 2**(n - e - 1))
+
+
+_BINARY = b"0" + b"1" * 255     # a byte as the binary digit "is nonzero"
+_BLOCK_BITS = 12                 # 2^12 subsets per block of lanes
+
+
+@functools.cache
+def _plus_tables(f: FieldSpec) -> list[bytes]:
+    """plus[t] translates every field element x to x + t."""
+    return [bytes(row) + bytes(256 - f.q) for row in f._add]
+
+
+def _projective_supports(M) -> list[int]:
+    """The support of xM, as a bitmask, for every coefficient vector x whose
+    first nonzero entry is 1.
+
+    Over GF(2) the words are XORs of bit-packed rows.  Otherwise column j
+    is one byte string: entry j of xM for every x on the rows i.., built
+    from the string of rows i+1.. by one translate per multiple of M[i][j]
+    (row 0 takes only 0 and 1).  The x led by a 1 are its slices
+    [q^e, 2q^e), and their nonzero bytes, written as binary digits with
+    column 0 last, are the supports."""
+    f, k, n = M.field, M.rows, M.cols
+    if f.q == 2:
+        words = [0]
+        for i in range(k):
+            row = sum(x << j for j, x in enumerate(M.row(i)))
+            words += [w ^ row for w in words]
+        return words[1:]
+    q, MUL, plus = f.q, f._mul, _plus_tables(f)
+    N, m = (q ** k - 1) // (q - 1), n + 1    # a leading "0" in each support
+    digits = bytearray(b"0" * (N * m))
+    for j in range(n):
+        col = b"\0"
+        for i in reversed(range(k)):
+            mul = MUL[M.entry(i, j)]
+            col = b"".join([col.translate(plus[mul[c]])
+                            for c in range(q if i else 2)])
+        led = b"".join([col[q ** e:2 * q ** e] for e in range(k)])
+        digits[n - j::m] = led.translate(_BINARY)
+    return [int(digits[x * m:x * m + m], 2) for x in range(N)]
+
+
+def _word_rank_table(M) -> bytes:
+    """`column_rank_table` of a Matrix from its words' supports, with no
+    search (Greene, Stud. Appl. Math. 55, 1976).
+
+    The coefficient vectors x with xM supported inside U number q^h(U),
+    where h(U) = rows - rank + dim C_U, so r(J) = rank - dim C_{[n]-J} is
+    rows - h([n]-J) whether or not the rows are independent.  The number
+    at U is a subset sum of the number at each support: the zero vector
+    once, and each x led by a 1 for its q - 1 multiples, which share its
+    support.  It stays below 2^(8W-1) in W-byte lanes, so n passes add the
+    lanes without e into those with e, and `rows` passes count the d with
+    S(U) >= q^d on each lane's guard bit, 8W - 1, which no lane borrows
+    past.  The table of h reversed is the table of h([n]-J).
+
+    The lanes are held in blocks of 2^b consecutive subsets, which keeps
+    every temporary to one block: the passes for e < b run in each block,
+    and those for e >= b add whole blocks."""
+    q, k, n = M.field.q, M.rows, M.cols
+    W = ((q ** k).bit_length() + 8) // 8     # the least W, q^k < 2^(8W-1)
+    b = min(n, _BLOCK_BITS)
+    blocks = [bytearray(W << b) for _ in range(1 << (n - b))]
+    low = (1 << b) - 1
+    for s, c in collections.Counter(_projective_supports(M)).items():
+        i = W * (s & low)
+        blocks[s >> b][i:i + W] = ((q - 1) * c).to_bytes(W, "little")
+    for j, block in enumerate(blocks):
+        blocks[j] = lanes(block)
+    blocks[0] += 1                           # and the zero vector
+    ones = 1             # 1 in each lane whose index is 0 mod 2^(e + 1)
+    for e in reversed(range(b)):
+        width = 8 * W << e
+        mask = (ones << width) - ones        # the lanes without e
+        for j, S in enumerate(blocks):
+            blocks[j] = S + ((S & mask) << width)
+        ones |= ones << width
+    for e in range(n - b):
+        for j in range(len(blocks)):
+            if j >> e & 1:
+                blocks[j] += blocks[j ^ 1 << e]
+    guard, h = ones << (8 * W - 1), []
+    for j, S in enumerate(blocks):
+        S, blocks[j] = S + guard, None      # each block is freed once read
+        count = 0
+        for d in range(1, k + 1):
+            count += ((S - q ** d * ones) >> (8 * W - 1)) & ones
+        h.append(count.to_bytes(W << b, "little")[::W])   # h(U) <= k
+    h = b"".join(h)[::-1]
+    return h.translate(bytes(range(k, -1, -1)).ljust(256, b"\0"))
 
 
 def iter_rref_matrices(field: FieldSpec, r: int, c: int):

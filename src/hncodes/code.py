@@ -9,9 +9,13 @@ subcode deliberately has degree n.
 Weight hierarchies are computed through the dimension/length profile
 k_j = max {dim C_J : #J = j} rather than by enumerating subcodes, so the
 cost never depends on q^k.  The least column ranks behind the profile come
-from one search per code that walks only column subsets which are a prefix
-of their closure (the flats of the column matroid, in index order) and
-prunes what cannot improve a minimum; it is still capped at 2^n subsets.
+from one search per code (`least_ranks`) that walks the column subsets in
+the lexicographic order of their sorted indices, cuts the later siblings of
+a dependent column and prunes what cannot improve a minimum; it still
+visits subsets that are not a prefix of their closure, and it is capped at
+2^n subsets.  The full rank table, read only where every subset is asked
+for, comes from `column_rank_table`: from the codewords' supports when
+q^k <= 2^n, otherwise from the column-rank DFS.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
                  profile_gaps, profile_hierarchy, subset_filtration,
                  subset_graded, subset_polygon, subset_profile)
-from .rr import (dual_filtration_check, dual_subset_polygon_check, rr_check,
-                 serre_check)
+from .rr import dual_filtration_check, dual_subset_polygon_check, rr_check
 
 MATROID_CAP = 16
 
@@ -118,9 +117,6 @@ class Matroid:
 
     def rank_of(self, J: int) -> int:
         return self.ranks[J]
-
-    def degree(self, J: int) -> int:
-        return self.k - self.ranks[J]
 
     def dual(self) -> "Matroid":
         """The dual r*(J) = #J + r(E - J) - k; built once, its dual is self."""
@@ -244,8 +240,10 @@ def matroid_from_bases(n: int, bases) -> Matroid:
 
 def rr_matroid_check(M: Matroid) -> bool:
     """h0(M, J) - h0(M*, E - J) = #J + k - n for every subset J, with the
-    dual h0 agreeing with h1(M, J) (the Serre pairing at dimension level)."""
-    return rr_check(M) and serre_check(M)
+    dual h0 agreeing with h1(M, J) (the Serre pairing at dimension level).
+    One table comparison checks both: h0 and h1 obey Euler by
+    construction, so Serre is the Riemann-Roch identity of rank tables."""
+    return rr_check(M)
 
 
 def gap_counts_check(M: Matroid) -> bool:

@@ -1,6 +1,7 @@
 """Field construction, exact linear algebra, and subset-rank machinery."""
 
 import random
+import types
 
 import pytest
 
@@ -11,6 +12,7 @@ from hncodes import (
     NonPrime,
     ReducibleModulus,
     SizeLimitExceeded,
+    algebra,
     zoo,
 )
 from hncodes.algebra import (
@@ -332,28 +334,35 @@ def test_min_column_rank_by_size():
             assert tab[wits[s]] == mins[s]
 
 
+def random_columns(rng, f, k, n):
+    """n random columns of length k over f, often zero, repeats or scalar
+    multiples of earlier ones, so that closures hold many columns and ties
+    are common."""
+    cols = []
+    for _ in range(n):
+        shape = rng.random()
+        if cols and shape < 0.15:
+            cols.append(rng.choice(cols))
+        elif cols and shape < 0.3:
+            a = rng.randrange(1, f.q)
+            cols.append([f.mul(a, x) for x in rng.choice(cols)])
+        elif shape < 0.4:
+            cols.append([0] * k)
+        else:
+            cols.append([rng.randrange(f.q) for _ in range(k)])
+    return cols
+
+
 def columned_matrices(rng, count, nmax=12):
     """Random k x n matrices over GF(2), GF(3), GF(4) and GF(256), n <= nmax,
-    whose columns are often zero, repeats or scalar multiples of earlier
-    ones, so that closures hold many columns and ties are common."""
+    with `random_columns`."""
     fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
               FieldSpec(2, 8, 0x11B)]
     out = []
     for _ in range(count):
         f = rng.choice(fields)
         k, n = rng.randrange(1, 6), rng.randrange(1, nmax + 1)
-        cols = []
-        for _ in range(n):
-            shape = rng.random()
-            if cols and shape < 0.15:
-                cols.append(rng.choice(cols))
-            elif cols and shape < 0.3:
-                a = rng.randrange(1, f.q)
-                cols.append([f.mul(a, x) for x in rng.choice(cols)])
-            elif shape < 0.4:
-                cols.append([0] * k)
-            else:
-                cols.append([rng.randrange(f.q) for _ in range(k)])
+        cols = random_columns(rng, f, k, n)
         out.append(Matrix.from_rows(f, [[c[i] for c in cols]
                                         for i in range(k)]))
     return out
@@ -426,6 +435,81 @@ def test_column_searches_against_brute_ranks():
         expect = oracles.table_subsets_attaining(table, targets)
         assert column_subsets_attaining(X, targets) == {
             s: sorted(hits, key=lex) for s, hits in expect.items()}
+
+
+def rank_table_pool(rng):
+    """k x n matrices over GF(2/3/4/5/256), n = 0..10, with k = 0, 1, the
+    last k of the q^k <= 2^n rule (q^k = 2^n for GF(2) and GF(4)), the
+    first k past it, k = n and a random k, two of each, with
+    `random_columns`; a row is sometimes zero or a combination of two
+    earlier rows."""
+    fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
+              FieldSpec(5), FieldSpec(2, 8, 0x11B)]
+    out = []
+    for f in fields:
+        for n in range(11):
+            last = max(k for k in range(n + 1) if f.q ** k <= 1 << n)
+            ks = sorted({0, 1, last, last + 1, n, rng.randrange(n + 2)})
+            for k in ks + ks:
+                cols = random_columns(rng, f, k, n)
+                rows = [[c[i] for c in cols] for i in range(k)]
+                if k >= 2 and rng.random() < 0.3:
+                    rows[rng.randrange(k)] = [0] * n
+                if k >= 3 and rng.random() < 0.4:
+                    i, j = rng.sample(range(k - 1), 2)
+                    a, b = rng.randrange(f.q), rng.randrange(1, f.q)
+                    rows[-1] = [f.add(f.mul(a, x), f.mul(b, y))
+                                for x, y in zip(rows[i], rows[j])]
+                out.append(Matrix(f, k, n, tuple(x for r in rows for x in r)))
+    return out
+
+
+def test_word_rank_table_against_brute_ranks_and_the_dfs(monkeypatch):
+    # the word-count table against ranks row-reduced subset by subset and
+    # against the DFS, reached through an object with only the contraction
+    # oracle; `column_rank_table` takes the word path exactly when
+    # q^rows <= 2^cols.  Blocks of 4 subsets run the passes between blocks
+    # at these n too.
+    pool = rank_table_pool(random.Random(41))
+    assert len(pool) >= 300
+    taken = []
+
+    def spy(M):
+        taken.append(M)
+        return word_rank_table(M)
+    word_rank_table = algebra._word_rank_table
+    monkeypatch.setattr(algebra, "_word_rank_table", spy)
+    for M in pool:
+        q, k, n = M.field.q, M.rows, M.cols
+        table = (oracles.brute_rank_table(M.field, M.row_list()) if k
+                 else bytes(1 << n))
+        dfs = column_rank_table(types.SimpleNamespace(
+            independence=M.independence))
+        assert dfs == table
+        if q ** k <= 1 << 16:
+            assert word_rank_table(M) == table
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra, "_BLOCK_BITS", 2)
+                assert word_rank_table(M) == table
+        taken.clear()
+        assert column_rank_table(M) == table
+        assert taken == ([M] if q ** k <= 1 << n else [])
+
+
+def test_word_rank_table_cap(monkeypatch):
+    # the word path refuses before it enumerates a word or builds a lane
+    def forbidden(*args):
+        raise AssertionError("enumerated past the cap")
+    M = Matrix.from_rows(FieldSpec(2), [[1] * 21])
+    N = Matrix.from_rows(FieldSpec(3), [[1, 2, 0, 1, 1], [0, 1, 1, 2, 0]])
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_projective_supports", forbidden)
+        patch.setattr(algebra, "lanes", forbidden)
+        for X, cap in [(M, 0), (M, 20), (N, 4)]:
+            with pytest.raises(SizeLimitExceeded):
+                column_rank_table(X, max_enum=cap)
+    table = column_rank_table(M, max_enum=21)
+    assert table[0] == 0 and table[1:] == b"\1" * ((1 << 21) - 1)
 
 
 def test_rank_machinery_cap():
