@@ -17,9 +17,11 @@ such a contraction oracle (a Matrix's column matroid or a Matroid's rank
 table), so they serve weight hierarchies, profiles, cohomology tables and
 matroids alike, and are capped because the enumeration is exponential.
 `column_rank_table` visits every subset; the two searches cut the walk
-down.  The least-rank search cuts the later siblings of every dependent
-column and the subtrees that cannot improve a minimum, and the
-attaining-subset search visits only subsets at or below its target ranks.
+down.  The least-rank search, behind every polygon, filtration and
+semistability verdict, cuts the later siblings of every dependent column
+and the subtrees that cannot improve a minimum; the attaining-subset
+search, which serves `tensor.is_chained` alone, visits only subsets at or
+below its target ranks.
 
 `column_rank_table` has a second engine for a Matrix with q^rows <= 2^cols:
 the number of coefficient vectors whose word lies inside each column set U

@@ -11,19 +11,17 @@ lattice of subcodes, degree n - w) and exposes the generic lattice checks
 used by the verification suites.
 
 A code is semistable exactly when its polygon has one side: no subcode
-beats the code's rate, d_i k >= i w(C) for 0 < i < k.  Stability is the
-strict form.  Both verdicts read the weight hierarchy, i.e. the same
-pruned, memoized min-rank search the polygon uses, and take `max_enum`
-like every other enumerating function.
-
-The filtration's element at a vertex is the unique subset of least rank
-for its size, so it is found by a column search that walks only the
-subsets staying at or below the vertex ranks; no code builds its 2^n rank
-table for a filtration.
+beats the code's rate, d_i k >= i w(C) for 0 < i < k.  By the Galois
+connection the code polygon is the subset polygon with its axes swapped,
+and the filtration's element at a vertex is the unique subset of least
+rank for its size, so the polygon, the filtration and this verdict all
+read the one memoized least-rank search (`algebra.least_ranks`) and no
+code builds its 2^n rank table for them.  Stability, the strict form,
+reads the weight hierarchy.  Every verdict takes `max_enum`.
 
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it, so every check
-that reads them shares one vertex scan and one lattice.  The lattice
+that reads them shares one filtration and one lattice.  The lattice
 enumerates every subcode, so its cap counts subcodes: the number of
 subspaces of F_q^k, computed before any element is built.
 
@@ -35,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap, least_ranks,
-                      column_subsets_attaining, iter_rref_matrices)
+                      iter_rref_matrices)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
@@ -204,17 +202,21 @@ def hierarchies_tile(n: int, k: int, d, dual_d) -> bool:
             and left | right == set(range(1, n + 1)))
 
 
-def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                 ) -> CanonicalPolygon:
-    """Polygon of the subcode lattice: profile (i, n - d_i)."""
-    d = C.weight_hierarchy(max_enum)
-    return polygon_from_profile([C.n - di for di in d])
-
-
 def subset_polygon(X, max_enum: int = SUBSET_ENUM_CAP) -> CanonicalPolygon:
     """Polygon of the coordinate-subset lattice: profile
     (s, k - min {r(S) : #S = s})."""
     return polygon_from_profile([X.k - m for m in least_ranks(X, max_enum)[0]])
+
+
+def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
+                 ) -> CanonicalPolygon:
+    """Polygon of the subcode lattice, profile (i, n - d_i): the subset
+    polygon with its axes swapped.  Zero columns give the subset polygon a
+    flat first side from the loop vertex (0, k), which is dropped first."""
+    P = subset_polygon(C, max_enum)
+    if P.vertices[1][1] == P.vertices[0][1]:
+        P = CanonicalPolygon(P.vertices[1:])
+    return P.reflected()
 
 
 class Filtration:
@@ -245,26 +247,18 @@ class Filtration:
 def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
     """The chain of subsets attaining the subset polygon's vertices.
 
-    `column_subsets_attaining` on X finds every subset on the polygon at
-    each vertex size.  Uniqueness is a theorem at polygon vertices, so a
-    second attaining subset raises, as does a missing one or a chain that
-    does not nest.  The result is kept on X._sfilt; the cap is checked on
-    every call, as `least_ranks` does.
+    Step a is the least-rank search's witness at vertex size s_a.  At a
+    vertex the s-subset of least rank is unique: two of them, S != T, would
+    by submodularity put S | T or S & T above the strictly concave hull.
+    So the search's witness, its first least-rank s-subset, is that
+    subset.  A chain that does not nest raises.  The result is kept on
+    X._sfilt; the cap is checked on every call, as `least_ranks` does.
     """
     _check_cap(X.n, max_enum)
     if X._sfilt is None:
         poly = subset_polygon(X, max_enum)
-        targets = [(s, X.k - int(t)) for s, t in poly.vertices]
-        hits = column_subsets_attaining(X, targets, max_enum)
-        out = []
-        for s, _ in targets:
-            found = hits[s]
-            if not found:
-                raise InvariantViolation(f"no subset attains vertex size {s}")
-            if len(found) > 1:
-                raise InvariantViolation(
-                    f"polygon vertex at size {s} attained twice")
-            out.append(found[0])
+        wit = least_ranks(X, max_enum)[1]
+        out = [wit[s] for s in poly.vertex_ranks]
         for A, B in zip(out, out[1:]):
             if A & ~B:
                 raise InvariantViolation("filtration subsets do not nest")
@@ -325,8 +319,7 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 def is_semistable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """True when every nonzero subcode C' has w(C') >= dim(C')/R(C):
     d_i k >= i w(C) for 0 < i < k, i.e. the code polygon has one side."""
-    d, k, w = C.weight_hierarchy(max_enum), C.k, C.weight
-    return all(d[i] * k >= i * w for i in range(1, k))
+    return code_polygon(C, max_enum).N == 1
 
 
 def is_stable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
@@ -340,10 +333,8 @@ def semistability_witness(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                           ) -> Subcode | None:
     """A subcode violating semistability, or None; the first filtration
     step is returned (the maximal-slope destabilizer) when one exists."""
-    if is_semistable(C, max_enum):
-        return None
     filt = canonical_filtration(C, max_enum)
-    return filt.steps[1]
+    return filt.steps[1] if filt.polygon.N > 1 else None
 
 
 def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP

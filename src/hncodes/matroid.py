@@ -173,7 +173,7 @@ class Matroid:
 
     def filtration(self) -> Filtration:
         """Chain of subsets attaining the polygon's vertices (unique per
-        vertex; a second attaining subset raises)."""
+        vertex, so each is the least-rank search's witness there)."""
         return subset_filtration(self)
 
     def graded(self) -> list["Matroid"]:
@@ -182,6 +182,8 @@ class Matroid:
         return subset_graded(self)
 
     def is_semistable(self) -> bool:
+        """At most one side; a loop's flat first side counts against it, so
+        the binary code <1110> is semistable but its column matroid is not."""
         return self.polygon().N <= 1
 
     def __eq__(self, other):

@@ -12,6 +12,7 @@ import pytest
 import hncodes.algebra as algebra
 import hncodes.cli as cli
 import hncodes.code as code
+import hncodes.rr as rr
 from hncodes import zoo
 from conftest import SRC, run_cli, run_python
 
@@ -233,6 +234,24 @@ def test_rr_all_checks_every_subset_it_reports(tmp_path, capsys,
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["subsets"] == 1 << 17
     assert seen == [1 << 17, 1 << 17]
+
+
+def test_rr_all_compares_the_tables_once(monkeypatch, capsys):
+    # Riemann-Roch and Serre duality are one table identity, so `rr --all`
+    # fills both verdicts from a single rr_check
+    calls = []
+    rr_check = rr.rr_check
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return rr_check(*args, **kwargs)
+    monkeypatch.setattr(rr, "rr_check", spy)
+    monkeypatch.setattr(cli, "rr_check", spy)
+    path = str(HERE / "data" / "binary_9_7.code")
+    assert cli.main(["rr", path, "--all"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["rr_ok"] is results["serre_ok"] is True
+    assert len(calls) == 1
 
 
 def test_check_violation_exits_1(monkeypatch, capsys):

@@ -32,6 +32,7 @@ from hncodes.hn import (
     SubspaceLattice,
     cosupport,
     polygon_from_profile,
+    subset_filtration,
     subset_to_subcode,
     verify_galois,
     verify_parallelogram,
@@ -146,10 +147,14 @@ def test_code_and_subset_polygon_examples():
 
 
 def test_subset_polygon_is_reflection_for_full_support():
+    # code_polygon is built as this reflection, so the hierarchy's own
+    # polygon is what makes the comparison mean something
     rng = random.Random(223)
     for C in small_codes(rng, 40):
         if C.is_full_support:
             assert subset_polygon(C) == code_polygon(C).reflected()
+            hier = polygon_from_profile([C.n - d for d in C.weight_hierarchy()])
+            assert subset_polygon(C) == hier.reflected()
 
 
 def test_separation_without_full_support():
@@ -340,6 +345,78 @@ def test_code_and_matroid_share_the_subset_filtration():
         multi += len(steps) >= 3
         padded += not C.is_full_support
     assert multi >= 10 and padded >= 10
+
+
+def codes_with_loops_and_copies(rng, count, nmax, kmax, padded=0.4):
+    """Random GF(2/3/4) codes of length at most nmax; a share `padded` of
+    those with n >= 3 get at least one zero and one repeated column.  k is
+    at most kmax, and at most 4 over GF(2) and 3 otherwise when n <= 8, so
+    the brute-force oracles stay cheap."""
+    out = []
+    for _ in range(count):
+        field = rng.choice((GF2, GF3, GF4))
+        n = rng.randrange(1, nmax + 1)
+        pad = n >= 3 and rng.random() < padded
+        zeros = rng.randrange(1, n - 1) if pad else 0
+        copies = rng.randrange(1, n - zeros) if pad else 0
+        m = n - zeros - copies
+        cap = kmax if n > 8 else (4 if field.q == 2 else 3)
+        k = rng.randrange(1, min(cap, m) + 1)
+        cols = list(zip(*oracles.rows_of(zoo.random_code(rng, field, m, k))))
+        cols += [rng.choice(cols) for _ in range(copies)]
+        cols += [(0,) * k] * zeros
+        rng.shuffle(cols)
+        out.append(LinearCode.from_rows(field, list(zip(*cols))))
+    return out
+
+
+def test_filtration_steps_are_the_least_rank_witnesses():
+    # subset_filtration reads its steps off the least-rank search's
+    # witnesses at the vertex sizes.  The exhaustive attaining-subset search
+    # finds exactly one subset at each vertex, and it is that step; and at
+    # every size the witness is the first least-rank subset the walk meets,
+    # the premise of taking it for the vertex subset
+    from test_matroid import table_oracle_pool
+    rng = random.Random(283)
+    codes = codes_with_loops_and_copies(rng, 520, nmax=13, kmax=6)
+    assert sum(not C.is_full_support for C in codes) >= 0.3 * len(codes)
+    interior = brute = 0
+    for X in codes + table_oracle_pool(rng):
+        minr, wit = min_column_rank_by_size(X)
+        filt = subset_filtration(X)
+        targets = [(s, X.k - int(v)) for s, v in filt.polygon.vertices]
+        hits = column_subsets_attaining(X, targets)
+        assert [hits[s] for s, _ in targets] == [[S] for S in filt.steps]
+        first = column_subsets_attaining(
+            X, [(s, minr[s]) for s in range(X.n + 1)])
+        assert tuple(first[s][0] for s in range(X.n + 1)) == tuple(wit)
+        interior += filt.polygon.N > 1
+        if isinstance(X, LinearCode) and X.n <= 8:
+            brute += 1
+            got = [frozenset(oracles.codewords(X.field, S.basis.row_list()))
+                   if S.dim else frozenset([(0,) * X.n])
+                   for S in canonical_filtration(X).steps]
+            assert got == oracles.brute_filtration(X.field, oracles.rows_of(X))
+    assert interior >= 100 and brute >= 200
+
+
+def test_code_polygon_and_verdict_against_the_brute_hierarchy():
+    # the code polygon is the subset polygon turned over, less the loop
+    # vertex that zero columns add; it and the one-side verdict are
+    # compared with the polygon of the brute-force weight hierarchy
+    rng = random.Random(293)
+    codes = codes_with_loops_and_copies(rng, 800, nmax=8, kmax=4, padded=0.8)
+    seen = {True: 0, False: 0}
+    for C in codes:
+        rows = oracles.rows_of(C)
+        levels = oracles.subspaces_by_dim(C.field, rows)
+        hier = oracles.brute_weight_hierarchy(C.field, rows, levels)
+        assert code_polygon(C) == polygon_from_profile([C.n - d for d in hier])
+        ss = is_semistable(C)
+        assert ss == oracles.brute_semistable(C.field, rows, levels)
+        seen[ss] += 1
+    assert sum(not C.is_full_support for C in codes) >= 500
+    assert min(seen.values()) >= 100
 
 
 def table_scan(C, targets):
@@ -720,18 +797,30 @@ def test_subset_to_subcode_and_cosupport():
 
 def test_one_analysis_per_code(monkeypatch):
     # the filtration and the subcode lattice are built once per code and
-    # read by every check that needs them: one vertex search in all
-    scans, builds = [], []
-    scan, build = hn.column_subsets_attaining, hn.SubspaceLattice.__init__
+    # read by every check that needs them: the code's own least-rank search
+    # runs once, and no attaining-subset search runs at all
+    scans, searches, builds = [], [], []
+    scan, search = (hncodes.algebra.column_subsets_attaining,
+                    hncodes.algebra.min_column_rank_by_size)
+    build = hn.SubspaceLattice.__init__
 
     def counted_scan(*args):
         scans.append(args)
         return scan(*args)
 
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
     def counted_build(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
-    monkeypatch.setattr(hn, "column_subsets_attaining", counted_scan)
+    # hn no longer imports the attaining-subset search; a re-import would
+    # bind this counted one
+    monkeypatch.setattr(hn, "column_subsets_attaining", counted_scan,
+                        raising=False)
+    monkeypatch.setattr(hncodes.algebra, "min_column_rank_by_size",
+                        counted_search)
     monkeypatch.setattr(hn.SubspaceLattice, "__init__", counted_build)
     C = zoo.binary_9_7()                 # unstable, full support
     W = semistability_witness(C)
@@ -739,7 +828,8 @@ def test_one_analysis_per_code(monkeypatch):
     assert W == filt.steps[1]
     assert [(P.n, P.k) for P in graded_pieces(C)] == [(5, 4), (4, 3)]
     assert gap_condition_check(C)
-    assert len(scans) == 1 and len(builds) == 1
+    assert len(scans) == 0 and len(builds) == 1
+    assert sum(args[0] is C for args in searches) == 1
     # the exhaustive Galois laws on a q^k = 8 code read the same lattice
     # as its gap condition (the [9,7] lattice has 29,212 elements)
     S = zoo.binary_5_2_square()
