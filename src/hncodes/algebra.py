@@ -16,12 +16,12 @@ elimination step against it.  They take any M whose `independence()` is
 such a contraction oracle (a Matrix's column matroid or a Matroid's rank
 table), so they serve weight hierarchies, profiles, cohomology tables and
 matroids alike, and are capped because the enumeration is exponential.
-`column_rank_table` visits every subset; the two searches cut the walk
-down.  The least-rank search, behind every polygon, filtration and
-semistability verdict, cuts the later siblings of every dependent column
-and the subtrees that cannot improve a minimum; the attaining-subset
-search, which serves `tensor.is_chained` alone, visits only subsets at or
-below its target ranks.
+`column_rank_table` visits every subset; the least-rank search, behind
+every polygon, filtration and semistability verdict, cuts the later
+siblings of every dependent column and the subtrees that cannot improve a
+minimum.  Every other question over all column subsets (the chain
+condition's minimum supports, the gap condition's rivals) is whole-table
+arithmetic on the rank table (`popcounts`, `subsets_where`).
 
 `column_rank_table` has a second engine for a Matrix with q^rows <= 2^cols:
 the number of coefficient vectors whose word lies inside each column set U
@@ -572,46 +572,6 @@ def least_ranks(X, max_enum: int = SUBSET_ENUM_CAP):
     return X._minr
 
 
-def column_subsets_attaining(M, targets,
-                             max_enum: int = SUBSET_ENUM_CAP) -> dict:
-    """For each target (s, r), every column subset of size s and rank r.
-
-    Returns {s: [bitmask, ...]}; target sizes must be distinct.  Walks the
-    DFS tree of `column_rank_table`, but descends from a subset only while
-    some larger target size is reachable with the columns left at a rank
-    no greater than its target (subset ranks only grow along extensions),
-    so it visits a subtree of the table's walk.
-    """
-    cols, contract = M.independence()
-    n = len(cols)
-    _check_cap(n, max_enum)
-    want = dict(targets)
-    hits = {s: [] for s in want}
-    exact = [want.get(s, -1) for s in range(n + 1)]
-    # reach[size][rk]: the least target size above `size` whose rank is at
-    # least rk (n + 1 when there is none)
-    reach = [[next((s for s in range(size + 1, n + 1) if exact[s] >= rk),
-                   n + 1) for rk in range(n + 1)]
-             for size in range(n + 1)]
-
-    def rec(start, mask, size, rk, red, base, v):
-        if exact[size] == rk:
-            hits[size].append(mask)
-        # a child at column j still has n - j - 1 columns to grow by
-        stop = n + size + 1 - reach[size][rk]
-        if stop <= start:
-            return
-        if v:
-            red, base = contract(red[start - base:], v), start
-        for j in range(start, stop):
-            w = red[j - base]
-            rec(j + 1, mask | (1 << j), size + 1, rk + 1 if w else rk,
-                red, base, w)
-
-    rec(0, 0, 0, 0, cols, 0, 0)
-    return hits
-
-
 # -- whole subset tables: entry J is lane J of one int (`lanes`) ------------
 
 _INC = bytes(range(1, 256)) + b"\0"
@@ -624,6 +584,21 @@ def popcounts(n: int) -> bytes:
     for _ in range(n):
         table += table.translate(_INC)
     return table
+
+
+def _equal_to(v: int) -> bytes:
+    """The translate table of "x == v": 1 at v, else 0."""
+    return bytes(v) + b"\1" + bytes(255 - v)
+
+
+def subsets_where(table: bytes, size: int, value: int) -> list[int]:
+    """Every subset J with #J == size and table[J] == value, in increasing
+    mask order: two translate compares, one AND, and the hits' positions."""
+    n = len(table).bit_length() - 1
+    hits = (lanes(table.translate(_equal_to(value)))
+            & lanes(popcounts(n).translate(_equal_to(size))))
+    return list(itertools.compress(range(len(table)),
+                                   hits.to_bytes(len(table), "little")))
 
 
 def lane_mask(n: int, e: int, lane: bytes) -> int:

@@ -6,8 +6,8 @@ have integer ranks 0 = i_0 < ... < i_N = R and its side slopes strictly
 decrease.  For each vertex rank there is a unique lattice element attaining
 the polygon, and these elements form a chain: the canonical filtration.
 This module computes the polygon and filtration for linear codes (over the
-lattice of subcodes, degree n - w) and exposes the generic lattice checks
-(modularity parallelogram, Galois-connection laws, vertex gap condition)
+lattice of subcodes, degree n - w), the vertex gap condition, and the
+generic lattice checks (modularity parallelogram, Galois-connection laws)
 used by the verification suites.
 
 A code is semistable exactly when its polygon has one side: no subcode
@@ -20,20 +20,25 @@ code builds its 2^n rank table for them.  Stability, the strict form,
 reads the weight hierarchy.  Every verdict takes `max_enum`.
 
 The canonical filtration and the exhaustive subcode lattice belong to the
-code: both are built once per LinearCode and kept on it, so every check
-that reads them shares one filtration and one lattice.  The lattice
-enumerates every subcode, so its cap counts subcodes: the number of
-subspaces of F_q^k, computed before any element is built.
+code: both are built once per LinearCode and kept on it.  The gap
+condition reads the filtration and the code's rank table, not the
+lattice: by the Galois connection its rival subcodes are coordinate
+subsets, so it is capped by the columns like every other column question.
+The lattice serves the lattice laws alone (`verify_parallelogram`,
+`verify_galois`); it enumerates every subcode, so its cap counts
+subcodes: the number of subspaces of F_q^k, computed before any element
+is built.
 
-All slopes and polygon values are exact `fractions.Fraction`s.
+All slopes are exact `fractions.Fraction`s, and polygon values are exact
+ints or Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap, least_ranks,
-                      iter_rref_matrices)
+from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap, iter_rref_matrices,
+                      lanes, least_ranks, popcounts)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
@@ -59,22 +64,23 @@ class CanonicalPolygon:
     """Concave piecewise-linear function given by its vertex list.
 
     vertices: ((i_0, v_0), ..., (i_N, v_N)) with strictly increasing ranks
-    and strictly decreasing side slopes; values are Fractions.
+    and strictly decreasing side slopes; values are exact: ints stay ints,
+    anything else becomes a Fraction.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        vs = tuple((int(x), Fraction(y)) for x, y in vertices)
+        vs = tuple((int(x), y if type(y) is int else Fraction(y))
+                   for x, y in vertices)
         if not vs:
             raise EmptyProfile("a polygon needs at least one vertex")
         for (x1, _), (x2, _) in zip(vs, vs[1:]):
             if x2 <= x1:
                 raise InvariantViolation("vertex ranks must increase")
-        slopes = [Fraction(y2 - y1, x2 - x1)
-                  for (x1, y1), (x2, y2) in zip(vs, vs[1:])]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if s2 >= s1:
+        # the cross-product test of `_upper_hull`: slope 1 > slope 2
+        for (x1, y1), (x2, y2), (x3, y3) in zip(vs, vs[1:], vs[2:]):
+            if (y2 - y1) * (x3 - x2) <= (y3 - y2) * (x2 - x1):
                 raise InvariantViolation("side slopes must strictly decrease")
         self.vertices = vs
 
@@ -137,7 +143,7 @@ class CanonicalPolygon:
                 raise InvariantViolation(
                     "reflection needs strictly decreasing values")
         return CanonicalPolygon(
-            [(y, Fraction(x)) for x, y in reversed(self.vertices)])
+            [(y, x) for x, y in reversed(self.vertices)])
 
     def __eq__(self, other):
         return (isinstance(other, CanonicalPolygon)
@@ -212,11 +218,13 @@ def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
                  ) -> CanonicalPolygon:
     """Polygon of the subcode lattice, profile (i, n - d_i): the subset
     polygon with its axes swapped.  Zero columns give the subset polygon a
-    flat first side from the loop vertex (0, k), which is dropped first."""
-    P = subset_polygon(C, max_enum)
-    if P.vertices[1][1] == P.vertices[0][1]:
-        P = CanonicalPolygon(P.vertices[1:])
-    return P.reflected()
+    flat first side from the loop vertex (0, k), which is dropped first.
+    The subset polygon's vertices are reflected once, into one polygon."""
+    minr = least_ranks(C, max_enum)[0]
+    vs = _upper_hull(list(enumerate(C.k - m for m in minr)))
+    if vs[1][1] == vs[0][1]:
+        vs = vs[1:]
+    return CanonicalPolygon([(y, x) for x, y in reversed(vs)])
 
 
 class Filtration:
@@ -516,25 +524,45 @@ def verify_parallelogram(lattice) -> bool:
     return True
 
 
+def gap_rival_degrees(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
+                      ) -> tuple[int, ...]:
+    """At each interior polygon vertex a, the largest degree of a subcode
+    of rank i_a other than the filtration step F_a, read off the rank table.
+
+    Let S = cosupport(F_a), the subset step, of rank rho = k - i_a.  A
+    rank-i_a subcode D != F_a vanishes on J = cosupport(D), so r(J) <= rho,
+    and r(J) = rho with J inside S would make D the subcode vanishing on J,
+    which is F_a.  Conversely every J with r(J) < rho, or r(J) = rho and J
+    not inside S, carries such a D vanishing on all of J.  So the degree is
+    max {#J : r(J) + [J inside S] <= rho}, one compare over the table.
+    """
+    filt = canonical_filtration(C, max_enum)
+    inner = list(zip(filt.ranks[1:-1], filt.steps[1:-1]))
+    if not inner:
+        return ()
+    n, size = C.n, 1 << C.n
+    ranks, sizes = lanes(C.rank_table(max_enum)), lanes(popcounts(n))
+    out = []
+    for i_a, F in inner:
+        S, rho = cosupport(F), C.k - i_a
+        inside = b"\1"                 # [J inside S], by n doublings
+        for e in range(n):
+            inside += inside if S >> e & 1 else bytes(len(inside))
+        key = (ranks + lanes(inside)).to_bytes(size, "little")
+        rival = lanes(key.translate(b"\xff" * (rho + 1) + bytes(255 - rho)))
+        out.append(max((sizes & rival).to_bytes(size, "little")))
+    return tuple(out)
+
+
 def gap_condition_check(C: LinearCode,
                         max_enum: int = SUBSET_ENUM_CAP) -> bool:
     """At every interior polygon vertex, every non-filtration subcode of
     that rank keeps a degree gap of at least mu_a - mu_{a+1} below the
-    polygon."""
-    filt = canonical_filtration(C, max_enum)
-    poly = filt.polygon
-    if poly.N < 2:
-        return True
-    lat = subcode_lattice(C, max_enum)
-    slopes = poly.slopes
-    for a in range(1, poly.N):
-        i_a, v_a = poly.vertices[a]
-        bound = Fraction(v_a) - (slopes[a - 1] - slopes[a])
-        x_a = lat.index_of(filt.steps[a])
-        for i in range(len(lat)):
-            if i != x_a and lat.rank(i) == i_a and lat.degree(i) > bound:
-                return False
-    return True
+    polygon: `gap_rival_degrees` against v_a - (mu_a - mu_{a+1})."""
+    poly = canonical_filtration(C, max_enum).polygon
+    mu, vs = poly.slopes, poly.vertices
+    return all(deg <= vs[a][1] - (mu[a - 1] - mu[a])
+               for a, deg in enumerate(gap_rival_degrees(C, max_enum), 1))
 
 
 # -- Galois connection between subcodes and coordinate subsets --------------

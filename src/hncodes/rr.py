@@ -135,16 +135,12 @@ def clifford_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
 # -- support diagnostics and Wei duality ------------------------------------
 
 def weight_one_span(C: LinearCode) -> Subcode:
-    """The subcode generated by all weight-1 codewords."""
-    rows = []
-    for i in range(C.n):
-        unit = [0] * C.n
-        unit[i] = 1
-        if C.gen.row_space_contains(unit):
-            rows.append(unit)
-    if not rows:
-        return C.zero_subcode()
-    return Subcode.from_rows(C, rows)
+    """The subcode generated by all weight-1 codewords: e_i lies in C
+    exactly when coordinate i is zero in C-dual, so it is C shortened to
+    the dual's zero coordinates (the whole code when k = n)."""
+    if C.k == C.n:
+        return C.whole_subcode()
+    return C.shorten(((1 << C.n) - 1) ^ C.dual().support_mask)
 
 
 def full_support_status(C: LinearCode) -> tuple[bool, bool]:

@@ -18,8 +18,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap,
-                      column_subsets_attaining)
+from .algebra import SUBSET_ENUM_CAP, Matrix, _check_cap, subsets_where
 from .code import LinearCode, Subcode, mask_of
 from .errors import InvalidHierarchy, InvariantViolation, NotASubcode
 from .hn import is_semistable
@@ -104,8 +103,8 @@ class SchaathunWitness:
 
     column_dims[j] is the dimension of the j-th column projection of D
     (a subcode of A); J[i] collects the columns where that dimension is
-    at least i + 1; t[i] is the dimension of B shortened to J[i].  The
-    recorded chain is
+    at least i + 1; t[i] is the dimension of B shortened to J[i], read
+    off B's rank table (`subset_dim`).  The recorded chain is
 
         weight(D) = sum_j w(proj_j)                (per-column supports)
                   >= sum_i (d_i(A) - d_{i-1}(A)) * #J_i
@@ -173,7 +172,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
     top = max(column_dims, default=0)
     J = tuple(frozenset(j for j in range(nB) if column_dims[j] >= i)
               for i in range(1, top + 1))
-    t = tuple(B.shorten(mask_of(sorted(Ji))).dim for Ji in J)
+    t = tuple(B.subset_dim(mask_of(Ji), max_enum) for Ji in J)
     # dimension estimate: the t_i dominate r
     if sum(t) < r:
         raise InvariantViolation("shortened dimensions fail to cover the "
@@ -222,13 +221,13 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
 def _levels(C: LinearCode, max_enum: int):
     """For each i, the supports of the minimum-weight i-dimensional
     subcodes: {J : #J = d_i, dim of the shortening to J is i}, i.e. the
-    complements of the (n - d_i)-column subsets of rank k - i."""
+    complements of the (n - d_i)-column subsets of rank k - i, read off
+    the code's rank table."""
     d = C.weight_hierarchy(max_enum)
-    n, k = C.n, C.k
-    hits = column_subsets_attaining(
-        C, [(n - d[i], k - i) for i in range(1, k + 1)], max_enum)
+    n, k, tab = C.n, C.k, C.rank_table(max_enum)
     full = (1 << n) - 1
-    return [[full ^ S for S in hits[n - d[i]]] for i in range(1, k + 1)]
+    return [[full ^ S for S in subsets_where(tab, n - d[i], k - i)]
+            for i in range(1, k + 1)]
 
 
 def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:

@@ -7,7 +7,9 @@ its own reference at the end: digit polynomials multiplied and reduced by
 the modulus, and irreducibility by trial division.  Rank tables appear
 only as given data or row-reduced subset by subset (`brute_rank_table`):
 the matroid references scan a table mask by mask, and
-`SubsetLattice.for_code` is a lattice view over a code's own table.
+`SubsetLattice.for_code` is a lattice view over a code's own table.  The
+gap condition's reference scans an exhaustive subcode lattice, given
+likewise as data.
 """
 
 from fractions import Fraction
@@ -434,6 +436,19 @@ class SubsetLattice:
 
     def join(self, I: int, J: int) -> int:
         return I | J
+
+
+def lattice_rival_degrees(lattice, filt):
+    """At each interior vertex a of a code's canonical filtration, the
+    largest degree of a lattice element of rank i_a other than step a, by
+    a scan of the code's whole subcode lattice (given as data, like the
+    rank tables above)."""
+    out = []
+    for i_a, step in zip(filt.ranks[1:-1], filt.steps[1:-1]):
+        x = lattice.index_of(step)
+        out.append(max(lattice.degree(i) for i in range(len(lattice))
+                       if i != x and lattice.rank(i) == i_a))
+    return tuple(out)
 
 
 # -- field arithmetic ---------------------------------------------------------

@@ -19,9 +19,9 @@ from hncodes.algebra import (
     FieldSpec,
     Matrix,
     column_rank_table,
-    column_subsets_attaining,
     iter_rref_matrices,
     min_column_rank_by_size,
+    subsets_where,
 )
 from hncodes.code import Subcode
 from hncodes.matroid import Matroid
@@ -406,7 +406,8 @@ def parallel_class_matroids(rng, count, nmax=10):
 
 
 def test_column_searches_against_brute_ranks():
-    # all three DFS searches against ranks row-reduced subset by subset:
+    # the table, the least-rank search, and the subsets of given sizes and
+    # ranks read off the table, against ranks row-reduced subset by subset:
     # codes over GF(2/3/4/256) with zero, repeated and proportional columns,
     # their column matroids, and matroids with loops and parallel classes
     rng = random.Random(37)
@@ -421,7 +422,8 @@ def test_column_searches_against_brute_ranks():
         def lex(J):
             return [i for i in range(n) if (J >> i) & 1]
 
-        assert column_rank_table(X) == table
+        got = column_rank_table(X)
+        assert got == table
         minima = oracles.table_minima(n, table)
         # witnesses: the first least-rank subset of each size in the order
         # of sorted column indices, which is the DFS's visiting order
@@ -433,8 +435,7 @@ def test_column_searches_against_brute_ranks():
         targets = [(s, rng.choice([minima[s], rng.randrange(s + 1)]))
                    for s in sizes]
         expect = oracles.table_subsets_attaining(table, targets)
-        assert column_subsets_attaining(X, targets) == {
-            s: sorted(hits, key=lex) for s, hits in expect.items()}
+        assert {s: subsets_where(got, s, r) for s, r in targets} == expect
 
 
 def rank_table_pool(rng):
@@ -494,6 +495,29 @@ def test_word_rank_table_against_brute_ranks_and_the_dfs(monkeypatch):
         taken.clear()
         assert column_rank_table(M) == table
         assert taken == ([M] if q ** k <= 1 << n else [])
+
+
+def test_subsets_where_against_the_table_scan():
+    # the whole-table read of the subsets of one size and rank, against a
+    # scan of the table mask by mask: at each size's least rank and at a
+    # random rank (one past the largest included), over the matrices of
+    # `rank_table_pool` and the matroids of `table_oracle_pool`
+    from test_matroid import table_oracle_pool
+    rng = random.Random(43)
+    tables = [column_rank_table(M) for M in rank_table_pool(rng)]
+    tables += [M.ranks for M in table_oracle_pool(rng)]
+    hits = 0
+    for table in tables:
+        n = len(table).bit_length() - 1
+        minima = oracles.table_minima(n, table)
+        top = max(table)
+        for targets in ([(s, minima[s]) for s in range(n + 1)],
+                        [(s, rng.randrange(top + 2)) for s in range(n + 1)]):
+            expect = oracles.table_subsets_attaining(table, targets)
+            assert {s: subsets_where(table, s, r)
+                    for s, r in targets} == expect
+            hits += sum(map(len, expect.values()))
+    assert len(tables) >= 300 and hits >= 10000
 
 
 def test_word_rank_table_cap(monkeypatch):

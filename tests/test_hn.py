@@ -24,8 +24,7 @@ from hncodes import (
     zoo,
 )
 from hncodes.algebra import (FieldSpec, column_rank_table,
-                             column_subsets_attaining,
-                             min_column_rank_by_size)
+                             min_column_rank_by_size, subsets_where)
 from hncodes.code import mask_of
 from hncodes.hn import (
     CanonicalPolygon,
@@ -372,9 +371,10 @@ def codes_with_loops_and_copies(rng, count, nmax, kmax, padded=0.4):
 
 def test_filtration_steps_are_the_least_rank_witnesses():
     # subset_filtration reads its steps off the least-rank search's
-    # witnesses at the vertex sizes.  The exhaustive attaining-subset search
-    # finds exactly one subset at each vertex, and it is that step; and at
-    # every size the witness is the first least-rank subset the walk meets,
+    # witnesses at the vertex sizes.  A scan of the whole rank table finds
+    # exactly one least-rank subset at each vertex, and it is that step; and
+    # at every size the witness is the first least-rank subset in the order
+    # of sorted column indices, the order the walk meets them in, which is
     # the premise of taking it for the vertex subset
     from test_matroid import table_oracle_pool
     rng = random.Random(283)
@@ -384,12 +384,16 @@ def test_filtration_steps_are_the_least_rank_witnesses():
     for X in codes + table_oracle_pool(rng):
         minr, wit = min_column_rank_by_size(X)
         filt = subset_filtration(X)
-        targets = [(s, X.k - int(v)) for s, v in filt.polygon.vertices]
-        hits = column_subsets_attaining(X, targets)
-        assert [hits[s] for s, _ in targets] == [[S] for S in filt.steps]
-        first = column_subsets_attaining(
-            X, [(s, minr[s]) for s in range(X.n + 1)])
-        assert tuple(first[s][0] for s in range(X.n + 1)) == tuple(wit)
+        least = oracles.table_subsets_attaining(
+            X.rank_table(), [(s, minr[s]) for s in range(X.n + 1)])
+        assert [(s, X.k - v) for s, v in filt.polygon.vertices] == [
+            (s, minr[s]) for s in filt.ranks]
+        assert [least[s] for s in filt.ranks] == [[S] for S in filt.steps]
+
+        def lex(J):
+            return [i for i in range(X.n) if (J >> i) & 1]
+        assert tuple(min(least[s], key=lex)
+                     for s in range(X.n + 1)) == tuple(wit)
         interior += filt.polygon.N > 1
         if isinstance(X, LinearCode) and X.n <= 8:
             brute += 1
@@ -419,17 +423,11 @@ def test_code_polygon_and_verdict_against_the_brute_hierarchy():
     assert min(seen.values()) >= 100
 
 
-def table_scan(C, targets):
-    """Every column subset of each target (size, rank), read off the full
-    rank table mask by mask."""
-    tab = column_rank_table(C.gen, C.n)
-    return {s: [S for S in range(1 << C.n)
-                if S.bit_count() == s and tab[S] == r] for s, r in targets}
-
-
 def test_pruned_vertex_search_against_the_rank_table():
-    # the pruned search finds what a scan of all 2^n subsets finds: at the
-    # filtration vertices, at every size's least rank, and at random ranks
+    # the filtration against the brute-force one, and the whole-table read
+    # of the subsets of given sizes and ranks against a scan of all 2^n
+    # subsets: at the filtration vertices, at every size's least rank, and
+    # at random ranks
     rng = random.Random(281)
     codes = filtration_codes(rng, 60)
     for C in codes:
@@ -450,12 +448,12 @@ def test_pruned_vertex_search_against_the_rank_table():
         interior += bool(vertices)
         sizes = range(C.n + 1)
         picks = rng.sample(sizes, rng.randrange(1, C.n + 2))
+        tab = C.rank_table()
         for targets in (vertices,
                         [(s, minr[s]) for s in sizes],
                         [(s, rng.randrange(minr[s], C.k + 1)) for s in picks]):
-            hits = column_subsets_attaining(C.gen, targets, C.n)
-            assert {s: sorted(found) for s, found in hits.items()} == \
-                table_scan(C, targets)
+            assert {s: subsets_where(tab, s, r) for s, r in targets} == \
+                oracles.table_subsets_attaining(tab, targets)
     assert interior >= 20
 
 
@@ -796,17 +794,18 @@ def test_subset_to_subcode_and_cosupport():
 
 
 def test_one_analysis_per_code(monkeypatch):
-    # the filtration and the subcode lattice are built once per code and
-    # read by every check that needs them: the code's own least-rank search
-    # runs once, and no attaining-subset search runs at all
-    scans, searches, builds = [], [], []
-    scan, search = (hncodes.algebra.column_subsets_attaining,
-                    hncodes.algebra.min_column_rank_by_size)
+    # the filtration, the rank table and the subcode lattice are built once
+    # per code and read by every check that needs them: the code's own
+    # least-rank search runs once, its rank table is built once, and only
+    # the lattice laws build a lattice, never the gap condition
+    tables, searches, builds = [], [], []
+    table, search = (hncodes.algebra.column_rank_table,
+                     hncodes.algebra.min_column_rank_by_size)
     build = hn.SubspaceLattice.__init__
 
-    def counted_scan(*args):
-        scans.append(args)
-        return scan(*args)
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
 
     def counted_search(*args):
         searches.append(args)
@@ -815,10 +814,7 @@ def test_one_analysis_per_code(monkeypatch):
     def counted_build(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
-    # hn no longer imports the attaining-subset search; a re-import would
-    # bind this counted one
-    monkeypatch.setattr(hn, "column_subsets_attaining", counted_scan,
-                        raising=False)
+    monkeypatch.setattr(hncodes.code, "column_rank_table", counted_table)
     monkeypatch.setattr(hncodes.algebra, "min_column_rank_by_size",
                         counted_search)
     monkeypatch.setattr(hn.SubspaceLattice, "__init__", counted_build)
@@ -827,15 +823,16 @@ def test_one_analysis_per_code(monkeypatch):
     filt = canonical_filtration(C)
     assert W == filt.steps[1]
     assert [(P.n, P.k) for P in graded_pieces(C)] == [(5, 4), (4, 3)]
-    assert gap_condition_check(C)
-    assert len(scans) == 0 and len(builds) == 1
+    assert gap_condition_check(C) and gap_condition_check(C)
+    assert len(tables) == 1 and len(builds) == 0
     assert sum(args[0] is C for args in searches) == 1
-    # the exhaustive Galois laws on a q^k = 8 code read the same lattice
-    # as its gap condition (the [9,7] lattice has 29,212 elements)
+    # the exhaustive Galois laws on a q^k = 8 code build its lattice; its
+    # gap condition does not, nor that of the [9,7] code, whose lattice
+    # would have 29,212 elements
     S = zoo.binary_5_2_square()
     assert not is_semistable(S) and S.is_full_support
     assert gap_condition_check(S) and verify_galois(S)
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_lattice_checks_honour_a_raised_cap():
@@ -851,6 +848,45 @@ def test_lattice_checks_honour_a_raised_cap():
     for check in (gap_condition_check, wei_duality_check, dual_dlp_check):
         with pytest.raises(SizeLimitExceeded):
             check(long_code())
+
+
+def test_gap_rival_degrees_against_the_lattice_scan():
+    # at each interior vertex, the largest degree of a rival subcode read
+    # off the rank table against a scan of the whole subcode lattice, on
+    # plain, zero-padded and direct-sum GF(2/3/4) codes with n <= 10
+    rng = random.Random(331)
+    vertices = padded = 0
+    for C in filtration_codes(rng, 900, nmax=10):
+        got = hn.gap_rival_degrees(C)
+        assert got == oracles.lattice_rival_degrees(SubspaceLattice(C),
+                                                    canonical_filtration(C))
+        assert gap_condition_check(C)
+        vertices += len(got)
+        padded += bool(got) and not C.is_full_support
+    assert vertices >= 300 and padded >= 50
+
+
+def test_gap_condition_past_the_lattice_cap(monkeypatch):
+    # a binary [16,9] code with three sides: F_2^9 has 8,283,458 subspaces,
+    # past the lattice cap, but the gap condition reads the 2^16 rank table
+    # and builds no lattice
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subcode lattice was built")
+    monkeypatch.setattr(hn.SubspaceLattice, "__init__", refuse)
+    blocks = [zoo.full_space(GF2, 3), zoo.parity(GF2, 5),
+              LinearCode.from_rows(GF2, [(1,) * 4 + (0,) * 4,
+                                         (0,) * 4 + (1,) * 4])]
+    C = blocks[0]
+    for B in blocks[1:]:
+        C = code_direct_sum(C, B)
+    assert (C.n, C.k) == (16, 9) and code_polygon(C).N == 3
+    assert hn._lattice_bits(C) > 20
+    # vertices (3, 13), (7, 8) and slopes -1, -5/4, -4: the best rival of
+    # rank 3 is two unit words and a weight-2 parity word (degree 12 <=
+    # 13 - 1/4), and of rank 7 the [8,7] block less one unit word plus one
+    # weight-4 word (degree 5 <= 8 - 11/4)
+    assert hn.gap_rival_degrees(C) == (12, 5)
+    assert gap_condition_check(C)
 
 
 def test_gap_condition():

@@ -16,7 +16,7 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
-from hncodes.algebra import column_subsets_attaining, min_column_rank_by_size
+from hncodes.algebra import min_column_rank_by_size, subsets_where
 from hncodes.code import mask_of
 from hncodes.matroid import (
     Matroid,
@@ -436,10 +436,9 @@ def test_table_oracle_against_table_scans():
             assert w.bit_count() == s and ranks[w] == minr[s]
         targets = [(s, rng.randrange(k + 1)) for s in range(n + 1)
                    if rng.random() < 0.5]
-        hits = column_subsets_attaining(M, targets)
-        assert {s: sorted(h) for s, h in hits.items()} == \
-            oracles.table_subsets_attaining(ranks, targets)
-        # the invariants the matroid reads from the two searches
+        hits = {s: subsets_where(M.rank_table(), s, r) for s, r in targets}
+        assert hits == oracles.table_subsets_attaining(ranks, targets)
+        # the invariants the matroid reads from its least-rank search
         assert M.profile() == tuple(k - minr[n - j] for j in range(n + 1))
         poly = M.polygon()
         assert list(poly.vertices) == \

@@ -260,6 +260,39 @@ def test_is_chained_against_oracle():
     assert oracles.brute_chained(GF3, oracles.rows_of(NON_CHAINED_GF3)) is False
 
 
+def _zero_padded(rng, C, zeros):
+    cols = list(zip(*oracles.rows_of(C)))
+    for _ in range(zeros):
+        cols.insert(rng.randrange(len(cols) + 1), (0,) * C.k)
+    return LinearCode.from_rows(C.field, list(zip(*cols)))
+
+
+def test_is_chained_against_oracle_with_non_chained_codes():
+    # the levels read off the rank table against nested codeword sets, on
+    # NON_CHAINED_GF3, its direct sums with [n, 1] codes on either side,
+    # zero-column paddings of those, and random GF(2/3/4) codes
+    from test_hn import code_direct_sum
+    rng = random.Random(541)
+    GF4 = zoo.gf4()
+    pool = [NON_CHAINED_GF3]
+    for _ in range(12):
+        B = zoo.random_code(rng, GF3, rng.randrange(1, 4), 1)
+        pool.append(code_direct_sum(NON_CHAINED_GF3, B) if rng.random() < 0.5
+                    else code_direct_sum(B, NON_CHAINED_GF3))
+    pool += [_zero_padded(rng, C, rng.randrange(1, 3)) for C in pool[:11]]
+    for _ in range(40):
+        field = rng.choice((GF2, GF3, GF4))
+        n = rng.randrange(1, 7)
+        C = zoo.random_code(rng, field, n, rng.randrange(1, min(3, n) + 1))
+        pool.append(_zero_padded(rng, C, rng.randrange(2)))
+    seen = {True: 0, False: 0}
+    for C in pool:
+        chained = oracles.brute_chained(C.field, oracles.rows_of(C))
+        assert is_chained(C) == chained
+        seen[chained] += 1
+    assert seen[False] >= 20 and seen[True] >= 20
+
+
 def test_wei_yang_equality_on_chained_pairs():
     A, B = zoo.binary_3_2(), zoo.binary_5_2()
     assert wei_yang_check(A, B)
