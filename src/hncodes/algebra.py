@@ -19,7 +19,8 @@ matroids alike, and are capped because the enumeration is exponential.
 `column_rank_table` visits every subset; the least-rank search, behind
 every polygon, filtration and semistability verdict, cuts the later
 siblings of every dependent column and the subtrees that cannot improve a
-minimum.  Every other question over all column subsets (the chain
+minimum, which it tells from how many later tokens are zero or repeat a
+point.  Every other question over all column subsets (the chain
 condition's minimum supports, the gap condition's rivals) is whole-table
 arithmetic on the rank table (`popcounts`, `subsets_where`).
 
@@ -398,23 +399,26 @@ class Matrix:
             words.extend(new)
         return words
 
-    def row_space_contains(self, vector) -> bool:
-        vec = Matrix(self.field, 1, self.cols, tuple(vector))
-        return self.rank() == self.stack(vec).rank()
-
     def independence(self):
-        """(cols, contract) for the column searches below.
+        """(cols, contract, q) for the column searches below.
 
         A column's token is the column reduced modulo the span of the
         columns taken so far, and it is falsy exactly when the column lies
         in that span.  `contract(tail, v)` takes v, the token of a column
         that has just been taken, and reduces every token of `tail` by one
-        elimination step against it.  Over GF(2) tokens are bit-packed
-        ints, eliminated at the top bit of v; otherwise tuples, eliminated
-        at the first nonzero entry of v, with a zero column as 0.  In
-        characteristic 2 (GF(4), GF(256), ...) subtracting two field
-        elements is XOR of their integer encodings, so elimination skips
-        the subtraction table there.
+        elimination step against it.  Every token vanishes at the pivots
+        of the columns taken, so it is the only vector of its coset modulo
+        that span which does, and tokens are linear in the quotient.
+        Over GF(2) tokens are bit-packed ints, eliminated at the top bit of
+        v.  Otherwise they are tuples scaled so that their first nonzero
+        entry is 1, eliminated at the first nonzero entry of v, with a zero
+        column as 0.  So over every field two tokens are equal exactly when
+        they are the same point of the quotient's projective space, which
+        is what q, the field order, tells the search.  The pivot entry of v
+        is then 1 already, and only a token whose lead sat at the pivot is
+        scaled again.  In characteristic 2 (GF(4), GF(256), ...)
+        subtracting two field elements is XOR of their integer encodings,
+        so elimination skips the subtraction table there.
         """
         f = self.field
         if f.q == 2:
@@ -425,16 +429,23 @@ class Matrix:
                 top = 1 << (v.bit_length() - 1)
                 return [w ^ v if w & top else w for w in tail]
 
-            return cols, contract
+            return cols, contract, 2
 
         SUB, MUL, INV = f._sub, f._mul, f._inv
         xor = f.p == 2
-        cols = [c if any(c) else 0 for c in map(self.column, range(self.cols))]
+
+        def unit(w):
+            """w scaled to lead with 1, or 0 when w is zero."""
+            lead = next(filter(None, w), 0)
+            if lead < 2:
+                return lead and w
+            mi = MUL[INV[lead]]
+            return tuple([mi[x] for x in w])
+
+        cols = [unit(c) for c in map(self.column, range(self.cols))]
 
         def contract(tail, v):
-            i = next(i for i, x in enumerate(v) if x)
-            mi = MUL[INV[v[i]]]
-            v = [mi[y] for y in v]
+            i = v.index(1)                  # v leads with 1, at the pivot
             out = []
             for w in tail:
                 c = w and w[i]
@@ -444,12 +455,12 @@ class Matrix:
                         w = tuple([x ^ mc[y] for x, y in zip(w, v)])
                     else:
                         w = tuple([SUB[x][mc[y]] for x, y in zip(w, v)])
-                    if not any(w):
-                        w = 0
+                    if not any(w[:i]):          # its lead sat at the pivot
+                        w = unit(w)
                 out.append(w)
             return out
 
-        return cols, contract
+        return cols, contract, f.q
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
@@ -489,7 +500,7 @@ def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
     if isinstance(M, Matrix) and M.field.q ** M.rows <= 1 << M.cols:
         _check_cap(M.cols, max_enum)
         return _word_rank_table(M)
-    cols, contract = M.independence()
+    cols, contract, _ = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
     table = bytearray(1 << n)
@@ -523,20 +534,53 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
     visits subsets in exactly that lexicographic order.  At a subset S,
     once a child S + {j} takes a column j in span(S), the later siblings
     S + {j'} (j' > j) and their subtrees are cut.  And a subtree is pruned
-    when it cannot improve any entry (subset ranks only grow along
-    extensions).  Neither cut loses the first least-rank s-subset T.  If
-    an ancestor P of T had such a j between max(P) and the next column t
-    of T, then T + {j} - {t} would have size s, rank at most rank(T)
-    (as j is in span(P)) and come before T.  If the prune stopped at an
-    ancestor, an s-subset of least rank would have been recorded before
-    it, hence before T.
+    when it cannot improve any entry.  Neither cut loses the first
+    least-rank s-subset T.  If an ancestor P of T had such a j between
+    max(P) and the next column t of T, then T + {j} - {t} would have size
+    s, rank at most rank(T) (as j is in span(P)) and come before T.  If
+    the prune stopped at an ancestor, an s-subset of no larger rank than T
+    would have been recorded before it, hence before T.
+
+    The prune reads the subtree in bands.  Its subsets are S + U, with U
+    among the m columns after the last one S took, and rank(S + U) is
+    rank(S) plus the rank of U's tokens, those columns reduced modulo
+    span(S).  Say z tokens are zero and the others name d distinct points
+    of the quotient's projective space (equal tokens are equal points,
+    see `Matrix.independence`), and let extra = m - d.  A subspace of
+    dimension r holds (q^r - 1) / (q - 1) points, so at most g_r = extra +
+    (q^r - 1) / (q - 1) tokens lie in it, and at most g_0 = z in the zero
+    space.  So a U of more than g_(r-1) columns has rank r or more.  At
+    every moment of the walk the minima never decrease in the size (see
+    the comment in the walk), so no size of the subtree can
+    improve when best[size(S) + z] <= rank(S) and best[size(S) + min(g_r,
+    m)] <= rank(S) + r for r = 1, 2, ... until g_r >= m.  The test at the
+    largest size alone, best[size(S) + m] <= rank(S), implies every band,
+    and it comes first, before S contracts.  A matroid's tokens name no
+    points (q is None), so its bands are the zero tokens and then all m
+    columns, at rank(S) + 1.
+
+    A node contracts its tail only when its last column was independent
+    and it was not pruned, which happens at most sum_{i<k} C(n, i) + n
+    times, with k the rank of all n columns.  A node's children stop at
+    its first dependent column, so a visited subset holds every column
+    below its last that lies in the span of the columns before it, and a
+    node whose last column is independent is fixed by its independent
+    columns.  The first descent takes every next column: it visits at
+    most n nodes before any other and sets best[n] = k, after which every
+    node of rank k is pruned before it contracts.  So each other node that
+    contracts has fewer than k independent columns.
     """
-    cols, contract = M.independence()
+    cols, contract, q = M.independence()
     n = len(cols)
     _check_cap(n, max_enum)
     INF = n + 1
     best = [INF] * (n + 1)
     wit = [0] * (n + 1)
+    # points[r]: the points of an r-dimensional space, (q^r - 1) / (q - 1);
+    # a matroid's tokens name no points, so its one band past the zeros is
+    # the whole tail
+    points = [0] + [(q ** r - 1) // (q - 1) if q else n
+                    for r in range(1, n + 1)]
 
     def rec(start, mask, size, rk, red, base, v):
         if rk < best[size]:
@@ -546,10 +590,26 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
         # a node is always visited after its parent, whose rank is no
         # larger.  So if the largest size this subtree reaches cannot be
         # improved on, no smaller size can either.
-        if best[size + n - start] <= rk:
+        room = n - start
+        if best[size + room] <= rk:
             return
         if v:
             red, base = contract(red[start - base:], v), start
+        tail = red if base == start else red[start - base:]
+        # the bands of the docstring: past the band before, a subset of
+        # the tail has rank r or more, so no size up to size + band can
+        # improve once best there is at most rk + r
+        zeros = tail.count(0)
+        if best[size + zeros] <= rk:
+            extra = room - len(set(tail)) + (zeros > 0) if q else 0
+            r = 1
+            while True:
+                band = min(extra + points[r], room)
+                if best[size + band] > rk + r:
+                    break
+                if band == room:
+                    return
+                r += 1
         for j in range(start, n):
             w = red[j - base]
             if not w:

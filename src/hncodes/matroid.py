@@ -142,16 +142,18 @@ class Matroid:
     # -- profiles ------------------------------------------------------------
 
     def independence(self):
-        """(cols, contract) for the column searches: an element's token is
-        the mask of the subset taken so far plus the element, or 0 when the
-        element lies in that subset's closure (the rank does not rise)."""
+        """(cols, contract, None) for the column searches: an element's
+        token is the mask of the subset taken so far plus the element, or 0
+        when the element lies in that subset's closure (the rank does not
+        rise).  Tokens name no points, so the third item is None."""
         r = self.ranks
 
         def contract(tail, v):
             rv = r[v]
             return [v | w if w and r[v | w] > rv else 0 for w in tail]
 
-        return [1 << e if r[1 << e] else 0 for e in range(self.n)], contract
+        return ([1 << e if r[1 << e] else 0 for e in range(self.n)],
+                contract, None)
 
     def profile(self) -> tuple[int, ...]:
         """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""

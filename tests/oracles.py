@@ -51,6 +51,11 @@ def span_words(field, rows, n) -> frozenset:
     return frozenset(codewords(field, rows))
 
 
+def in_row_space(field, rows, vector) -> bool:
+    """Whether `vector` is a word of the row span."""
+    return tuple(vector) in span_words(field, rows, len(vector))
+
+
 def least_subspace_containing(levels, words) -> frozenset:
     """The smallest subspace in `levels` (as from subspaces_by_dim) that
     contains every word given."""
@@ -337,6 +342,18 @@ def table_minima(n: int, ranks):
         s = J.bit_count()
         best[s] = min(best[s], r)
     return best
+
+
+def table_least_ranks(n: int, ranks):
+    """(minima, witnesses): `table_minima`, and for each size the first
+    subset attaining its minimum in the lexicographic order of sorted
+    column indices, which is the order `combinations` yields."""
+    minima = table_minima(n, ranks)
+    first = [next(J for J in (sum(1 << i for i in c)
+                              for c in combinations(range(n), s))
+                  if ranks[J] == minima[s])
+             for s in range(n + 1)]
+    return minima, first
 
 
 def table_subsets_attaining(ranks, targets):

@@ -1,5 +1,6 @@
 """Field construction, exact linear algebra, and subset-rank machinery."""
 
+import math
 import random
 import types
 
@@ -9,6 +10,7 @@ from hncodes import (
     DivisionByZero,
     FieldTooLarge,
     InvariantViolation,
+    LinearCode,
     NonPrime,
     ReducibleModulus,
     SizeLimitExceeded,
@@ -222,7 +224,7 @@ def test_rref_properties_random():
                 assert col[t] == 1
                 assert all(x == 0 for i, x in enumerate(col) if i != t)
             for i in range(r):                           # row space preserved
-                assert R.row_space_contains(M.row(i))
+                assert oracles.in_row_space(field, R.row_list(), M.row(i))
             # rank equals the oracle projection count
             assert M.rank() == oracles.brute_column_rank(
                 field, [M.row(i) for i in range(r)], range(c))
@@ -418,24 +420,102 @@ def test_column_searches_against_brute_ranks():
     pool += [(M, M.ranks) for M in parallel_class_matroids(rng, 40)]
     for X, table in pool:
         n = len(table).bit_length() - 1
-
-        def lex(J):
-            return [i for i in range(n) if (J >> i) & 1]
-
         got = column_rank_table(X)
         assert got == table
-        minima = oracles.table_minima(n, table)
         # witnesses: the first least-rank subset of each size in the order
         # of sorted column indices, which is the DFS's visiting order
-        first = [min((J for J in range(1 << n) if J.bit_count() == s
-                      and table[J] == minima[s]), key=lex)
-                 for s in range(n + 1)]
+        minima, first = oracles.table_least_ranks(n, table)
         assert min_column_rank_by_size(X) == (minima, first)
         sizes = sorted(rng.sample(range(n + 1), rng.randrange(1, n + 2)))
         targets = [(s, rng.choice([minima[s], rng.randrange(s + 1)]))
                    for s in sizes]
         expect = oracles.table_subsets_attaining(table, targets)
         assert {s: subsets_where(got, s, r) for s, r in targets} == expect
+
+
+DEEP_SHAPES = [
+    # (q, blocks): the codes of n = 13..17 the benchmark's deep load runs,
+    # random codes and shuffled direct sums of blocks [n_i, k_i]
+    (2, [(17, 8)]), (2, [(16, 7)]), (2, [(16, 8)]), (3, [(13, 6)]),
+    (4, [(13, 6)]), (256, [(13, 6)]), (2, [(4, 3), (6, 3), (7, 2)]),
+    (2, [(5, 4), (5, 3), (6, 2)]), (2, [(6, 5), (10, 3)]),
+    (3, [(6, 4), (9, 3)]), (4, [(5, 4), (8, 3)]),
+]
+
+
+def deep_shaped_codes(rng):
+    """One code of each of `DEEP_SHAPES`, columns shuffled, and its dual."""
+    fields = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2, 0b111),
+              256: FieldSpec(2, 8, 0x11B)}
+    out = []
+    for q, blocks in DEEP_SHAPES:
+        n = sum(bn for bn, _ in blocks)
+        rows, off = [], 0
+        for bn, bk in blocks:
+            for r in oracles.rows_of(zoo.random_code(rng, fields[q], bn, bk)):
+                rows.append((0,) * off + r + (0,) * (n - off - bn))
+            off += bn
+        perm = rng.sample(range(n), n)
+        C = LinearCode.from_rows(fields[q], [[r[p] for p in perm]
+                                             for r in rows])
+        out += [C, C.dual()]
+    return out
+
+
+def test_least_rank_search_against_brute_tables():
+    # the minima and the lexicographically first witnesses of the least-rank
+    # search, whose bands read the tail's zero and repeated points, against
+    # tables row-reduced subset by subset: matrices over GF(2/3/4/256) with
+    # zero, repeated and proportional columns and their column matroids
+    # (whose tokens name no points), codes padded with zero columns and
+    # direct sums, table matroids with loops and parallel classes, and one
+    # code of each deep shape and its dual, against its rank table
+    from test_hn import filtration_codes
+    rng = random.Random(2101)
+    pool = []
+    for M in columned_matrices(rng, 500, nmax=9):
+        table = oracles.brute_rank_table(M.field, M.row_list())
+        pool += [(M, table), (Matroid(M.cols, table), table)]
+    for C in filtration_codes(rng, 150):
+        pool.append((C, oracles.brute_rank_table(C.field, oracles.rows_of(C))))
+    pool += [(M, M.ranks) for M in parallel_class_matroids(rng, 150)]
+    pool += [(C, column_rank_table(C)) for C in deep_shaped_codes(rng)]
+    assert len(pool) >= 1000
+    for X, table in pool:
+        n = len(table).bit_length() - 1
+        assert min_column_rank_by_size(X) == oracles.table_least_ranks(
+            n, table)
+
+
+def test_least_rank_search_contracts_within_the_bound():
+    # at most sum_{i<k} C(n, i) + n contractions, k the rank of all n
+    # columns (the proof is in the docstring of the search), counted
+    # through an oracle that wraps the matrix's: on matrices with zero,
+    # repeated and proportional columns, on plain random codes over
+    # GF(2/3/4/256), and on one code of each deep shape and its dual
+    rng = random.Random(2102)
+    fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
+              FieldSpec(2, 8, 0x11B)]
+    pool = columned_matrices(rng, 600, nmax=12)
+    for _ in range(400):
+        f, n = rng.choice(fields), rng.randrange(1, 12)
+        pool.append(zoo.random_code(rng, f, n, rng.randrange(1, n + 1)).gen)
+    pool += [C.gen for C in deep_shaped_codes(rng)]
+    worst = 0
+    for M in pool:
+        cols, contract, q = M.independence()
+        calls = []
+
+        def counted(tail, v):
+            calls.append(v)
+            return contract(tail, v)
+        minima, _ = min_column_rank_by_size(types.SimpleNamespace(
+            independence=lambda: (cols, counted, q)))
+        n, k = M.cols, minima[-1]
+        bound = sum(math.comb(n, i) for i in range(k)) + n
+        assert len(calls) <= bound, (M, len(calls), bound)
+        worst = max(worst, len(calls) / bound)
+    assert len(pool) >= 1000 and worst > 0.2
 
 
 def rank_table_pool(rng):
