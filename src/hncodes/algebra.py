@@ -12,7 +12,10 @@ The subset-rank helpers at the bottom enumerate column subsets by
 depth-first extension, in the lexicographic order of sorted column
 indices.  Each node keeps the later columns reduced modulo the span of its
 subset, and a child that takes an independent column reduces them by one
-elimination step against it.  They take any M whose `independence()` is
+elimination step against it.  A Matrix keeps each reduced column (its
+token) in one int over GF(2^m), bit-packed over GF(2) and in byte lanes
+past it, and as a tuple in odd characteristic, whose subtraction is not
+XOR (`Matrix.independence`).  They take any M whose `independence()` is
 such a contraction oracle (a Matrix's column matroid or a Matroid's rank
 table), so they serve weight hierarchies, profiles, cohomology tables and
 matroids alike, and are capped because the enumeration is exponential.
@@ -409,16 +412,25 @@ class Matrix:
         elimination step against it.  Every token vanishes at the pivots
         of the columns taken, so it is the only vector of its coset modulo
         that span which does, and tokens are linear in the quotient.
-        Over GF(2) tokens are bit-packed ints, eliminated at the top bit of
-        v.  Otherwise they are tuples scaled so that their first nonzero
-        entry is 1, eliminated at the first nonzero entry of v, with a zero
-        column as 0.  So over every field two tokens are equal exactly when
-        they are the same point of the quotient's projective space, which
-        is what q, the field order, tells the search.  The pivot entry of v
-        is then 1 already, and only a token whose lead sat at the pivot is
-        scaled again.  In characteristic 2 (GF(4), GF(256), ...)
-        subtracting two field elements is XOR of their integer encodings,
-        so elimination skips the subtraction table there.
+        Tokens take one of three layouts, with a zero column as 0 in each:
+        - GF(2): bit-packed ints, bit i for row i, eliminated at the top
+          bit of v.
+        - GF(2^m), m > 1: ints with entry i in byte i, scaled so that the
+          top nonzero byte is 1 and eliminated at the top byte of v.  A
+          token w with c in that byte takes w ^ c*v, since subtraction is
+          XOR of the encodings.  Each distinct c*v is built once per
+          contraction by one `bytes.translate` of v, and a rescale is one
+          more.
+        - odd characteristic: tuples scaled so that their first nonzero
+          entry is 1, eliminated at the first nonzero entry of v.  Their
+          subtraction is no bitwise operation, and packed lanes (bytes
+          mapped through subtraction rows, 16-bit lanes with a compare and
+          subtract) were no faster than tuples on GF(3), GF(5) and GF(9).
+        So over every field two tokens are equal exactly when they are the
+        same point of the quotient's projective space, which is what q,
+        the field order, tells the search.  The pivot entry of v is then 1
+        already, and only a token whose lead sat at the pivot is scaled
+        again.
         """
         f = self.field
         if f.q == 2:
@@ -431,8 +443,46 @@ class Matrix:
 
             return cols, contract, 2
 
-        SUB, MUL, INV = f._sub, f._mul, f._inv
-        xor = f.p == 2
+        INV = f._inv
+        if f.p == 2:
+            # int.from_bytes called directly: the keyword bound by `lanes`
+            # costs more than the conversion on these short tokens
+            times = _times_tables(f)
+
+            def unit(w):
+                """Nonzero w scaled so that its top nonzero byte is 1."""
+                t = (w.bit_length() - 1) >> 3
+                lead = w >> 8 * t
+                if lead < 2:
+                    return w
+                return int.from_bytes(w.to_bytes(t + 1, "little").translate(
+                    times[INV[lead]]), "little")
+
+            cols = [w and unit(w) for w in (
+                int.from_bytes(bytes(self.column(j)), "little")
+                for j in range(self.cols))]
+
+            def contract(tail, v):
+                sh = (v.bit_length() - 1) & -8     # v's top byte, which is 1
+                vb = v.to_bytes(sh // 8 + 1, "little")
+                cv = {1: v}                      # c * v, built once per c
+                out = []
+                for w in tail:
+                    c = w >> sh & 255
+                    if c:
+                        m = cv.get(c)
+                        if m is None:
+                            m = cv[c] = int.from_bytes(
+                                vb.translate(times[c]), "little")
+                        w ^= m
+                        if w and not w >> sh:   # its lead sat at the pivot
+                            w = unit(w)
+                    out.append(w)
+                return out
+
+            return cols, contract, f.q
+
+        SUB, MUL = f._sub, f._mul
 
         def unit(w):
             """w scaled to lead with 1, or 0 when w is zero."""
@@ -451,10 +501,7 @@ class Matrix:
                 c = w and w[i]
                 if c:
                     mc = MUL[c]
-                    if xor:
-                        w = tuple([x ^ mc[y] for x, y in zip(w, v)])
-                    else:
-                        w = tuple([SUB[x][mc[y]] for x, y in zip(w, v)])
+                    w = tuple([SUB[x][mc[y]] for x, y in zip(w, v)])
                     if not any(w[:i]):          # its lead sat at the pivot
                         w = unit(w)
                 out.append(w)
@@ -674,6 +721,12 @@ _BLOCK_BITS = 12                 # 2^12 subsets per block of lanes
 def _plus_tables(f: FieldSpec) -> list[bytes]:
     """plus[t] translates every field element x to x + t."""
     return [bytes(row) + bytes(256 - f.q) for row in f._add]
+
+
+@functools.cache
+def _times_tables(f: FieldSpec) -> list[bytes]:
+    """times[c] translates every field element x to c * x."""
+    return [bytes(row) + bytes(256 - f.q) for row in f._mul]
 
 
 def _projective_supports(M) -> list[int]:

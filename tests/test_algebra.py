@@ -1,5 +1,6 @@
 """Field construction, exact linear algebra, and subset-rank machinery."""
 
+import itertools
 import math
 import random
 import types
@@ -336,17 +337,17 @@ def test_min_column_rank_by_size():
             assert tab[wits[s]] == mins[s]
 
 
-def random_columns(rng, f, k, n):
+def random_columns(rng, f, k, n, least_scale=1):
     """n random columns of length k over f, often zero, repeats or scalar
-    multiples of earlier ones, so that closures hold many columns and ties
-    are common."""
+    multiples (by least_scale or more) of earlier ones, so that closures
+    hold many columns and ties are common."""
     cols = []
     for _ in range(n):
         shape = rng.random()
         if cols and shape < 0.15:
             cols.append(rng.choice(cols))
         elif cols and shape < 0.3:
-            a = rng.randrange(1, f.q)
+            a = rng.randrange(least_scale, f.q)
             cols.append([f.mul(a, x) for x in rng.choice(cols)])
         elif shape < 0.4:
             cols.append([0] * k)
@@ -469,7 +470,9 @@ def test_least_rank_search_against_brute_tables():
     # zero, repeated and proportional columns and their column matroids
     # (whose tokens name no points), codes padded with zero columns and
     # direct sums, table matroids with loops and parallel classes, and one
-    # code of each deep shape and its dual, against its rank table
+    # code of each deep shape and its dual, against its rank table.  That
+    # table is row-reduced too where `column_rank_table` would walk the DFS
+    # (q^k > 2^n), which runs the same contraction as the search.
     from test_hn import filtration_codes
     rng = random.Random(2101)
     pool = []
@@ -479,7 +482,9 @@ def test_least_rank_search_against_brute_tables():
     for C in filtration_codes(rng, 150):
         pool.append((C, oracles.brute_rank_table(C.field, oracles.rows_of(C))))
     pool += [(M, M.ranks) for M in parallel_class_matroids(rng, 150)]
-    pool += [(C, column_rank_table(C)) for C in deep_shaped_codes(rng)]
+    for C in deep_shaped_codes(rng):
+        pool.append((C, oracles.brute_rank_table(C.field, oracles.rows_of(C))
+                     if C.field.q ** C.k > 1 << C.n else column_rank_table(C)))
     assert len(pool) >= 1000
     for X, table in pool:
         n = len(table).bit_length() - 1
@@ -492,7 +497,7 @@ def test_least_rank_search_contracts_within_the_bound():
     # columns (the proof is in the docstring of the search), counted
     # through an oracle that wraps the matrix's: on matrices with zero,
     # repeated and proportional columns, on plain random codes over
-    # GF(2/3/4/256), and on one code of each deep shape and its dual
+    # GF(2/3/4/8/16/256), and on one code of each deep shape and its dual
     rng = random.Random(2102)
     fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
               FieldSpec(2, 8, 0x11B)]
@@ -501,6 +506,11 @@ def test_least_rank_search_contracts_within_the_bound():
         f, n = rng.choice(fields), rng.randrange(1, 12)
         pool.append(zoo.random_code(rng, f, n, rng.randrange(1, n + 1)).gen)
     pool += [C.gen for C in deep_shaped_codes(rng)]
+    for f in [FieldSpec(2, 3, 0b1011), FieldSpec(2, 4, 0b10011)]:
+        for _ in range(60):
+            n = rng.randrange(1, 12)
+            C = zoo.random_code(rng, f, n, rng.randrange(1, n + 1))
+            pool.append(C.gen)
     worst = 0
     for M in pool:
         cols, contract, q = M.independence()
@@ -516,6 +526,57 @@ def test_least_rank_search_contracts_within_the_bound():
         assert len(calls) <= bound, (M, len(calls), bound)
         worst = max(worst, len(calls) / bound)
     assert len(pool) >= 1000 and worst > 0.2
+
+
+# every field of characteristic 2 past GF(2), GF(256) under two moduli
+CHAR2_FIELDS = [FieldSpec(2, 2, 0b111), FieldSpec(2, 3, 0b1011),
+                FieldSpec(2, 4, 0b10011), FieldSpec(2, 5, 0b100101),
+                FieldSpec(2, 6, 0b1000011), FieldSpec(2, 7, 0b10000011),
+                FieldSpec(2, 8, 285), FieldSpec(2, 8, 0x11B)]
+
+
+def test_column_tokens_against_brute_tables():
+    # GF(2^m) tokens for m > 1 are ints with one coordinate per byte, and
+    # other fields' are tuples.  Over every such field and GF(3), GF(9) and
+    # GF(251), on matrices with zero, repeated and scaled columns: two
+    # tokens are equal exactly when their columns are the same point, before
+    # and after one contraction; the least-rank search equals the
+    # row-reduced table's minima and first witnesses; and so does the rank
+    # table where it walks the DFS (q^k > 2^n), for about half the matrices
+    def same(table, base, rb, i, j):
+        """Columns i and j are one point modulo the span of `base`, of rank
+        rb, or both lie in it."""
+        ri, rj = table[base | 1 << i], table[base | 1 << j]
+        return ri == rj == table[base | 1 << i | 1 << j] == rb + (ri > rb)
+
+    rng = random.Random(2201)
+    fields = CHAR2_FIELDS + [FieldSpec(3), FieldSpec(3, 2, 10), FieldSpec(251)]
+    for f in fields:
+        dfs = 0
+        for _ in range(40):
+            n = rng.randrange(1, 10)
+            k = rng.choice([rng.randrange(1, 7),
+                            next(k for k in range(1, 9) if f.q ** k > 1 << n)])
+            cols = random_columns(rng, f, k, n, least_scale=2)
+            M = Matrix.from_rows(f, [[c[i] for c in cols] for i in range(k)])
+            table = oracles.brute_rank_table(f, M.row_list())
+            tokens, contract, q = M.independence()
+            assert q == f.q
+            pairs = itertools.combinations(range(n), 2)
+            assert all((tokens[i] == tokens[j]) == same(table, 0, 0, i, j)
+                       for i, j in pairs)
+            v = next((j for j in range(n) if tokens[j]), None)
+            if v is not None:
+                tail = contract(tokens[v + 1:], tokens[v])
+                pairs = itertools.combinations(range(v + 1, n), 2)
+                assert all((tail[i - v - 1] == tail[j - v - 1])
+                           == same(table, 1 << v, 1, i, j) for i, j in pairs)
+            assert min_column_rank_by_size(M) == oracles.table_least_ranks(
+                n, table)
+            if f.q ** k > 1 << n:
+                dfs += 1
+                assert column_rank_table(M) == table
+        assert dfs >= 15, f
 
 
 def rank_table_pool(rng):
