@@ -6,8 +6,9 @@ duality theorems, coordinate-subset cohomology, matroid counterparts,
 and tensor product bounds, all over small finite fields with exact
 arithmetic.
 
-The package re-exports the error classes and the names of the README
-example and the benchmark; everything else is imported from its module
+The package re-exports the error classes, the names of the README example
+and the benchmark, and `enumeration_cap`, the scoped cap on every
+exhaustive search; everything else is imported from its module
 (`hncodes.hn`, `hncodes.rr`, `hncodes.tensor`, ...).
 """
 
@@ -27,7 +28,7 @@ from .errors import (
     SizeLimitExceeded,
     ParseError,
 )
-from .algebra import FieldSpec
+from .algebra import FieldSpec, enumeration_cap
 from .code import LinearCode
 from .hn import (
     SubspaceLattice,

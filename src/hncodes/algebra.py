@@ -39,6 +39,8 @@ with q^rows > 2^cols walk the DFS.
 from __future__ import annotations
 
 import collections
+import contextlib
+import contextvars
 import functools
 import itertools
 
@@ -528,28 +530,46 @@ class Matrix:
 
 SUBSET_ENUM_CAP = 20
 
+# The cap in force, in the way `decimal.localcontext` scopes precision: a
+# block sets it with `enumeration_cap`, and a new thread starts from the
+# default.
+_enum_cap = contextvars.ContextVar("enumeration_cap", default=SUBSET_ENUM_CAP)
 
-def _check_cap(bits: int, cap: int, what: str = "column subsets"):
+
+@contextlib.contextmanager
+def enumeration_cap(n: int):
+    """Within the block every exhaustive search may enumerate up to 2^n
+    items (column subsets, subcodes or pairs of them); the cap before it
+    is restored on exit, also when the block raises."""
+    token = _enum_cap.set(n)
+    try:
+        yield
+    finally:
+        _enum_cap.reset(token)
+
+
+def _check_cap(bits: int, what: str = "column subsets"):
     """The one refusal of an exhaustive search: it would enumerate up to
-    2^bits `what`, and the caller's cap counts in the same unit."""
+    2^bits `what`, and the cap in force counts in the same unit."""
+    cap = _enum_cap.get()
     if bits > cap:
         raise SizeLimitExceeded(
             f"enumerating 2^{bits} {what} exceeds the cap of 2^{cap}; "
-            f"raise it with --max-enum / the max_enum argument",
+            f"raise it with --max-enum / enumeration_cap(N)",
             limit=cap, needed=bits)
 
 
-def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
+def column_rank_table(M) -> bytes:
     """rank of every column subset of M, indexed by bitmask.
 
     A Matrix with q^rows <= 2^cols counts its words by support
     (`_word_rank_table`); any other M walks the DFS."""
     if isinstance(M, Matrix) and M.field.q ** M.rows <= 1 << M.cols:
-        _check_cap(M.cols, max_enum)
+        _check_cap(M.cols)
         return _word_rank_table(M)
     cols, contract, _ = M.independence()
     n = len(cols)
-    _check_cap(n, max_enum)
+    _check_cap(n)
     table = bytearray(1 << n)
 
     # red[j - base] is column j reduced modulo the span of the parent's
@@ -570,7 +590,7 @@ def column_rank_table(M, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
     return bytes(table)
 
 
-def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
+def min_column_rank_by_size(M):
     """For each s, the minimum rank over column subsets of size s.
 
     Returns (minima, witnesses) with one minimizing bitmask per size; each
@@ -619,7 +639,7 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
     """
     cols, contract, q = M.independence()
     n = len(cols)
-    _check_cap(n, max_enum)
+    _check_cap(n)
     INF = n + 1
     best = [INF] * (n + 1)
     wit = [0] * (n + 1)
@@ -669,13 +689,13 @@ def min_column_rank_by_size(M, max_enum: int = SUBSET_ENUM_CAP):
     return best, wit
 
 
-def least_ranks(X, max_enum: int = SUBSET_ENUM_CAP):
+def least_ranks(X):
     """`min_column_rank_by_size` of a code or matroid X, searched once and
     kept on X._minr; the cap is checked on every call, so whether it is
     honoured does not depend on what was computed before."""
-    _check_cap(X.n, max_enum)
+    _check_cap(X.n)
     if X._minr is None:
-        X._minr = min_column_rank_by_size(X, max_enum)
+        X._minr = min_column_rank_by_size(X)
     return X._minr
 
 

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import SUBSET_ENUM_CAP
+from .algebra import SUBSET_ENUM_CAP, enumeration_cap
 from .code import bits_of
 from .errors import (Error, InvariantViolation, NotFullSupport, ParseError,
                      SizeLimitExceeded)
@@ -110,11 +110,14 @@ def _emit(report: dict, fmt: str):
 
 
 def _cap(args) -> int:
-    if args.max_enum > SUBSET_ENUM_CAP:
-        print(f"warning: enumeration cap raised to {args.max_enum} "
-              f"(up to 2^{args.max_enum} items per exhaustive search)",
+    """--max-enum, announced on stderr when raised; matroid and selftest
+    take none and run at the default."""
+    cap = getattr(args, "max_enum", SUBSET_ENUM_CAP)
+    if cap > SUBSET_ENUM_CAP:
+        print(f"warning: enumeration cap raised to {cap} "
+              f"(up to 2^{cap} items per exhaustive search)",
               file=sys.stderr)
-    return args.max_enum
+    return cap
 
 
 # -- SVG rendering ----------------------------------------------------------
@@ -181,29 +184,27 @@ def _svg_polygon(P, cloud, side: str) -> str:
 
 def cmd_weights(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
     results = {
         "n": C.n,
         "k": C.k,
         "q": C.field.q,
         "weight": C.weight,
         "support": bits_of(C.support_mask),
-        "weight_hierarchy": list(C.weight_hierarchy(cap)),
-        "dlp": list(C.dlp(cap)),
+        "weight_hierarchy": list(C.weight_hierarchy()),
+        "dlp": list(C.dlp()),
     }
     return _report("weights", [args.file], results), False
 
 
 def cmd_polygon(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
     if args.side == "code":
-        P = code_polygon(C, cap)
-        d = C.weight_hierarchy(cap)
+        P = code_polygon(C)
+        d = C.weight_hierarchy()
         cloud = [(i, Fraction(C.n - d[i])) for i in range(C.k + 1)]
     else:
-        P = subset_polygon(C, cap)
-        kj = C.dlp(cap)
+        P = subset_polygon(C)
+        kj = C.dlp()
         cloud = [(j, Fraction(kj[C.n - j])) for j in range(C.n + 1)]
     results = {
         "side": args.side,
@@ -220,8 +221,7 @@ def cmd_polygon(args):
 
 def cmd_filtration(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
-    F = canonical_filtration(C, cap)
+    F = canonical_filtration(C)
     steps = []
     for step, slope in zip(F.steps[1:], F.slopes):
         steps.append({
@@ -243,12 +243,11 @@ def cmd_filtration(args):
 
 def cmd_semistable(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
-    P = code_polygon(C, cap)
+    P = code_polygon(C)
     ss = P.N == 1
     witness_obj = None
     if not ss:
-        W = semistability_witness(C, cap)
+        W = semistability_witness(C)
         witness_obj = {
             "dim": W.dim,
             "support": _coords(W.support_mask),
@@ -260,7 +259,7 @@ def cmd_semistable(args):
         "k": C.k,
         "rate": _rat(C.effective_rate),
         "semistable": ss,
-        "stable": is_stable(C, cap),
+        "stable": is_stable(C),
         "mu_max": _rat(P.mu_max),
         "mu_min": _rat(P.mu_min),
         "witness": witness_obj,
@@ -270,17 +269,16 @@ def cmd_semistable(args):
 
 def cmd_dual(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
     D = C.dual()
-    subset_ok = dual_subset_polygon_check(C, cap)
+    subset_ok = dual_subset_polygon_check(C)
     violated = not subset_ok
     slope_map: dict
     try:
-        slopes = dual_code_slopes(C, cap)
+        slopes = dual_code_slopes(C)
         slope_map = {
             "applicable": True,
             "ok": True,
-            "primal_slopes": [_rat(s) for s in code_polygon(C, cap).slopes],
+            "primal_slopes": [_rat(s) for s in code_polygon(C).slopes],
             "dual_slopes": [_rat(s) for s in slopes],
         }
     except NotFullSupport as e:
@@ -302,7 +300,7 @@ def cmd_dual(args):
         "k": C.k,
         "dual_k": D.k,
         "dual_generator": [list(D.gen.row(i)) for i in range(D.k)],
-        "dual_polygon": _polygon_obj(dual_polygon(C, cap)),
+        "dual_polygon": _polygon_obj(dual_polygon(C)),
         "subset_polygon_duality_ok": subset_ok,
         "slope_map": slope_map,
     }
@@ -311,9 +309,8 @@ def cmd_dual(args):
 
 def cmd_rr(args):
     C = parse_code_file(args.file)
-    cap = _cap(args)
     if args.all:
-        ok = rr_check(C, cap)            # Serre is the same table identity
+        ok = rr_check(C)  # Serre is the same table identity
         results = {
             "n": C.n,
             "k": C.k,
@@ -338,7 +335,7 @@ def cmd_rr(args):
         h0_dual = None
         rr_ok = euler_ok
         serre_ok = None
-    deg_term, genus = rr_normalized(C, J, cap)
+    deg_term, genus = rr_normalized(C, J)
     results = {
         "n": C.n,
         "k": C.k,
@@ -359,29 +356,28 @@ def cmd_rr(args):
 def cmd_tensor(args):
     A = parse_code_file(args.file_a)
     B = parse_code_file(args.file_b)
-    cap = _cap(args)
-    T = tensor_product(A, B, cap)
-    bound_ok = schaathun_verify(A, B, cap)
-    chained_a, chained_b = is_chained(A, cap), is_chained(B, cap)
+    T = tensor_product(A, B)
+    bound_ok = schaathun_verify(A, B)
+    chained_a, chained_b = is_chained(A), is_chained(B)
     wei_yang = {"applicable": chained_a and chained_b, "ok": None}
     if wei_yang["applicable"]:
-        wei_yang["ok"] = wei_yang_check(A, B, cap)
-    ss_a, ss_b = is_semistable(A, cap), is_semistable(B, cap)
+        wei_yang["ok"] = wei_yang_check(A, B)
+    ss_a, ss_b = is_semistable(A), is_semistable(B)
     preservation = {"applicable": ss_a and ss_b, "ok": None}
     if preservation["applicable"]:
-        preservation["ok"] = tensor_semistable_check(A, B, max_enum=cap)
+        preservation["ok"] = tensor_semistable_check(A, B)
     results = {
         "A": {"n": A.n, "k": A.k, "q": A.field.q},
         "B": {"n": B.n, "k": B.k, "q": B.field.q},
         "product": {"n": T.n, "k": T.k, "weight": T.weight,
                     "rate": _rat(T.effective_rate)},
-        "weight_hierarchy": list(T.weight_hierarchy(cap)),
-        "schaathun_bound": list(schaathun_bound_table(A, B, cap)),
+        "weight_hierarchy": list(T.weight_hierarchy()),
+        "schaathun_bound": list(schaathun_bound_table(A, B)),
         "bound_ok": bound_ok,
         "chained": {"A": chained_a, "B": chained_b},
         "wei_yang": wei_yang,
         "semistable": {"A": ss_a, "B": ss_b,
-                       "product": is_semistable(T, cap),
+                       "product": is_semistable(T),
                        "preservation": preservation},
     }
     violated = (not bound_ok
@@ -582,9 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their duality theorems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, max_enum=True):
+    def common(sp, with_cap=True):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if max_enum:
+        if with_cap:
             sp.add_argument("--max-enum", type=_cap_arg, metavar="N",
                             default=SUBSET_ENUM_CAP,
                             help="refuse any exhaustive search of more than "
@@ -637,12 +633,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matroid", help="matroid invariants and checks")
     sp.add_argument("file")
-    common(sp, max_enum=False)
+    common(sp, with_cap=False)
     sp.set_defaults(fn=cmd_matroid)
 
     sp = sub.add_parser("selftest", help="golden examples and property "
                                          "suites at built-in sizes")
-    common(sp, max_enum=False)
+    common(sp, with_cap=False)
     sp.set_defaults(fn=cmd_selftest)
     return parser
 
@@ -652,7 +648,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report, violated = args.fn(args)
+        with enumeration_cap(_cap(args)):
+            report, violated = args.fn(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
-    SUBSET_ENUM_CAP,
     FieldSpec,
     Matrix,
     _check_cap,
@@ -160,10 +159,10 @@ class LinearCode:
     def _minor(self, elems, S: int) -> "LinearCode":
         """M/S | elems: the code-filtration step vanishing on the subset step
         S (step i for the i-th from the top, else the whole code), punctured
-        onto `elems`; both memos are filled under the caller's cap check."""
+        onto `elems`."""
         from .hn import canonical_filtration, subset_filtration
-        i = subset_filtration(self, self.n).steps[::-1].index(S)
-        steps = canonical_filtration(self, self.n).steps
+        i = subset_filtration(self).steps[::-1].index(S)
+        steps = canonical_filtration(self).steps
         sub = steps[min(i, len(steps) - 1)]
         return LinearCode.span(sub.basis.col_submatrix(elems))
 
@@ -186,35 +185,34 @@ class LinearCode:
 
     # Like `least_ranks`, the rank table checks the cap on every call.
 
-    def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
+    def rank_table(self) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
-        _check_cap(self.n, max_enum)
+        _check_cap(self.n)
         if self._rtab is None:
-            self._rtab = column_rank_table(self.gen, max_enum)
+            self._rtab = column_rank_table(self.gen)
         return self._rtab
 
-    def subset_dim(self, J: int, max_enum: int = SUBSET_ENUM_CAP) -> int:
+    def subset_dim(self, J: int) -> int:
         """dim C_J via the rank table (k minus the complement's rank)."""
-        tab = self.rank_table(max_enum)
+        tab = self.rank_table()
         full = (1 << self.n) - 1
         return self.k - tab[full ^ J]
 
-    def dlp(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
+    def dlp(self) -> tuple[int, ...]:
         """Dimension/length profile (k_0, ..., k_n), k_j = max dim C_J."""
         from .hn import subset_profile  # hn builds on this module
-        return subset_profile(self, max_enum)
+        return subset_profile(self)
 
-    def dlp_witnesses(self, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
+    def dlp_witnesses(self) -> tuple[int, ...]:
         """One maximizing coordinate set per profile entry."""
-        _, wit = least_ranks(self, max_enum)
+        _, wit = least_ranks(self)
         full = (1 << self.n) - 1
         return tuple(full ^ wit[self.n - j] for j in range(self.n + 1))
 
-    def weight_hierarchy(self, max_enum: int = SUBSET_ENUM_CAP
-                         ) -> tuple[int, ...]:
+    def weight_hierarchy(self) -> tuple[int, ...]:
         """(d_0, ..., d_k): d_i the least support size of an i-dim subcode."""
         from .hn import profile_hierarchy
-        return profile_hierarchy(self.k, self.dlp(max_enum))
+        return profile_hierarchy(self.k, self.dlp())
 
     # -- products ------------------------------------------------------------
 

@@ -17,7 +17,8 @@ and the filtration's element at a vertex is the unique subset of least
 rank for its size, so the polygon, the filtration and this verdict all
 read the one memoized least-rank search (`algebra.least_ranks`) and no
 code builds its 2^n rank table for them.  Stability, the strict form,
-reads the weight hierarchy.  Every verdict takes `max_enum`.
+reads the weight hierarchy.  Every verdict is refused past the
+enumeration cap in force (`algebra.enumeration_cap`).
 
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it.  The gap
@@ -37,8 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (SUBSET_ENUM_CAP, Matrix, _check_cap, iter_rref_matrices,
-                      lanes, least_ranks, popcounts)
+from .algebra import (Matrix, _check_cap, iter_rref_matrices, lanes,
+                      least_ranks, popcounts)
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
@@ -175,9 +176,9 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 # of least rank at the polygon's vertex sizes.  A subset S has degree
 # k - r(S); for a code that is dim C_{[n]-S}.
 
-def subset_profile(X, max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
+def subset_profile(X) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""
-    minr, n = least_ranks(X, max_enum)[0], X.n
+    minr, n = least_ranks(X)[0], X.n
     return tuple(X.k - minr[n - j] for j in range(n + 1))
 
 
@@ -208,19 +209,18 @@ def hierarchies_tile(n: int, k: int, d, dual_d) -> bool:
             and left | right == set(range(1, n + 1)))
 
 
-def subset_polygon(X, max_enum: int = SUBSET_ENUM_CAP) -> CanonicalPolygon:
+def subset_polygon(X) -> CanonicalPolygon:
     """Polygon of the coordinate-subset lattice: profile
     (s, k - min {r(S) : #S = s})."""
-    return polygon_from_profile([X.k - m for m in least_ranks(X, max_enum)[0]])
+    return polygon_from_profile([X.k - m for m in least_ranks(X)[0]])
 
 
-def code_polygon(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                 ) -> CanonicalPolygon:
+def code_polygon(C: LinearCode) -> CanonicalPolygon:
     """Polygon of the subcode lattice, profile (i, n - d_i): the subset
     polygon with its axes swapped.  Zero columns give the subset polygon a
     flat first side from the loop vertex (0, k), which is dropped first.
     The subset polygon's vertices are reflected once, into one polygon."""
-    minr = least_ranks(C, max_enum)[0]
+    minr = least_ranks(C)[0]
     vs = _upper_hull(list(enumerate(C.k - m for m in minr)))
     if vs[1][1] == vs[0][1]:
         vs = vs[1:]
@@ -252,7 +252,7 @@ class Filtration:
         return self.polygon.vertex_ranks
 
 
-def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
+def subset_filtration(X) -> Filtration:
     """The chain of subsets attaining the subset polygon's vertices.
 
     Step a is the least-rank search's witness at vertex size s_a.  At a
@@ -262,10 +262,10 @@ def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
     subset.  A chain that does not nest raises.  The result is kept on
     X._sfilt; the cap is checked on every call, as `least_ranks` does.
     """
-    _check_cap(X.n, max_enum)
+    _check_cap(X.n)
     if X._sfilt is None:
-        poly = subset_polygon(X, max_enum)
-        wit = least_ranks(X, max_enum)[1]
+        poly = subset_polygon(X)
+        wit = least_ranks(X)[1]
         out = [wit[s] for s in poly.vertex_ranks]
         for A, B in zip(out, out[1:]):
             if A & ~B:
@@ -274,7 +274,7 @@ def subset_filtration(X, max_enum: int = SUBSET_ENUM_CAP) -> Filtration:
     return X._sfilt
 
 
-def subset_graded(X, max_enum: int = SUBSET_ENUM_CAP) -> list:
+def subset_graded(X) -> list:
     """Minors between consecutive subset-filtration steps.
 
     Piece a contracts step a-1 and keeps the elements step a adds,
@@ -283,21 +283,20 @@ def subset_graded(X, max_enum: int = SUBSET_ENUM_CAP) -> list:
     must have a one-sided subset polygon of the side slope.  A semistable
     X is its own only piece, so its checks read X's memos.
     """
-    filt = subset_filtration(X, max_enum)
+    filt = subset_filtration(X)
     pieces = []
     for a, mu in enumerate(filt.slopes):
         S = filt.steps[a]
         elems = bits_of(filt.steps[a + 1] & ~S)
         piece = X if len(elems) == X.n else X._minor(elems, S)
-        if subset_polygon(piece, max_enum).slopes != (mu,):
+        if subset_polygon(piece).slopes != (mu,):
             raise InvariantViolation(
                 "graded piece is not semistable of the side slope")
         pieces.append(piece)
     return pieces
 
 
-def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                         ) -> Filtration:
+def canonical_filtration(C: LinearCode) -> Filtration:
     """The chain of subcodes attaining the code polygon's vertices.
 
     This is the Galois image of `subset_filtration`: the code vertex
@@ -311,10 +310,10 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     The filtration is memoized on C; the cap is checked on every call, as
     the code's other memos do.
     """
-    _check_cap(C.n, max_enum)
+    _check_cap(C.n)
     if C._filt is None:
-        poly = code_polygon(C, max_enum)
-        inner = subset_filtration(C, max_enum).steps[-poly.N:-1]
+        poly = code_polygon(C)
+        inner = subset_filtration(C).steps[-poly.N:-1]
         steps = [C.zero_subcode()]
         steps += [subset_to_subcode(C, S) for S in reversed(inner)]
         steps.append(C.whole_subcode())
@@ -324,29 +323,27 @@ def canonical_filtration(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
 
 # -- semistability ----------------------------------------------------------
 
-def is_semistable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def is_semistable(C: LinearCode) -> bool:
     """True when every nonzero subcode C' has w(C') >= dim(C')/R(C):
     d_i k >= i w(C) for 0 < i < k, i.e. the code polygon has one side."""
-    return code_polygon(C, max_enum).N == 1
+    return code_polygon(C).N == 1
 
 
-def is_stable(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def is_stable(C: LinearCode) -> bool:
     """True when every proper nonzero subcode has strictly smaller rate:
     d_i k > i w(C) for 0 < i < k (vacuously true for k = 1)."""
-    d, k, w = C.weight_hierarchy(max_enum), C.k, C.weight
+    d, k, w = C.weight_hierarchy(), C.k, C.weight
     return all(d[i] * k > i * w for i in range(1, k))
 
 
-def semistability_witness(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                          ) -> Subcode | None:
+def semistability_witness(C: LinearCode) -> Subcode | None:
     """A subcode violating semistability, or None; the first filtration
     step is returned (the maximal-slope destabilizer) when one exists."""
-    filt = canonical_filtration(C, max_enum)
+    filt = canonical_filtration(C)
     return filt.steps[1] if filt.polygon.N > 1 else None
 
 
-def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                  ) -> list[LinearCode]:
+def graded_pieces(C: LinearCode) -> list[LinearCode]:
     """Successive quotients of the canonical filtration as codes.
 
     Piece a is the projection of step a onto the coordinates its support
@@ -358,7 +355,7 @@ def graded_pieces(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
         raise NotFullSupport("graded pieces need a full-support code",
                              side="primal",
                              zero_columns=((1 << C.n) - 1) ^ C.support_mask)
-    return subset_graded(C, max_enum)[::-1]
+    return subset_graded(C)[::-1]
 
 
 # -- enumerable lattice views ----------------------------------------------
@@ -392,16 +389,15 @@ class SubspaceLattice:
     complements are memoized by element index.
 
     Without `subcodes` every subcode is enumerated, and it is refused
-    when the subcodes number more than 2^max_enum; `subcode_lattice(C)` is
+    when the subcodes number more than 2^cap; `subcode_lattice(C)` is
     that lattice, built once per code.  With `subcodes` the lattice starts
     from those alone and interns just the elements that meets, joins and
     `index_of` reach, so it never enumerates and has no cap.
     """
 
-    def __init__(self, C: LinearCode, subcodes=None,
-                 max_enum: int = SUBSET_ENUM_CAP):
+    def __init__(self, C: LinearCode, subcodes=None):
         if subcodes is None:
-            _check_cap(_lattice_bits(C), max_enum, "subcodes")
+            _check_cap(_lattice_bits(C), "subcodes")
         self.code = C
         self._pivots = C.gen.rref()[1]
         self.elements: list[Matrix] = []
@@ -492,13 +488,12 @@ class SubspaceLattice:
         return v
 
 
-def subcode_lattice(C: LinearCode,
-                    max_enum: int = SUBSET_ENUM_CAP) -> SubspaceLattice:
+def subcode_lattice(C: LinearCode) -> SubspaceLattice:
     """The exhaustive subcode lattice of C, built once and kept on C; the
     cap is checked on every call, as the code's other memos do."""
-    _check_cap(_lattice_bits(C), max_enum, "subcodes")
+    _check_cap(_lattice_bits(C), "subcodes")
     if C._lattice is None:
-        C._lattice = SubspaceLattice(C, max_enum=max_enum)
+        C._lattice = SubspaceLattice(C)
     return C._lattice
 
 
@@ -507,10 +502,10 @@ def verify_parallelogram(lattice) -> bool:
 
     rank(x) + rank(y) == rank(join) + rank(meet) and
     deg(x) + deg(y) <= deg(join) + deg(meet).  A lattice of at most 2^b
-    elements counts as 2^(2b) pairs against the default cap, checked
-    before any pair is read.
+    elements counts as 2^(2b) pairs against the cap, checked before any
+    pair is read.
     """
-    _check_cap(2 * (len(lattice) - 1).bit_length(), SUBSET_ENUM_CAP,
+    _check_cap(2 * (len(lattice) - 1).bit_length(),
                "pairs of lattice elements")
     idx = range(len(lattice))
     pairs = ((i, j) for i in idx for j in idx)
@@ -524,8 +519,7 @@ def verify_parallelogram(lattice) -> bool:
     return True
 
 
-def gap_rival_degrees(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                      ) -> tuple[int, ...]:
+def gap_rival_degrees(C: LinearCode) -> tuple[int, ...]:
     """At each interior polygon vertex a, the largest degree of a subcode
     of rank i_a other than the filtration step F_a, read off the rank table.
 
@@ -536,12 +530,12 @@ def gap_rival_degrees(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     not inside S, carries such a D vanishing on all of J.  So the degree is
     max {#J : r(J) + [J inside S] <= rho}, one compare over the table.
     """
-    filt = canonical_filtration(C, max_enum)
+    filt = canonical_filtration(C)
     inner = list(zip(filt.ranks[1:-1], filt.steps[1:-1]))
     if not inner:
         return ()
     n, size = C.n, 1 << C.n
-    ranks, sizes = lanes(C.rank_table(max_enum)), lanes(popcounts(n))
+    ranks, sizes = lanes(C.rank_table()), lanes(popcounts(n))
     out = []
     for i_a, F in inner:
         S, rho = cosupport(F), C.k - i_a
@@ -554,15 +548,14 @@ def gap_rival_degrees(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
     return tuple(out)
 
 
-def gap_condition_check(C: LinearCode,
-                        max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def gap_condition_check(C: LinearCode) -> bool:
     """At every interior polygon vertex, every non-filtration subcode of
     that rank keeps a degree gap of at least mu_a - mu_{a+1} below the
     polygon: `gap_rival_degrees` against v_a - (mu_a - mu_{a+1})."""
-    poly = canonical_filtration(C, max_enum).polygon
+    poly = canonical_filtration(C).polygon
     mu, vs = poly.slopes, poly.vertices
     return all(deg <= vs[a][1] - (mu[a - 1] - mu[a])
-               for a, deg in enumerate(gap_rival_degrees(C, max_enum), 1))
+               for a, deg in enumerate(gap_rival_degrees(C), 1))
 
 
 # -- Galois connection between subcodes and coordinate subsets --------------
@@ -585,7 +578,7 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     exchange inequalities; and degree(S) = #cosupport(S).  Exhaustive over
     the subspace lattice and all 2^n subsets when samples are omitted.
     The laws run over pairs: an exhaustive side of 2^b elements counts as
-    2^(2b) against the default cap, checked before either side is built.
+    2^(2b) against the cap, checked before either side is built.
 
     Every law is read on SubspaceLattice indices: the image
     `subset_to_subcode(C, J)` of each subset is interned once, and meets,
@@ -597,7 +590,7 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     """
     side = max(_lattice_bits(C) if subcodes is None else 0,
                C.n if subsets is None else 0)
-    _check_cap(2 * side, SUBSET_ENUM_CAP, "pairs of subcodes or subsets")
+    _check_cap(2 * side, "pairs of subcodes or subsets")
     if subcodes is None:
         lat = subcode_lattice(C)
         idx = range(len(lat))

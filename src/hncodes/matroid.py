@@ -18,8 +18,7 @@ are the codes' own (`rr.py`), reading `Matroid.rank_table`.
 
 from __future__ import annotations
 
-from .algebra import (SUBSET_ENUM_CAP, _check_cap, lane_mask, lanes,
-                      popcounts)
+from .algebra import _check_cap, lane_mask, lanes, popcounts
 from .code import LinearCode
 from .errors import InvariantViolation, SizeLimitExceeded
 from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
@@ -109,10 +108,10 @@ class Matroid:
         _check_local_axioms(n, r)
         return cls(n, r)
 
-    def rank_table(self, max_enum: int = SUBSET_ENUM_CAP) -> bytes:
+    def rank_table(self) -> bytes:
         """The rank of every subset, indexed by bitmask; a read of all 2^n
         entries counts against the cap, as a code's table does."""
-        _check_cap(self.n, max_enum)
+        _check_cap(self.n)
         return self.ranks
 
     def rank_of(self, J: int) -> int:
@@ -205,7 +204,7 @@ def matroid_from_code(C: LinearCode) -> Matroid:
     Column ranks satisfy the rank axioms by construction, so the table is
     not revalidated; the ground-set cap goes first, so a refusal names it."""
     _check_ground_set(C.n)
-    return Matroid(C.n, C.rank_table(MATROID_CAP))
+    return Matroid(C.n, C.rank_table())
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:

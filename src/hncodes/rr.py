@@ -11,8 +11,9 @@ At the level of dimensions Riemann-Roch and Serre are one identity of
 rank tables: h0(C, J) = k - r([n]-J) and h1(C, J) = #([n]-J) - r([n]-J)
 obey Euler by construction, so both say r*(J) + n - k* = #J + r([n]-J)
 for the tables r of C and r* of its dual ([n]-J is the table reversed),
-checked on whole tables, as is Clifford's bound, up to the max_enum cap.
-A matroid has the same h0 and h1, so both checks take a code or a matroid.
+checked on whole tables, as is Clifford's bound, up to the enumeration
+cap in force (`algebra.enumeration_cap`).  A matroid has the same h0 and
+h1, so both checks take a code or a matroid.
 
 The same module hosts Wei's duality partition (checked on the code itself
 from the memoized weight hierarchies of C and its dual), the profile
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import SUBSET_ENUM_CAP, lanes, popcounts
+from .algebra import lanes, popcounts
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import (CanonicalPolygon, code_polygon, hierarchies_tile,
@@ -73,29 +74,28 @@ def cohomology(C: LinearCode, J: int) -> CohomologyPair:
     return pair
 
 
-def rr_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def rr_check(X) -> bool:
     """h0(X, J) - h0(X-dual, [n]-J) == #J + k - n for every subset J, for
     a code or a matroid X, read off the rank tables of X and then of its
     dual, with h0(X, J) = k - r([n]-J)."""
     # r*(J) + n - k* == #J + r([n]-J) in lanes of at most 3n
-    tab, D = X.rank_table(max_enum), X.dual()
+    tab, D = X.rank_table(), X.dual()
     one = lanes(b"\1" * len(tab))
-    return (lanes(D.rank_table(max_enum)) + X.n * one
+    return (lanes(D.rank_table()) + X.n * one
             == lanes(popcounts(X.n)) + lanes(tab[::-1]) + D.k * one)
 
 
-def serre_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def serre_check(X) -> bool:
     """h1(X, J) == h0(X-dual, [n]-J) for every subset J, for a code or a
     matroid X, with h1(X, J) = #([n]-J) - r([n]-J); the same table
     identity as `rr_check`, which it runs."""
-    return rr_check(X, max_enum)
+    return rr_check(X)
 
 
-def rr_normalized(C: LinearCode, J: int,
-                  max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, int]:
+def rr_normalized(C: LinearCode, J: int) -> tuple[int, int]:
     """(deg, g) with h0 - h1 = deg - g + 1, where deg = #J - d_1 and
     g = n - k + 1 - d_1 >= 0, the defect of C from the Singleton bound."""
-    d1 = C.weight_hierarchy(max_enum)[1]
+    d1 = C.weight_hierarchy()[1]
     g = C.n - C.k - d1 + 1
     return (J.bit_count() - d1, g)
 
@@ -122,12 +122,12 @@ def les_check(C: LinearCode, J: int, Jp: int) -> bool:
     return True
 
 
-def clifford_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def clifford_check(C: LinearCode) -> bool:
     """For a self-dual code, h0(C, J) <= #J / 2 for every subset J."""
     if C.dual() != C:
         raise InvariantViolation("Clifford bound applies to self-dual codes")
     # 2 h0(C, J) <= #J is 2k <= #J + 2 r([n]-J), lanes of at most 3n
-    tab = C.rank_table(max_enum)
+    tab = C.rank_table()
     sums = lanes(popcounts(C.n)) + 2 * lanes(tab[::-1])
     return min(sums.to_bytes(len(tab), "little")) >= 2 * C.k
 
@@ -151,8 +151,7 @@ def full_support_status(C: LinearCode) -> tuple[bool, bool]:
     return primal, dual_full
 
 
-def wei_duality_check(C: LinearCode,
-                      max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def wei_duality_check(C: LinearCode) -> bool:
     """Wei's partition: {d_i(C)} and {n + 1 - d_i(C-dual)} tile [n].
 
     Wei (IEEE Trans. Inform. Theory 37, 1991, Thm. 3) proves this for
@@ -161,19 +160,19 @@ def wei_duality_check(C: LinearCode,
     dual.  The full space has no dual code, so its hierarchy alone must
     tile [n].
     """
-    d = C.weight_hierarchy(max_enum)[1:]
-    dual_d = C.dual().weight_hierarchy(max_enum)[1:] if C.k < C.n else ()
+    d = C.weight_hierarchy()[1:]
+    dual_d = C.dual().weight_hierarchy()[1:] if C.k < C.n else ()
     return hierarchies_tile(C.n, C.k, d, dual_d)
 
 
-def dual_dlp_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def dual_dlp_check(C: LinearCode) -> bool:
     """k_{n-j}(C-dual) = k_j(C) + n - j - k for all j, with witness
     transfer: a maximizing J for C complements to one for the dual."""
     D = C.dual()
-    kj = C.dlp(max_enum)
-    kjd = D.dlp(max_enum)
+    kj = C.dlp()
+    kjd = D.dlp()
     full = (1 << C.n) - 1
-    wits = C.dlp_witnesses(max_enum)
+    wits = C.dlp_witnesses()
     for j in range(C.n + 1):
         if kjd[C.n - j] != kj[j] + C.n - j - C.k:
             return False
@@ -185,29 +184,28 @@ def dual_dlp_check(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     return True
 
 
-def dual_polygon(X, max_enum: int = SUBSET_ENUM_CAP) -> CanonicalPolygon:
+def dual_polygon(X) -> CanonicalPolygon:
     """Subset polygon of the dual code or matroid."""
-    return subset_polygon(X.dual(), max_enum)
+    return subset_polygon(X.dual())
 
 
-def dual_subset_polygon_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def dual_subset_polygon_check(X) -> bool:
     """P_subset(X-dual)(x) = P_subset(X)(n - x) + n - x - k, exactly, for a
     code or a matroid X."""
-    expect = subset_polygon(X, max_enum).opposite().affine(X.n - X.k, -1, 1)
-    return dual_polygon(X, max_enum) == expect
+    expect = subset_polygon(X).opposite().affine(X.n - X.k, -1, 1)
+    return dual_polygon(X) == expect
 
 
-def dual_filtration_check(X, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def dual_filtration_check(X) -> bool:
     """The dual's subset filtration is the complement chain of X's,
     reversed, for a code or a matroid X."""
     full = (1 << X.n) - 1
-    steps = subset_filtration(X, max_enum).steps
-    return (subset_filtration(X.dual(), max_enum).steps
+    steps = subset_filtration(X).steps
+    return (subset_filtration(X.dual()).steps
             == tuple(full ^ S for S in reversed(steps)))
 
 
-def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
-                     ) -> tuple[Fraction, ...]:
+def dual_code_slopes(C: LinearCode) -> tuple[Fraction, ...]:
     """Slopes of the dual code's polygon; requires both codes full
     support, in which case they are -1 + 1/(mu + 1) for the primal slopes
     mu in reverse order, and the dual filtration is obtained by shortening
@@ -227,13 +225,13 @@ def dual_code_slopes(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP
             "the dual code is not full support (the code has weight-1 "
             "words, i.e. mu_max = -1)", side="dual",
             weight_one_span=weight_one_span(C))
-    got = code_polygon(C.dual(), max_enum).slopes
-    mus = code_polygon(C, max_enum).slopes
+    got = code_polygon(C.dual()).slopes
+    mus = code_polygon(C).slopes
     expect = tuple(-1 + 1 / (mu + 1) for mu in reversed(mus))
     if got != expect:
         raise InvariantViolation(
             f"dual slope law fails: expected {expect}, got {got}")
-    if not dual_filtration_check(C, max_enum):
+    if not dual_filtration_check(C):
         raise InvariantViolation("dual filtration is not the complement "
                                  "chain of the primal one")
     return got

@@ -18,8 +18,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import SUBSET_ENUM_CAP, Matrix, _check_cap, subsets_where
-from .code import LinearCode, Subcode, mask_of
+from .algebra import _check_cap, subsets_where
+from .code import LinearCode, Subcode, _support_of_matrix, mask_of
 from .errors import InvalidHierarchy, InvariantViolation, NotASubcode
 from .hn import is_semistable
 
@@ -73,28 +73,25 @@ def schaathun_bound(dA, dB, r: int, exact_sum: bool = False) -> int:
     return int(val)
 
 
-def schaathun_bound_table(A: LinearCode, B: LinearCode,
-                          max_enum: int = SUBSET_ENUM_CAP) -> tuple[int, ...]:
+def schaathun_bound_table(A: LinearCode, B: LinearCode) -> tuple[int, ...]:
     """(d*_0, ..., d*_{kA kB}) for the pair of codes."""
-    dA = A.weight_hierarchy(max_enum)
-    dB = B.weight_hierarchy(max_enum)
+    dA = A.weight_hierarchy()
+    dB = B.weight_hierarchy()
     return tuple(schaathun_bound(dA, dB, r)
                  for r in range(A.k * B.k + 1))
 
 
-def tensor_product(A: LinearCode, B: LinearCode,
-                   max_enum: int = SUBSET_ENUM_CAP) -> LinearCode:
+def tensor_product(A: LinearCode, B: LinearCode) -> LinearCode:
     """A (x) B, refused past the cap before the Kronecker product."""
-    _check_cap(A.n * B.n, max_enum)
+    _check_cap(A.n * B.n)
     return A.tensor(B)
 
 
-def schaathun_verify(A: LinearCode, B: LinearCode,
-                     max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def schaathun_verify(A: LinearCode, B: LinearCode) -> bool:
     """d_r(A (x) B) >= d*_r for every r, by exact computation."""
-    C = tensor_product(A, B, max_enum)
-    d = C.weight_hierarchy(max_enum)
-    star = schaathun_bound_table(A, B, max_enum)
+    C = tensor_product(A, B)
+    d = C.weight_hierarchy()
+    star = schaathun_bound_table(A, B)
     return all(d[r] >= star[r] for r in range(C.k + 1))
 
 
@@ -124,17 +121,7 @@ class SchaathunWitness:
         self.bound = bound
 
 
-def _column_projection(D: Subcode, nA: int, nB: int, j: int):
-    """Span of the j-th matrix column over the basis of D, as row vectors
-    of length nA (a subspace of F^{nA})."""
-    ent = tuple(D.basis.entry(b, i * nB + j)
-                for b in range(D.dim) for i in range(nA))
-    R, piv = Matrix(D.parent.field, D.dim, nA, ent).rref()
-    return [R.row(i) for i in range(len(piv))]
-
-
-def witness(D: Subcode, A: LinearCode, B: LinearCode,
-            max_enum: int = SUBSET_ENUM_CAP) -> SchaathunWitness:
+def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
     """Build and check the weight certificate for a subcode of A (x) B.
 
     D must lie in the product: A (x) B is exactly the set of arrays whose
@@ -150,17 +137,17 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
         raise NotASubcode("a basis vector has a matrix column outside the "
                           "first factor or a matrix row outside the second")
     r = D.dim
-    dA = A.weight_hierarchy(max_enum)
-    dB = B.weight_hierarchy(max_enum)
-    col_spans = [_column_projection(D, nA, nB, j) for j in range(nB)]
-    column_dims = tuple(len(s) for s in col_spans)
+    dA = A.weight_hierarchy()
+    dB = B.weight_hierarchy()
+    # matrix column j of D's basis, entries j, j + nB, ...: it spans the
+    # j-th column projection of D, a subcode of A
+    cols = [D.basis.col_submatrix(range(j, nA * nB, nB)) for j in range(nB)]
+    column_dims = tuple(P.rank() for P in cols)
     # per-column support decomposition of the weight, each piece bounded
     # below through the hierarchy of the first factor
     total = 0
-    for j, span in enumerate(col_spans):
-        supp = 0
-        for row in span:
-            supp |= mask_of([i for i, x in enumerate(row) if x])
+    for j, P in enumerate(cols):
+        supp = _support_of_matrix(P)
         total += supp.bit_count()
         if supp.bit_count() < dA[column_dims[j]]:
             raise InvariantViolation(
@@ -172,7 +159,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
     top = max(column_dims, default=0)
     J = tuple(frozenset(j for j in range(nB) if column_dims[j] >= i)
               for i in range(1, top + 1))
-    t = tuple(B.subset_dim(mask_of(Ji), max_enum) for Ji in J)
+    t = tuple(B.subset_dim(mask_of(Ji)) for Ji in J)
     # dimension estimate: the t_i dominate r
     if sum(t) < r:
         raise InvariantViolation("shortened dimensions fail to cover the "
@@ -195,8 +182,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode,
     return SchaathunWitness(r, D.weight, column_dims, J, t, cost, bound)
 
 
-def tensor_semistable_check(A: LinearCode, B: LinearCode,
-                            max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def tensor_semistable_check(A: LinearCode, B: LinearCode) -> bool:
     """Semistable factors give a semistable product (checked exactly).
 
     Alongside the exact verdict, random subcodes of the product are run
@@ -204,37 +190,37 @@ def tensor_semistable_check(A: LinearCode, B: LinearCode,
     w(D) >= dim(D) / R(A (x) B) is rechecked on each.
     """
     from .zoo import random_subcode
-    if not (is_semistable(A, max_enum) and is_semistable(B, max_enum)):
+    if not (is_semistable(A) and is_semistable(B)):
         raise InvariantViolation("both factors must be semistable")
-    C = tensor_product(A, B, max_enum)
+    C = tensor_product(A, B)
     rng = random.Random(0x7E45)
     rate = Fraction(C.k, C.weight)
     for _ in range(_CERTIFIED_SUBCODES):
         D = random_subcode(rng, C, rng.randrange(1, C.k + 1))
-        cert = witness(D, A, B, max_enum)
+        cert = witness(D, A, B)
         if Fraction(cert.weight) < Fraction(cert.r) / rate:
             raise InvariantViolation(
                 "a sampled subcode violates the semistability inequality")
-    return is_semistable(C, max_enum)
+    return is_semistable(C)
 
 
-def _levels(C: LinearCode, max_enum: int):
+def _levels(C: LinearCode):
     """For each i, the supports of the minimum-weight i-dimensional
     subcodes: {J : #J = d_i, dim of the shortening to J is i}, i.e. the
     complements of the (n - d_i)-column subsets of rank k - i, read off
     the code's rank table."""
-    d = C.weight_hierarchy(max_enum)
-    n, k, tab = C.n, C.k, C.rank_table(max_enum)
+    d = C.weight_hierarchy()
+    n, k, tab = C.n, C.k, C.rank_table()
     full = (1 << n) - 1
     return [[full ^ S for S in subsets_where(tab, n - d[i], k - i)]
             for i in range(1, k + 1)]
 
 
-def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def is_chained(C: LinearCode) -> bool:
     """Chain condition: nested subcodes D_1 < ... < D_k with each D_i of
     dimension i and weight d_i.  Decided by reachability through the
     levels of minimum supports ordered by inclusion."""
-    levels = _levels(C, max_enum)
+    levels = _levels(C)
     reach = None
     for lvl in levels:
         if reach is None:
@@ -247,14 +233,13 @@ def is_chained(C: LinearCode, max_enum: int = SUBSET_ENUM_CAP) -> bool:
     return True
 
 
-def wei_yang_check(A: LinearCode, B: LinearCode,
-                   max_enum: int = SUBSET_ENUM_CAP) -> bool:
+def wei_yang_check(A: LinearCode, B: LinearCode) -> bool:
     """When both factors are chained the bound is met with equality:
     d_r(A (x) B) == d*_r for every r."""
-    if not (is_chained(A, max_enum) and is_chained(B, max_enum)):
+    if not (is_chained(A) and is_chained(B)):
         raise InvariantViolation("both factors must satisfy the chain "
                                  "condition")
-    C = tensor_product(A, B, max_enum)
-    d = C.weight_hierarchy(max_enum)
-    star = schaathun_bound_table(A, B, max_enum)
+    C = tensor_product(A, B)
+    d = C.weight_hierarchy()
+    star = schaathun_bound_table(A, B)
     return tuple(d) == star

@@ -14,6 +14,7 @@ from hncodes import (
     canonical_filtration,
     code_polygon,
     dual_dlp_check,
+    enumeration_cap,
     gap_condition_check,
     is_chained,
     is_semistable,
@@ -118,9 +119,10 @@ def test_criterion_05_riemann_roch_and_serre():
     """The dimension formula and the h1/h0 complement identity over all 2^n
     subsets for 200 random codes with n <= 12."""
     def body():
-        for C in random_pool(2025, 200, 12):
-            assert rr_check(C, max_enum=12)
-            assert serre_check(C, max_enum=12)
+        with enumeration_cap(12):
+            for C in random_pool(2025, 200, 12):
+                assert rr_check(C)
+                assert serre_check(C)
         return "200 random codes, all 2^n subsets each"
     run_criterion(5, 60.0, body)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import threading
 import types
 
 import pytest
@@ -22,6 +23,7 @@ from hncodes.algebra import (
     FieldSpec,
     Matrix,
     column_rank_table,
+    enumeration_cap,
     iter_rref_matrices,
     min_column_rank_by_size,
     subsets_where,
@@ -671,9 +673,10 @@ def test_word_rank_table_cap(monkeypatch):
         patch.setattr(algebra, "_projective_supports", forbidden)
         patch.setattr(algebra, "lanes", forbidden)
         for X, cap in [(M, 0), (M, 20), (N, 4)]:
-            with pytest.raises(SizeLimitExceeded):
-                column_rank_table(X, max_enum=cap)
-    table = column_rank_table(M, max_enum=21)
+            with pytest.raises(SizeLimitExceeded), enumeration_cap(cap):
+                column_rank_table(X)
+    with enumeration_cap(21):
+        table = column_rank_table(M)
     assert table[0] == 0 and table[1:] == b"\1" * ((1 << 21) - 1)
 
 
@@ -684,7 +687,37 @@ def test_rank_machinery_cap():
         column_rank_table(M)
     with pytest.raises(SizeLimitExceeded):
         min_column_rank_by_size(M)
-    assert len(column_rank_table(M, max_enum=21)) == 1 << 21
+    with enumeration_cap(21):
+        assert len(column_rank_table(M)) == 1 << 21
+
+
+def test_enumeration_cap_is_scoped():
+    # the cap in force is what `_check_cap` refuses past: a block sets it,
+    # leaving the block, normally or by an exception, restores the one
+    # outside, and a new thread starts from the default
+    def cap_in_force():
+        with pytest.raises(SizeLimitExceeded) as err:
+            algebra._check_cap(1000)
+        return err.value.limit
+
+    assert cap_in_force() == algebra.SUBSET_ENUM_CAP == 20
+    with enumeration_cap(22):
+        assert cap_in_force() == 22
+        with enumeration_cap(4):
+            assert cap_in_force() == 4
+        assert cap_in_force() == 22
+    assert cap_in_force() == 20
+    M = Matrix.from_rows(FieldSpec(2), [[1] * 8])
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(7):
+        column_rank_table(M)
+    assert cap_in_force() == 20
+    seen = []
+    with enumeration_cap(3):
+        worker = threading.Thread(target=lambda: seen.append(cap_in_force()))
+        worker.start()
+        worker.join(timeout=10)
+        assert cap_in_force() == 3
+    assert not worker.is_alive() and seen == [20]
 
 
 def test_iter_rref_matrices_counts():

@@ -256,7 +256,7 @@ def test_rr_all_compares_the_tables_once(monkeypatch, capsys):
 
 def test_check_violation_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "dual_subset_polygon_check",
-                        lambda C, max_enum: False)
+                        lambda C: False)
     rc = cli.main(["dual", str(HERE / "data" / "binary_5_2.code")])
     assert rc == 1
     report = json.loads(capsys.readouterr().out)

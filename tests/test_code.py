@@ -13,6 +13,7 @@ from hncodes import (
     SizeLimitExceeded,
     ZeroSubcode,
     canonical_filtration,
+    enumeration_cap,
     zoo,
 )
 from hncodes.algebra import Matrix
@@ -125,16 +126,19 @@ def test_repetition_parity_full():
 def test_memo_honours_the_cap():
     # a smaller cap raises whatever the code has already computed
     C = zoo.binary_9_7()
-    assert C.weight_hierarchy(20) == (0, 2, 3, 4, 5, 7, 8, 9)
-    C.rank_table(20)
-    C.dlp_witnesses(20)
+    with enumeration_cap(20):
+        assert C.weight_hierarchy() == (0, 2, 3, 4, 5, 7, 8, 9)
+        C.rank_table()
+        C.dlp_witnesses()
     for call in (C.weight_hierarchy, C.dlp, C.dlp_witnesses, C.rank_table):
-        with pytest.raises(SizeLimitExceeded):
-            call(5)
-    assert C.weight_hierarchy(9) == (0, 2, 3, 4, 5, 7, 8, 9)
-    assert canonical_filtration(C, 20).ranks == (0, 4, 7)
-    with pytest.raises(SizeLimitExceeded):
-        canonical_filtration(C, 5)
+        with pytest.raises(SizeLimitExceeded), enumeration_cap(5):
+            call()
+    with enumeration_cap(9):
+        assert C.weight_hierarchy() == (0, 2, 3, 4, 5, 7, 8, 9)
+    with enumeration_cap(20):
+        assert canonical_filtration(C).ranks == (0, 4, 7)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(5):
+        canonical_filtration(C)
 
 
 def test_hierarchy_against_oracle():

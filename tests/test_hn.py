@@ -14,6 +14,7 @@ from hncodes import (
     SizeLimitExceeded,
     canonical_filtration,
     code_polygon,
+    enumeration_cap,
     gap_condition_check,
     graded_pieces,
     is_semistable,
@@ -41,6 +42,8 @@ from hncodes.rr import dual_dlp_check, wei_duality_check
 import hncodes.algebra
 import hncodes.code
 import hncodes.hn as hn
+import hncodes.rr as rr
+import hncodes.tensor as tensor
 import oracles
 
 GF2, GF3, GF4 = zoo.gf2(), zoo.gf3(), zoo.gf4()
@@ -217,15 +220,16 @@ def test_witness_violates_the_rate():
 
 
 def test_witness_honours_the_cap():
-    with pytest.raises(SizeLimitExceeded):
-        semistability_witness(zoo.binary_9_7(), max_enum=8)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
+        semistability_witness(zoo.binary_9_7())
 
 
 def test_verdicts_honour_the_cap():
     for verdict in (is_semistable, is_stable):
-        with pytest.raises(SizeLimitExceeded):
-            verdict(zoo.binary_9_7(), max_enum=8)
-        assert verdict(zoo.binary_9_7(), max_enum=9) is False
+        with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
+            verdict(zoo.binary_9_7())
+        with enumeration_cap(9):
+            assert verdict(zoo.binary_9_7()) is False
 
 
 def test_filtration_of_binary_9_7():
@@ -442,7 +446,8 @@ def test_pruned_vertex_search_against_the_rank_table():
         codes.append(zoo.random_code(rng, field, n, rng.randrange(1, min(n, 6) + 1)))
     interior = 0
     for C in codes:
-        minr, _ = min_column_rank_by_size(C.gen, C.n)
+        with enumeration_cap(C.n):
+            minr, _ = min_column_rank_by_size(C.gen)
         vertices = [(int(v), C.k - i)
                     for i, v in code_polygon(C).vertices[1:-1]]
         interior += bool(vertices)
@@ -611,15 +616,16 @@ def test_subspace_lattice_cap():
     # the cap counts subcodes: F_2^4 has 1 + 15 + 35 + 15 + 1 = 67
     # subspaces, so 2^6 is refused and 2^7 is enough
     C = zoo.full_space(GF2, 4)
-    with pytest.raises(SizeLimitExceeded) as err:
-        SubspaceLattice(C, max_enum=6)
+    with pytest.raises(SizeLimitExceeded) as err, enumeration_cap(6):
+        SubspaceLattice(C)
     assert "subcodes" in str(err.value) and err.value.needed == 7
-    with pytest.raises(SizeLimitExceeded):
-        hn.subcode_lattice(C, max_enum=6)
-    assert len(hn.subcode_lattice(C, max_enum=7)) == 67
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(6):
+        hn.subcode_lattice(C)
+    with enumeration_cap(7):
+        assert len(hn.subcode_lattice(C)) == 67
     # the memo checks the cap on every call, not only when it builds
-    with pytest.raises(SizeLimitExceeded):
-        hn.subcode_lattice(C, max_enum=6)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(6):
+        hn.subcode_lattice(C)
 
 
 def test_large_lattice_refused_before_enumerating(monkeypatch):
@@ -841,13 +847,74 @@ def test_lattice_checks_honour_a_raised_cap():
         return LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0),
                                           (0,) * 19 + (1, 1)])
     C = long_code()
-    assert gap_condition_check(C, max_enum=22)
+    with enumeration_cap(22):
+        assert gap_condition_check(C)
     assert len(hn.subcode_lattice(C)) == 5
-    assert wei_duality_check(C, max_enum=22)
-    assert dual_dlp_check(C, max_enum=22)
+    with enumeration_cap(22):
+        assert wei_duality_check(C)
+        assert dual_dlp_check(C)
     for check in (gap_condition_check, wei_duality_check, dual_dlp_check):
         with pytest.raises(SizeLimitExceeded):
             check(long_code())
+
+
+def test_every_enumerating_entry_point_honours_a_raised_cap():
+    # The binary [21, 2] code <1^19 0^2, 0^19 1^2> and its [21, 19] dual
+    # have full support, so each call below searches the 2^21 column
+    # subsets of one of them or of the product with a [1, 1] factor: each
+    # is refused at the default cap of 20 and answers under
+    # enumeration_cap(22).  One code object serves every call, so the
+    # memos are shared and every later refusal is made with them filled.
+    C = LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0), (0,) * 19 + (1, 1)])
+    R1 = zoo.repetition(GF2, 1)
+    whole = C.tensor(R1).whole_subcode()
+    top, low, full = 0b11 << 19, (1 << 19) - 1, (1 << 21) - 1
+
+    def unstable_factor():
+        # C is not semistable, which the check can tell only past the cap
+        with pytest.raises(InvariantViolation, match="semistable"):
+            tensor.tensor_semistable_check(C, R1)
+        return True
+
+    answers = [
+        (C.weight_hierarchy, (0, 2, 21)),
+        (C.dlp, (0, 0) + (1,) * 19 + (2,)),
+        (lambda: C.dlp_witnesses()[:3], (0, 1 << 20, top)),
+        (lambda: len(C.rank_table()), 1 << 21),
+        (lambda: C.subset_dim(top), 1),
+        (lambda: code_polygon(C).vertices, ((0, 21), (1, 19), (2, 0))),
+        (lambda: subset_polygon(C).vertices, ((0, 2), (19, 1), (21, 0))),
+        (lambda: canonical_filtration(C).ranks, (0, 1, 2)),
+        (lambda: subset_filtration(C).steps, (0, low, full)),
+        (lambda: is_semistable(C), False),
+        (lambda: is_stable(C), False),
+        (lambda: semistability_witness(C).support_mask, top),
+        (lambda: [(P.n, P.k) for P in graded_pieces(C)], [(2, 1), (19, 1)]),
+        (lambda: hn.gap_rival_degrees(C), (2,)),
+        (lambda: gap_condition_check(C), True),
+        (lambda: rr.rr_check(C), True),
+        (lambda: rr.serre_check(C), True),
+        (lambda: rr.rr_normalized(C, top), (0, 18)),
+        (lambda: wei_duality_check(C), True),
+        (lambda: dual_dlp_check(C), True),
+        (lambda: rr.dual_polygon(C).vertices, ((0, 19), (2, 18), (21, 0))),
+        (lambda: rr.dual_subset_polygon_check(C), True),
+        (lambda: rr.dual_filtration_check(C), True),
+        (lambda: rr.dual_code_slopes(C), (Fraction(-19, 18), Fraction(-2))),
+        (lambda: tensor.is_chained(C), True),
+        (lambda: tensor.tensor_product(C, R1) == C, True),
+        (lambda: tensor.schaathun_bound_table(C, R1), (0, 2, 21)),
+        (lambda: tensor.schaathun_verify(C, R1), True),
+        (lambda: tensor.wei_yang_check(C, R1), True),
+        (lambda: tensor.witness(whole, C, R1).cost, 21),
+        (unstable_factor, True),
+    ]
+    for call, expect in answers:
+        with pytest.raises(SizeLimitExceeded) as err:
+            call()
+        assert err.value.needed == 21
+        with enumeration_cap(22):
+            assert call() == expect
 
 
 def test_gap_rival_degrees_against_the_lattice_scan():

@@ -16,6 +16,7 @@ from hncodes import (
     cohomology,
     dual_dlp_check,
     dual_polygon,
+    enumeration_cap,
     rr_check,
     serre_check,
     subset_polygon,
@@ -126,12 +127,12 @@ def test_rr_serre_and_clifford_enumerate_under_the_cap():
     C = zoo.random_code(rng, GF2, 17, 3)
     assert rr_check(C)
     assert serre_check(C)
-    with pytest.raises(SizeLimitExceeded):
-        rr_check(C, max_enum=16)
-    with pytest.raises(SizeLimitExceeded):
-        serre_check(C, max_enum=16)
-    with pytest.raises(SizeLimitExceeded):
-        clifford_check(zoo.extended_hamming_8_4(), max_enum=7)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(16):
+        rr_check(C)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(16):
+        serre_check(C)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(7):
+        clifford_check(zoo.extended_hamming_8_4())
 
 
 def self_dual_sums(rng, blocks):

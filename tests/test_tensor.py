@@ -12,6 +12,7 @@ from hncodes import (
     LinearCode,
     NotASubcode,
     SizeLimitExceeded,
+    enumeration_cap,
     is_chained,
     is_semistable,
     schaathun_bound_table,
@@ -240,10 +241,11 @@ def test_is_chained_known_examples():
 
 
 def test_is_chained_honours_the_cap():
-    with pytest.raises(SizeLimitExceeded):
-        is_chained(zoo.binary_9_7(), max_enum=8)
-    assert is_chained(zoo.binary_9_7(), max_enum=9) == is_chained(
-        zoo.binary_9_7())
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
+        is_chained(zoo.binary_9_7())
+    with enumeration_cap(9):
+        chained = is_chained(zoo.binary_9_7())
+    assert chained == is_chained(zoo.binary_9_7())
 
 
 def test_is_chained_against_oracle():
@@ -308,17 +310,19 @@ def test_tensor_checks_honour_a_raised_cap():
     # n = 21 product: every hierarchy these checks read must be read at
     # the cap they were given, not at the default of 20
     A, B = zoo.repetition(GF2, 7), zoo.repetition(GF2, 3)
-    assert schaathun_verify(A, B, max_enum=22)
-    assert wei_yang_check(A, B, max_enum=22)
-    with pytest.raises(SizeLimitExceeded):
-        schaathun_verify(A, B, max_enum=20)
-    with pytest.raises(SizeLimitExceeded):
-        schaathun_bound_table(A, B, max_enum=6)
+    with enumeration_cap(22):
+        assert schaathun_verify(A, B)
+        assert wei_yang_check(A, B)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(20):
+        schaathun_verify(A, B)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(6):
+        schaathun_bound_table(A, B)
     # the weight certificates read the factor hierarchies at the cap too
     R21, R1 = zoo.repetition(GF2, 21), zoo.repetition(GF2, 1)
-    assert tensor_semistable_check(R21, R1, max_enum=22)
-    with pytest.raises(SizeLimitExceeded):
-        tensor_semistable_check(R21, R1, max_enum=20)
+    with enumeration_cap(22):
+        assert tensor_semistable_check(R21, R1)
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(20):
+        tensor_semistable_check(R21, R1)
 
 
 def test_products_have_the_default_cap_of_any_code():
