@@ -16,24 +16,24 @@ elimination step against it.  A Matrix keeps each reduced column (its
 token) in one int over GF(2^m), bit-packed over GF(2) and in byte lanes
 past it, and as a tuple in odd characteristic, whose subtraction is not
 XOR (`Matrix.independence`).  They take any M whose `independence()` is
-such a contraction oracle (a Matrix's column matroid or a Matroid's rank
-table), so they serve weight hierarchies, profiles, cohomology tables and
-matroids alike, and are capped because the enumeration is exponential.
-`column_rank_table` visits every subset; the least-rank search, behind
-every polygon, filtration and semistability verdict, cuts the later
-siblings of every dependent column and the subtrees that cannot improve a
-minimum, which it tells from how many later tokens are zero or repeat a
-point.  Every other question over all column subsets (the chain
-condition's minimum supports, the gap condition's rivals) is whole-table
-arithmetic on the rank table (`popcounts`, `subsets_where`).
+such a contraction oracle, a Matrix's column matroid, so they serve weight
+hierarchies, profiles and cohomology tables alike, and are capped because
+the enumeration is exponential.  `column_rank_table` visits every subset;
+the least-rank search, behind a code's polygons, filtrations and verdicts,
+cuts the later siblings of every dependent column and the subtrees that
+cannot improve a minimum, which it tells from how many later tokens are
+zero or repeat a point.  A Matroid reads its least ranks off its rank
+table (`least_ranks_of_table`), and every other question over all column
+subsets is whole-table arithmetic on the rank table too (`popcounts`,
+`subsets_where`).
 
 `column_rank_table` has a second engine for a Matrix with q^rows <= 2^cols:
 the number of coefficient vectors whose word lies inside each column set U
 is q to the dimension of the words there, and that number is a subset sum,
 over the supports inside U, of the words' count at each support.  So the
 table is one subset-sum transform of the words' supports, in lanes of one
-int (`lanes`), with no search (`_word_rank_table`).  Matroids and matrices
-with q^rows > 2^cols walk the DFS.
+int (`lanes`), with no search (`_word_rank_table`).  Other matrices walk
+the DFS.
 """
 
 from __future__ import annotations
@@ -622,9 +622,7 @@ def min_column_rank_by_size(M):
     improve when best[size(S) + z] <= rank(S) and best[size(S) + min(g_r,
     m)] <= rank(S) + r for r = 1, 2, ... until g_r >= m.  The test at the
     largest size alone, best[size(S) + m] <= rank(S), implies every band,
-    and it comes first, before S contracts.  A matroid's tokens name no
-    points (q is None), so its bands are the zero tokens and then all m
-    columns, at rank(S) + 1.
+    and it comes first, before S contracts.
 
     A node contracts its tail only when its last column was independent
     and it was not pruned, which happens at most sum_{i<k} C(n, i) + n
@@ -640,14 +638,10 @@ def min_column_rank_by_size(M):
     cols, contract, q = M.independence()
     n = len(cols)
     _check_cap(n)
-    INF = n + 1
-    best = [INF] * (n + 1)
+    best = [n + 1] * (n + 1)
     wit = [0] * (n + 1)
-    # points[r]: the points of an r-dimensional space, (q^r - 1) / (q - 1);
-    # a matroid's tokens name no points, so its one band past the zeros is
-    # the whole tail
-    points = [0] + [(q ** r - 1) // (q - 1) if q else n
-                    for r in range(1, n + 1)]
+    # points[r]: the points of an r-dimensional space, (q^r - 1) / (q - 1)
+    points = [(q ** r - 1) // (q - 1) for r in range(n + 1)]
 
     def rec(start, mask, size, rk, red, base, v):
         if rk < best[size]:
@@ -668,12 +662,10 @@ def min_column_rank_by_size(M):
         # improve once best there is at most rk + r
         zeros = tail.count(0)
         if best[size + zeros] <= rk:
-            extra = room - len(set(tail)) + (zeros > 0) if q else 0
+            extra = room - len(set(tail)) + (zeros > 0)
             r = 1
-            while True:
-                band = min(extra + points[r], room)
-                if best[size + band] > rk + r:
-                    break
+            while (best[size + (band := min(extra + points[r], room))]
+                   <= rk + r):
                 if band == room:
                     return
                 r += 1
@@ -690,12 +682,14 @@ def min_column_rank_by_size(M):
 
 
 def least_ranks(X):
-    """`min_column_rank_by_size` of a code or matroid X, searched once and
-    kept on X._minr; the cap is checked on every call, so whether it is
-    honoured does not depend on what was computed before."""
+    """(minima, witnesses) by subset size of a code or matroid X, kept on
+    X._minr; the cap is checked on every call, so whether it is honoured
+    does not depend on what was computed before.  The one choice of engine:
+    a Matroid reads its rank table, `ranks`, and a code runs the search."""
     _check_cap(X.n)
     if X._minr is None:
-        X._minr = min_column_rank_by_size(X)
+        X._minr = (least_ranks_of_table(X.ranks) if hasattr(X, "ranks")
+                   else min_column_rank_by_size(X))
     return X._minr
 
 
@@ -711,6 +705,26 @@ def popcounts(n: int) -> bytes:
     for _ in range(n):
         table += table.translate(_INC)
     return table
+
+
+_TRI = bytes(s * (s + 1) // 2 for s in range(22)).ljust(256, b"\0")
+
+
+def least_ranks_of_table(table: bytes):
+    """(minima, witnesses) by subset size of a whole rank table, each
+    witness the least mask attaining its minimum.  Byte J of one key string
+    is s(s + 1)/2 + r(J), s = #J: a key per pair (s, r <= s), below 256 for
+    n <= 21, so the lanes add with no carry.  The least rank at size s is
+    the least r whose key occurs (a memchr), its witness the key's first."""
+    n = len(table).bit_length() - 1
+    if n > 21:
+        raise SizeLimitExceeded(f"byte keys of (size, rank) hold up to 21 "
+                                f"elements, not {n}", limit=21, needed=n)
+    keys = (lanes(popcounts(n).translate(_TRI)) + lanes(table)).to_bytes(
+        len(table), "little")
+    minima = [next(r for r in range(s + 1) if _TRI[s] + r in keys)
+              for s in range(n + 1)]
+    return minima, [keys.index(_TRI[s] + r) for s, r in enumerate(minima)]
 
 
 def _equal_to(v: int) -> bytes:

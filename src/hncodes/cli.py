@@ -244,7 +244,7 @@ def cmd_filtration(args):
 def cmd_semistable(args):
     C = parse_code_file(args.file)
     P = code_polygon(C)
-    ss = P.N == 1
+    ss = is_semistable(C)
     witness_obj = None
     if not ss:
         W = semistability_witness(C)

@@ -169,12 +169,12 @@ def polygon_from_profile(maxdeg) -> CanonicalPolygon:
 # -- the subset engine ------------------------------------------------------
 #
 # Codes and matroids share everything below.  It takes the object X itself
-# (a LinearCode or a Matroid) and reads only X.n, X.k = r(E), its
-# independence oracle, its memos of least ranks by subset size
-# (`algebra.least_ranks`) and of the filtration (X._sfilt), and its minor
-# X._minor(elems, S) for the graded pieces; the filtration is the subsets
-# of least rank at the polygon's vertex sizes.  A subset S has degree
-# k - r(S); for a code that is dim C_{[n]-S}.
+# (a LinearCode or a Matroid) and reads only X.n, X.k = r(E), its memos of
+# least ranks by subset size (`algebra.least_ranks`, which searches a
+# code's columns and reads a matroid's table) and of the filtration
+# (X._sfilt), and its minor X._minor(elems, S) for the graded pieces; the
+# filtration is the subsets of least rank at the polygon's vertex sizes.
+# A subset S has degree k - r(S); for a code that is dim C_{[n]-S}.
 
 def subset_profile(X) -> tuple[int, ...]:
     """(k_0, ..., k_n) with k_j = k - min {r(S) : #S = n - j}."""

@@ -3,10 +3,10 @@
 The ground set is [n] with n <= 16; the rank of every subset is stored
 (2^n bytes).  Degree of a subset J is k - r(J) with k = r(E), so the top
 has degree 0 and the empty set degree k; the canonical polygon, filtration
-and graded pieces on the subset lattice come from that degree.  They are
-found by the subset engine that codes use (`hn.py`), whose column
-searches read the table through `Matroid.independence`.  The constructor
-trusts its table; `Matroid.from_ranks` checks the local exchange axioms
+and graded pieces on the subset lattice come from that degree, through the
+subset engine that codes use (`hn.py`); a matroid reads its least ranks
+off its table (`algebra.least_ranks_of_table`).  The constructor trusts
+its table; `Matroid.from_ranks` checks the local exchange axioms
 (equivalent to semimodularity) at all 2^n subsets at once: n(n+1)/2
 big-int passes over the table in 16-bit lanes, not n(n+1)/2 tests each.
 
@@ -75,8 +75,8 @@ def _check_local_axioms(n: int, r: bytes):
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
-    # Memos: the least ranks by size (`least_ranks`), the filtration
-    # (`subset_filtration`), the dual.
+    # `ranks` is the table that `least_ranks` reads.  Memos: the least ranks
+    # by size (`least_ranks`), the filtration (`subset_filtration`), the dual.
     __slots__ = ("n", "k", "ranks", "_minr", "_sfilt", "_dual")
 
     def __init__(self, n: int, ranks: bytes):
@@ -139,20 +139,6 @@ class Matroid:
         return Matroid(len(elems), bytes([ranks[x] - base for x in masks]))
 
     # -- profiles ------------------------------------------------------------
-
-    def independence(self):
-        """(cols, contract, None) for the column searches: an element's
-        token is the mask of the subset taken so far plus the element, or 0
-        when the element lies in that subset's closure (the rank does not
-        rise).  Tokens name no points, so the third item is None."""
-        r = self.ranks
-
-        def contract(tail, v):
-            rv = r[v]
-            return [v | w if w and r[v | w] > rv else 0 for w in tail]
-
-        return ([1 << e if r[1 << e] else 0 for e in range(self.n)],
-                contract, None)
 
     def profile(self) -> tuple[int, ...]:
         """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""

@@ -368,6 +368,15 @@ def table_subsets_attaining(ranks, targets):
     return hits
 
 
+def table_least_masks(n: int, ranks):
+    """(minima, witnesses): `table_minima`, and for each size the least
+    mask attaining its minimum, the first that `table_subsets_attaining`
+    lists there."""
+    minima = table_minima(n, ranks)
+    hits = table_subsets_attaining(ranks, list(enumerate(minima)))
+    return minima, [hits[s][0] for s in range(n + 1)]
+
+
 def matroid_h0(M, J: int) -> int:
     """h0(M, J) = k - r(E - J), read from the matroid's table."""
     full = (1 << M.n) - 1

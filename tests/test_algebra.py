@@ -25,6 +25,7 @@ from hncodes.algebra import (
     column_rank_table,
     enumeration_cap,
     iter_rref_matrices,
+    least_ranks,
     min_column_rank_by_size,
     subsets_where,
 )
@@ -414,7 +415,9 @@ def test_column_searches_against_brute_ranks():
     # the table, the least-rank search, and the subsets of given sizes and
     # ranks read off the table, against ranks row-reduced subset by subset:
     # codes over GF(2/3/4/256) with zero, repeated and proportional columns,
-    # their column matroids, and matroids with loops and parallel classes
+    # their column matroids, and matroids with loops and parallel classes.
+    # A matroid reads its least ranks off its own table: the scan's minima,
+    # each witness the least mask attaining its minimum
     rng = random.Random(37)
     pool = []
     for M in columned_matrices(rng, 90, nmax=10):
@@ -423,12 +426,18 @@ def test_column_searches_against_brute_ranks():
     pool += [(M, M.ranks) for M in parallel_class_matroids(rng, 40)]
     for X, table in pool:
         n = len(table).bit_length() - 1
-        got = column_rank_table(X)
-        assert got == table
-        # witnesses: the first least-rank subset of each size in the order
-        # of sorted column indices, which is the DFS's visiting order
-        minima, first = oracles.table_least_ranks(n, table)
-        assert min_column_rank_by_size(X) == (minima, first)
+        if isinstance(X, Matroid):
+            got = X.rank_table()
+            minima, witnesses = oracles.table_least_masks(n, table)
+            assert least_ranks(X) == (minima, witnesses)
+        else:
+            got = column_rank_table(X)
+            assert got == table
+            # witnesses: the first least-rank subset of each size in the
+            # order of sorted column indices, which is the DFS's visiting
+            # order
+            minima, first = oracles.table_least_ranks(n, table)
+            assert min_column_rank_by_size(X) == (minima, first)
         sizes = sorted(rng.sample(range(n + 1), rng.randrange(1, n + 2)))
         targets = [(s, rng.choice([minima[s], rng.randrange(s + 1)]))
                    for s in sizes]
@@ -469,12 +478,13 @@ def test_least_rank_search_against_brute_tables():
     # the minima and the lexicographically first witnesses of the least-rank
     # search, whose bands read the tail's zero and repeated points, against
     # tables row-reduced subset by subset: matrices over GF(2/3/4/256) with
-    # zero, repeated and proportional columns and their column matroids
-    # (whose tokens name no points), codes padded with zero columns and
-    # direct sums, table matroids with loops and parallel classes, and one
-    # code of each deep shape and its dual, against its rank table.  That
-    # table is row-reduced too where `column_rank_table` would walk the DFS
-    # (q^k > 2^n), which runs the same contraction as the search.
+    # zero, repeated and proportional columns, codes padded with zero
+    # columns and direct sums, and one code of each deep shape and its dual,
+    # against its rank table.  That table is row-reduced too where
+    # `column_rank_table` would walk the DFS (q^k > 2^n), which runs the
+    # same contraction as the search.  The matrices' column matroids and
+    # table matroids with loops and parallel classes read their least ranks
+    # off their tables: the scan's minima and least masks attaining them.
     from test_hn import filtration_codes
     rng = random.Random(2101)
     pool = []
@@ -490,8 +500,11 @@ def test_least_rank_search_against_brute_tables():
     assert len(pool) >= 1000
     for X, table in pool:
         n = len(table).bit_length() - 1
-        assert min_column_rank_by_size(X) == oracles.table_least_ranks(
-            n, table)
+        if isinstance(X, Matroid):
+            assert least_ranks(X) == oracles.table_least_masks(n, table)
+        else:
+            assert min_column_rank_by_size(X) == oracles.table_least_ranks(
+                n, table)
 
 
 def test_least_rank_search_contracts_within_the_bound():

@@ -24,7 +24,7 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
-from hncodes.algebra import (FieldSpec, column_rank_table,
+from hncodes.algebra import (FieldSpec, column_rank_table, least_ranks,
                              min_column_rank_by_size, subsets_where)
 from hncodes.code import mask_of
 from hncodes.hn import (
@@ -374,19 +374,21 @@ def codes_with_loops_and_copies(rng, count, nmax, kmax, padded=0.4):
 
 
 def test_filtration_steps_are_the_least_rank_witnesses():
-    # subset_filtration reads its steps off the least-rank search's
-    # witnesses at the vertex sizes.  A scan of the whole rank table finds
-    # exactly one least-rank subset at each vertex, and it is that step; and
-    # at every size the witness is the first least-rank subset in the order
-    # of sorted column indices, the order the walk meets them in, which is
-    # the premise of taking it for the vertex subset
+    # subset_filtration reads its steps off the least-rank witnesses at the
+    # vertex sizes.  A scan of the whole rank table finds exactly one
+    # least-rank subset at each vertex, and it is that step.  At every size
+    # a code's witness is the first least-rank subset in the order of sorted
+    # column indices, the order the walk meets them in, which is the
+    # premise of taking it for the vertex subset; a matroid's, read off its
+    # table, is the least mask there
     from test_matroid import table_oracle_pool
     rng = random.Random(283)
     codes = codes_with_loops_and_copies(rng, 520, nmax=13, kmax=6)
     assert sum(not C.is_full_support for C in codes) >= 0.3 * len(codes)
     interior = brute = 0
     for X in codes + table_oracle_pool(rng):
-        minr, wit = min_column_rank_by_size(X)
+        is_code = isinstance(X, LinearCode)
+        minr, wit = min_column_rank_by_size(X) if is_code else least_ranks(X)
         filt = subset_filtration(X)
         least = oracles.table_subsets_attaining(
             X.rank_table(), [(s, minr[s]) for s in range(X.n + 1)])
@@ -394,12 +396,16 @@ def test_filtration_steps_are_the_least_rank_witnesses():
             (s, minr[s]) for s in filt.ranks]
         assert [least[s] for s in filt.ranks] == [[S] for S in filt.steps]
 
-        def lex(J):
-            return [i for i in range(X.n) if (J >> i) & 1]
-        assert tuple(min(least[s], key=lex)
-                     for s in range(X.n + 1)) == tuple(wit)
+        if is_code:
+            def lex(J):
+                return [i for i in range(X.n) if (J >> i) & 1]
+            assert tuple(min(least[s], key=lex)
+                         for s in range(X.n + 1)) == tuple(wit)
+        else:
+            assert minr == oracles.table_minima(X.n, X.rank_table())
+            assert wit == [least[s][0] for s in range(X.n + 1)]
         interior += filt.polygon.N > 1
-        if isinstance(X, LinearCode) and X.n <= 8:
+        if is_code and X.n <= 8:
             brute += 1
             got = [frozenset(oracles.codewords(X.field, S.basis.row_list()))
                    if S.dim else frozenset([(0,) * X.n])

@@ -1,12 +1,16 @@
 """Rank-table matroids: axioms, duality, minors, and slope data."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hncodes.algebra as algebra
+import hncodes.cli as cli
 from hncodes import (
     InvariantViolation,
     LinearCode,
@@ -16,7 +20,8 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
-from hncodes.algebra import min_column_rank_by_size, subsets_where
+from hncodes.algebra import (enumeration_cap, least_ranks,
+                             least_ranks_of_table, popcounts, subsets_where)
 from hncodes.code import mask_of
 from hncodes.matroid import (
     Matroid,
@@ -430,10 +435,12 @@ def test_table_oracle_against_table_scans():
     for M in table_oracle_pool(rng):
         n, k, ranks = M.n, M.k, M.ranks
         minr = oracles.table_minima(n, ranks)
-        best, wits = min_column_rank_by_size(M)
+        best, wits = least_ranks(M)
         assert best == minr
         for s, w in enumerate(wits):
             assert w.bit_count() == s and ranks[w] == minr[s]
+        # each witness is the least mask of its size attaining the minimum
+        assert (best, wits) == oracles.table_least_masks(n, ranks)
         targets = [(s, rng.randrange(k + 1)) for s in range(n + 1)
                    if rng.random() < 0.5]
         hits = {s: subsets_where(M.rank_table(), s, r) for s, r in targets}
@@ -503,3 +510,112 @@ def test_rr_serre_tables_against_the_subset_scan():
         assert ((rr_check(N), serre_check(N))
                 == oracles.table_rr_serre(n, ranks, bad) == (False, False))
         assert not rr_matroid_check(N)
+
+
+def test_least_ranks_of_table_against_the_table_scan():
+    # the byte-key read of a whole table against a scan of it: the minima
+    # and, at each size, the least mask attaining the minimum, on the
+    # table-oracle pool, matroids with loops and parallel classes, column
+    # matroids of codes with zero and repeated columns, and the duals and
+    # graded minors of all of them.  Uniform matroids U(k, n) for n <= 16,
+    # n = 0 and U(8, 16) among them, have the closed form min(s, k) with the
+    # first s elements as witness, and are scanned too up to n = 10
+    from test_algebra import parallel_class_matroids
+    rng = random.Random(2501)
+    base = table_oracle_pool(rng) + parallel_class_matroids(rng, 60)
+    base += [code_matroid_with_loops_and_copies(
+                 rng, rng.choice((GF2, GF3, GF4)), rng.randrange(1, 11))
+             for _ in range(60)]
+    def and_minors(M):
+        # the graded minors are built from witnesses read by the function
+        # under test, so M and its dual are checked first
+        yield from (M, M.dual())
+        yield from M.graded() + M.dual().graded()
+
+    checked = ties = 0
+    for M in base:
+        for X in and_minors(M):
+            minima, witnesses = oracles.table_least_masks(X.n, X.ranks)
+            assert least_ranks_of_table(X.ranks) == (minima, witnesses)
+            hits = oracles.table_subsets_attaining(X.ranks, enumerate(minima))
+            ties += sum(len(h) > 1 for h in hits.values())
+            checked += 1
+    assert checked >= 500 and ties >= 1000
+    for n in range(17):
+        for k in {0, 1, n // 2, n - 1, n} if n > 10 else range(n + 1):
+            for M in (uniform_matroid(k, n), uniform_matroid(k, n).dual()):
+                expect = ([min(s, M.k) for s in range(n + 1)],
+                          [(1 << s) - 1 for s in range(n + 1)])
+                assert least_ranks_of_table(M.ranks) == expect
+                if n <= 10:
+                    assert oracles.table_least_masks(n, M.ranks) == expect
+
+
+def test_least_ranks_of_table_refuses_past_its_keys():
+    # past 21 elements the byte keys of (size, rank) would carry into the
+    # next lane; a trusted table that large is refused, not misread, also
+    # when the enumeration cap admits it.  At 21 the keys still fit.
+    table = popcounts(21).translate(bytes(min(i, 10) for i in range(256)))
+    assert least_ranks_of_table(table) == ([min(s, 10) for s in range(22)],
+                                           [(1 << s) - 1 for s in range(22)])
+    table = popcounts(22).translate(bytes(min(i, 11) for i in range(256)))
+    M = Matroid(22, table)
+    with enumeration_cap(22):
+        for read in (lambda: least_ranks_of_table(table),
+                     lambda: least_ranks(M), M.profile):
+            with pytest.raises(SizeLimitExceeded) as err:
+                read()
+            assert (err.value.limit, err.value.needed) == (21, 22)
+    assert M._minr is None
+
+
+def no_matroid_searches(monkeypatch) -> list:
+    """Make the column search raise when it is handed a Matroid; returns
+    the list of what it searched."""
+    search, searched = algebra.min_column_rank_by_size, []
+
+    def spy(X):
+        assert not isinstance(X, Matroid), "a matroid was searched"
+        searched.append(X)
+        return search(X)
+    monkeypatch.setattr(algebra, "min_column_rank_by_size", spy)
+    return searched
+
+
+def test_matroids_never_run_the_column_search(monkeypatch, capsys):
+    # `least_ranks` reads a matroid's table: the `matroid` command on both
+    # data files (whose outputs are the goldens), and the graded minors and
+    # dual polygon check of a 16-element matroid, with two sides and a loop
+    searched = no_matroid_searches(monkeypatch)
+    here = Path(__file__).resolve().parent
+    for data, golden in [("u24.matroid", "matroid_u24.json"),
+                         ("from_code_9_7.matroid",
+                          "matroid_from_code_9_7.json")]:
+        path = str(here / "data" / data)
+        assert cli.main(["matroid", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expect = json.loads((here / "golden" / golden).read_text())
+        assert out["results"] == expect["results"]
+    M = direct_sum(direct_sum(uniform_matroid(2, 7), uniform_matroid(6, 8)),
+                   uniform_matroid(0, 1))
+    assert M.n == 16 and len(M.graded()) == 3
+    assert dual_polygon_check(M)
+    C = LinearCode.from_rows(GF2, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert least_ranks(C)[0] == [0, 1, 1, 2, 2] and searched == [C]
+
+
+def test_matroid_verdicts_refuse_before_the_table_is_read(monkeypatch):
+    # under a cap below n the profile, the polygon and the filtration are
+    # refused by `least_ranks` itself, with no engine run
+    def forbidden(*args):
+        raise AssertionError("read past the cap")
+    monkeypatch.setattr(algebra, "least_ranks_of_table", forbidden)
+    monkeypatch.setattr(algebra, "min_column_rank_by_size", forbidden)
+    M = direct_sum(uniform_matroid(2, 5), uniform_matroid(4, 7))
+    assert M.n == 12
+    with enumeration_cap(M.n - 1):
+        for read in (M.profile, M.polygon, M.filtration):
+            with pytest.raises(SizeLimitExceeded) as err:
+                read()
+            assert err.value.needed == M.n
+    assert M._minr is None
