@@ -14,8 +14,9 @@ the lexicographic order of their sorted indices, cuts the later siblings of
 a dependent column and prunes what cannot improve a minimum; it still
 visits subsets that are not a prefix of their closure, and it is capped at
 2^n subsets.  The full rank table, read only where every subset is asked
-for, comes from `column_rank_table`: from the codewords' supports when
-q^k <= 2^n, otherwise from the column-rank DFS.
+for (the Riemann-Roch/Serre identities, the chain condition, `subset_dim`
+and `matroid_from_code`), comes from `column_rank_table`: from the
+codewords' supports when q^k <= 2^n, otherwise from the column-rank DFS.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class LinearCode:
     # Memos of the code's own analysis: the min-rank search as (minima,
     # witnesses) kept by `algebra.least_ranks`, the rank table, the dual,
     # the subset and the canonical filtration and the subcode lattice (all
-    # three filled by hn.py), and the last tensor product as (other,
-    # product).
+    # three filled by hn.py), the chain condition (tensor.py), and the last
+    # tensor product as (other, product).
     __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_dual",
-                 "_sfilt", "_filt", "_lattice", "_tensor")
+                 "_sfilt", "_filt", "_lattice", "_chained", "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -96,6 +97,7 @@ class LinearCode:
         self._sfilt = None
         self._filt = None
         self._lattice = None
+        self._chained = None
         self._tensor = None
 
     @classmethod
@@ -143,11 +145,11 @@ class LinearCode:
 
     def shorten(self, J: int) -> "Subcode":
         """C_J: the largest subcode supported inside the coordinate set J."""
+        # reduced in F^k: RREF coefficients times the RREF generator are RREF
         out_cols = [j for j in range(self.n) if not (J >> j) & 1]
         sub = self.gen.col_submatrix(out_cols)
-        coeffs = sub.transpose().right_nullspace()
-        rows = coeffs.matmul(self.gen)
-        return Subcode(self, rows.rref_nonzero())
+        coeffs = sub.transpose().right_nullspace().rref_nonzero()
+        return Subcode(self, coeffs.matmul(self.gen))
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""

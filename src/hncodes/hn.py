@@ -22,9 +22,9 @@ enumeration cap in force (`algebra.enumeration_cap`).
 
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it.  The gap
-condition reads the filtration and the code's rank table, not the
-lattice: by the Galois connection its rival subcodes are coordinate
-subsets, so it is capped by the columns like every other column question.
+condition reads the filtration and least ranks, not the lattice or the
+rank table: by the Galois connection its rivals are coordinate subsets,
+so it is capped by the columns like every other column question.
 The lattice serves the lattice laws alone (`verify_parallelogram`,
 `verify_galois`); it enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (Matrix, _check_cap, iter_rref_matrices, lanes,
-                      least_ranks, popcounts)
+from .algebra import Matrix, _check_cap, iter_rref_matrices, least_ranks
 from .code import LinearCode, Subcode, _support_of_matrix, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
@@ -383,16 +382,16 @@ class SubspaceLattice:
 
     Join is the RREF of the two stacked coefficient matrices, and
     leq(i, j) is join(i, j) == j.  The meet of comparable elements is the
-    smaller one; otherwise it is U & W = (U^perp + W^perp)^perp, where each
-    element's orthogonal complement (a k-column nullspace) is computed
-    once.  Every elimination has k columns.  Meets, joins, supports and
-    complements are memoized by element index.
+    smaller one; otherwise it is U & W = (U^perp + W^perp)^perp, where
+    `_perp` interns each element's orthogonal complement (a k-column
+    nullspace) once, both ways.  Every elimination has k columns.  Joins,
+    supports and complements are memoized by element index.
 
     Without `subcodes` every subcode is enumerated, and it is refused
     when the subcodes number more than 2^cap; `subcode_lattice(C)` is
     that lattice, built once per code.  With `subcodes` the lattice starts
-    from those alone and interns just the elements that meets, joins and
-    `index_of` reach, so it never enumerates and has no cap.
+    from those alone and interns just the elements that joins, complements
+    and `index_of` reach, so it never enumerates and has no cap.
     """
 
     def __init__(self, C: LinearCode, subcodes=None):
@@ -402,9 +401,8 @@ class SubspaceLattice:
         self._pivots = C.gen.rref()[1]
         self.elements: list[Matrix] = []
         self._index: dict[tuple, int] = {}
-        self._complements: dict[int, Matrix] = {}
+        self._perps: dict[int, int] = {}
         self._supports: dict[int, int] = {}
-        self._meets: dict[tuple, int] = {}
         self._joins: dict[tuple, int] = {}
         if subcodes is not None:
             for S in subcodes:
@@ -456,26 +454,21 @@ class SubspaceLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.join(i, j) == j
 
-    def _complement(self, i: int) -> Matrix:
-        N = self._complements.get(i)
-        if N is None:
-            N = self._complements[i] = self.elements[i].right_nullspace()
-        return N
+    def _perp(self, i: int) -> int:
+        p = self._perps.get(i)
+        if p is None:
+            N = self.elements[i].right_nullspace().rref_nonzero()
+            p = self._perps[i] = self._intern(N)
+            self._perps[p] = i
+        return p
 
     def meet(self, i: int, j: int) -> int:
-        if i == j:
+        v = self.join(i, j)
+        if v == j:                       # comparable: the smaller one
             return i
-        key = (i, j) if i < j else (j, i)
-        m = self._meets.get(key)
-        if m is None:
-            v = self.join(i, j)
-            if v in key:                 # comparable: the smaller one
-                m = i if v == j else j
-            else:
-                N = self._complement(i).stack(self._complement(j))
-                m = self._intern(N.right_nullspace().rref_nonzero())
-            self._meets[key] = m
-        return m
+        if v == i:
+            return j
+        return self._perp(self.join(self._perp(i), self._perp(j)))
 
     def join(self, i: int, j: int) -> int:
         if i == j:
@@ -519,33 +512,37 @@ def verify_parallelogram(lattice) -> bool:
     return True
 
 
+def _contract(C: LinearCode, e: int) -> LinearCode:
+    """C/e: the subcode vanishing at coordinate e, punctured at e.  Its
+    column ranks are r(J + e) - 1 for a non-loop e."""
+    keep = [j for j in range(C.n) if j != e]
+    return LinearCode(C.shorten(((1 << C.n) - 1) ^ (1 << e)).basis
+                      .col_submatrix(keep))
+
+
 def gap_rival_degrees(C: LinearCode) -> tuple[int, ...]:
     """At each interior polygon vertex a, the largest degree of a subcode
-    of rank i_a other than the filtration step F_a, read off the rank table.
+    of rank i_a other than the filtration step F_a, read off least ranks.
 
     Let S = cosupport(F_a), the subset step, of rank rho = k - i_a.  A
     rank-i_a subcode D != F_a vanishes on J = cosupport(D), so r(J) <= rho,
     and r(J) = rho with J inside S would make D the subcode vanishing on J,
     which is F_a.  Conversely every J with r(J) < rho, or r(J) = rho and J
-    not inside S, carries such a D vanishing on all of J.  So the degree is
-    max {#J : r(J) + [J inside S] <= rho}, one compare over the table.
+    not inside S, carries such a D vanishing on all of J.  A J inside S
+    with r(J) < rho stays a rival with any e outside S added (S is a flat,
+    so e is no loop), so the largest rival holds some e outside S, and the
+    degree is 1 + max {s : minr_{C/e}[s] < rho} over those e: the number
+    of such s, as minr rises from 0.  One least-rank search per C/e.
     """
     filt = canonical_filtration(C)
     inner = list(zip(filt.ranks[1:-1], filt.steps[1:-1]))
     if not inner:
         return ()
-    n, size = C.n, 1 << C.n
-    ranks, sizes = lanes(C.rank_table()), lanes(popcounts(n))
-    out = []
-    for i_a, F in inner:
-        S, rho = cosupport(F), C.k - i_a
-        inside = b"\1"                 # [J inside S], by n doublings
-        for e in range(n):
-            inside += inside if S >> e & 1 else bytes(len(inside))
-        key = (ranks + lanes(inside)).to_bytes(size, "little")
-        rival = lanes(key.translate(b"\xff" * (rho + 1) + bytes(255 - rho)))
-        out.append(max((sizes & rival).to_bytes(size, "little")))
-    return tuple(out)
+    # the steps nest, so the last one's support holds every e asked for
+    minr = {e: least_ranks(_contract(C, e))[0]
+            for e in bits_of(inner[-1][1].support_mask)}
+    return tuple(max(sum(r < C.k - i_a for r in minr[e])
+                     for e in bits_of(F.support_mask)) for i_a, F in inner)
 
 
 def gap_condition_check(C: LinearCode) -> bool:

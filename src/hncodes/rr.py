@@ -11,9 +11,10 @@ At the level of dimensions Riemann-Roch and Serre are one identity of
 rank tables: h0(C, J) = k - r([n]-J) and h1(C, J) = #([n]-J) - r([n]-J)
 obey Euler by construction, so both say r*(J) + n - k* = #J + r([n]-J)
 for the tables r of C and r* of its dual ([n]-J is the table reversed),
-checked on whole tables, as is Clifford's bound, up to the enumeration
-cap in force (`algebra.enumeration_cap`).  A matroid has the same h0 and
-h1, so both checks take a code or a matroid.
+checked on whole tables up to the enumeration cap in force
+(`algebra.enumeration_cap`).  A matroid has the same h0 and h1, so both
+checks take a code or a matroid.  Clifford's bound needs only the least
+rank of each size, so it reads `algebra.least_ranks`, not the table.
 
 The same module hosts Wei's duality partition (checked on the code itself
 from the memoized weight hierarchies of C and its dual), the profile
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import lanes, popcounts
+from .algebra import lanes, least_ranks, popcounts
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import (CanonicalPolygon, code_polygon, hierarchies_tile,
@@ -126,10 +127,9 @@ def clifford_check(C: LinearCode) -> bool:
     """For a self-dual code, h0(C, J) <= #J / 2 for every subset J."""
     if C.dual() != C:
         raise InvariantViolation("Clifford bound applies to self-dual codes")
-    # 2 h0(C, J) <= #J is 2k <= #J + 2 r([n]-J), lanes of at most 3n
-    tab = C.rank_table()
-    sums = lanes(popcounts(C.n)) + 2 * lanes(tab[::-1])
-    return min(sums.to_bytes(len(tab), "little")) >= 2 * C.k
+    # 2 h0(C, J) <= #J is 2k <= #J + 2 r([n]-J), least at the least ranks
+    minr, n = least_ranks(C)[0], C.n
+    return min(s + 2 * minr[n - s] for s in range(n + 1)) >= 2 * C.k
 
 
 # -- support diagnostics and Wei duality ------------------------------------

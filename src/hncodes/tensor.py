@@ -219,18 +219,15 @@ def _levels(C: LinearCode):
 def is_chained(C: LinearCode) -> bool:
     """Chain condition: nested subcodes D_1 < ... < D_k with each D_i of
     dimension i and weight d_i.  Decided by reachability through the
-    levels of minimum supports ordered by inclusion."""
-    levels = _levels(C)
-    reach = None
-    for lvl in levels:
-        if reach is None:
-            reach = set(lvl)
-        else:
-            reach = {Jn for Jn in lvl
-                     if any(Jp & Jn == Jp for Jp in reach)}
-        if not reach:
-            return False
-    return True
+    levels of minimum supports ordered by inclusion.  The verdict is kept
+    on C; the cap is checked on every call, as the code's other memos do."""
+    _check_cap(C.n)
+    if C._chained is None:
+        reach = {0}                      # the empty support is below all
+        for lvl in _levels(C):
+            reach = {Jn for Jn in lvl if any(Jp & Jn == Jp for Jp in reach)}
+        C._chained = bool(reach)
+    return C._chained
 
 
 def wei_yang_check(A: LinearCode, B: LinearCode) -> bool:

@@ -13,6 +13,7 @@ import hncodes.algebra as algebra
 import hncodes.cli as cli
 import hncodes.code as code
 import hncodes.rr as rr
+import hncodes.tensor as tensor
 from hncodes import zoo
 from conftest import SRC, run_cli, run_python
 
@@ -216,6 +217,24 @@ def test_tensor_searches_each_code_once(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["results"]
     assert report["semistable"]["preservation"]["ok"] is True
     assert sorted(lengths) == [3, 5, 15]
+
+
+def test_tensor_reads_each_factors_chain_levels_once(monkeypatch, capsys):
+    # the chain verdicts cmd_tensor reports are kept on the factors, so
+    # wei_yang_check reads them instead of each factor's levels again
+    read = []
+    levels = tensor._levels
+
+    def spy(C):
+        read.append(C.n)
+        return levels(C)
+    monkeypatch.setattr(tensor, "_levels", spy)
+    data = HERE / "data"
+    assert cli.main(["tensor", str(data / "binary_3_2_2.code"),
+                     str(data / "binary_5_2.code")]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report["wei_yang"] == {"applicable": True, "ok": True}
+    assert sorted(read) == [3, 5]
 
 
 def test_rr_all_checks_every_subset_it_reports(tmp_path, capsys,

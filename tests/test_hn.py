@@ -806,10 +806,10 @@ def test_subset_to_subcode_and_cosupport():
 
 
 def test_one_analysis_per_code(monkeypatch):
-    # the filtration, the rank table and the subcode lattice are built once
-    # per code and read by every check that needs them: the code's own
-    # least-rank search runs once, its rank table is built once, and only
-    # the lattice laws build a lattice, never the gap condition
+    # the filtration and the subcode lattice are built once per code and
+    # read by every check that needs them: the code's own least-rank search
+    # runs once, no check here builds its rank table, and only the lattice
+    # laws build a lattice, never the gap condition
     tables, searches, builds = [], [], []
     table, search = (hncodes.algebra.column_rank_table,
                      hncodes.algebra.min_column_rank_by_size)
@@ -836,7 +836,7 @@ def test_one_analysis_per_code(monkeypatch):
     assert W == filt.steps[1]
     assert [(P.n, P.k) for P in graded_pieces(C)] == [(5, 4), (4, 3)]
     assert gap_condition_check(C) and gap_condition_check(C)
-    assert len(tables) == 1 and len(builds) == 0
+    assert len(tables) == 0 and len(builds) == 0
     assert sum(args[0] is C for args in searches) == 1
     # the exhaustive Galois laws on a q^k = 8 code build its lattice; its
     # gap condition does not, nor that of the [9,7] code, whose lattice
@@ -925,8 +925,8 @@ def test_every_enumerating_entry_point_honours_a_raised_cap():
 
 def test_gap_rival_degrees_against_the_lattice_scan():
     # at each interior vertex, the largest degree of a rival subcode read
-    # off the rank table against a scan of the whole subcode lattice, on
-    # plain, zero-padded and direct-sum GF(2/3/4) codes with n <= 10
+    # off the contractions' least ranks against a scan of the whole subcode
+    # lattice, on plain, zero-padded and direct-sum GF(2/3/4) codes, n <= 10
     rng = random.Random(331)
     vertices = padded = 0
     for C in filtration_codes(rng, 900, nmax=10):
@@ -939,19 +939,26 @@ def test_gap_rival_degrees_against_the_lattice_scan():
     assert vertices >= 300 and padded >= 50
 
 
-def test_gap_condition_past_the_lattice_cap(monkeypatch):
-    # a binary [16,9] code with three sides: F_2^9 has 8,283,458 subspaces,
-    # past the lattice cap, but the gap condition reads the 2^16 rank table
-    # and builds no lattice
-    def refuse(*args, **kwargs):
-        raise AssertionError("a subcode lattice was built")
-    monkeypatch.setattr(hn.SubspaceLattice, "__init__", refuse)
+def three_sided_16_9():
+    """The binary [16,9] sum F_2^3 + [5,4] parity + <1^4 0^4, 0^4 1^4>,
+    whose polygon has three sides."""
     blocks = [zoo.full_space(GF2, 3), zoo.parity(GF2, 5),
               LinearCode.from_rows(GF2, [(1,) * 4 + (0,) * 4,
                                          (0,) * 4 + (1,) * 4])]
     C = blocks[0]
     for B in blocks[1:]:
         C = code_direct_sum(C, B)
+    return C
+
+
+def test_gap_condition_past_the_lattice_cap(monkeypatch):
+    # a binary [16,9] code with three sides: F_2^9 has 8,283,458 subspaces,
+    # past the lattice cap, but the gap condition reads least ranks and
+    # builds no lattice
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subcode lattice was built")
+    monkeypatch.setattr(hn.SubspaceLattice, "__init__", refuse)
+    C = three_sided_16_9()
     assert (C.n, C.k) == (16, 9) and code_polygon(C).N == 3
     assert hn._lattice_bits(C) > 20
     # vertices (3, 13), (7, 8) and slopes -1, -5/4, -4: the best rival of
@@ -960,6 +967,25 @@ def test_gap_condition_past_the_lattice_cap(monkeypatch):
     # weight-4 word (degree 5 <= 8 - 11/4)
     assert hn.gap_rival_degrees(C) == (12, 5)
     assert gap_condition_check(C)
+
+
+def test_gap_and_clifford_build_no_rank_table(monkeypatch):
+    # both checks read least ranks by size, never the 2^n table
+    def refuse(*args):
+        raise AssertionError("a rank table was built")
+    monkeypatch.setattr(hncodes.code, "column_rank_table", refuse)
+    self_dual = code_direct_sum(zoo.extended_hamming_8_4(),
+                                zoo.repetition(GF2, 2))
+    cases = [(zoo.binary_9_7(), (3,)), (three_sided_16_9(), (12, 5)),
+             (self_dual, ()),
+             (code_direct_sum(zoo.full_space(GF2, 2), self_dual), (9,))]
+    for C, degrees in cases:
+        assert hn.gap_rival_degrees(C) == degrees
+        assert gap_condition_check(C)
+    assert self_dual.dual() == self_dual and rr.clifford_check(self_dual)
+    for C, _ in cases[:2]:
+        with pytest.raises(InvariantViolation, match="self-dual"):
+            rr.clifford_check(C)
 
 
 def test_gap_condition():

@@ -23,6 +23,7 @@ from hncodes import (
     wei_duality_check,
     zoo,
 )
+from hncodes.algebra import least_ranks_of_table
 from hncodes.code import bits_of
 from hncodes.rr import (
     clifford_check,
@@ -173,6 +174,7 @@ def test_whole_table_checks_against_the_subset_scans():
             bad = bytearray(tab)
             bad[J] -= bad[J] > 0
             C._rtab = bytes(bad)
+            C._minr = least_ranks_of_table(bytes(bad))
             assert clifford_check(C) == oracles.table_clifford(C.n, bad)
             if (full ^ J).bit_count() == 1:
                 assert not clifford_check(C)

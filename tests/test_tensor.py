@@ -241,11 +241,16 @@ def test_is_chained_known_examples():
 
 
 def test_is_chained_honours_the_cap():
+    # the verdict is kept on the code, and the memo checks the cap on
+    # every call, also once it is filled
+    C = zoo.binary_9_7()
     with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
-        is_chained(zoo.binary_9_7())
+        is_chained(C)
     with enumeration_cap(9):
-        chained = is_chained(zoo.binary_9_7())
+        chained = is_chained(C)
     assert chained == is_chained(zoo.binary_9_7())
+    with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
+        is_chained(C)
 
 
 def test_is_chained_against_oracle():
