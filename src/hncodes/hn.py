@@ -532,16 +532,18 @@ def gap_rival_degrees(C: LinearCode) -> tuple[int, ...]:
     with r(J) < rho stays a rival with any e outside S added (S is a flat,
     so e is no loop), so the largest rival holds some e outside S, and the
     degree is 1 + max {s : minr_{C/e}[s] < rho} over those e: the number
-    of such s, as minr rises from 0.  One least-rank search per C/e.
+    of such s, as minr rises from 0.  Parallel columns, whose tokens
+    (`Matrix.independence`) are equal, share one search of C/e.
     """
     filt = canonical_filtration(C)
     inner = list(zip(filt.ranks[1:-1], filt.steps[1:-1]))
     if not inner:
         return ()
     # the steps nest, so the last one's support holds every e asked for
-    minr = {e: least_ranks(_contract(C, e))[0]
-            for e in bits_of(inner[-1][1].support_mask)}
-    return tuple(max(sum(r < C.k - i_a for r in minr[e])
+    tok = C.gen.independence()[0]
+    reps = {tok[e]: e for e in bits_of(inner[-1][1].support_mask)}
+    minr = {t: least_ranks(_contract(C, e))[0] for t, e in reps.items()}
+    return tuple(max(sum(r < C.k - i_a for r in minr[tok[e]])
                      for e in bits_of(F.support_mask)) for i_a, F in inner)
 
 
@@ -556,10 +558,6 @@ def gap_condition_check(C: LinearCode) -> bool:
 
 
 # -- Galois connection between subcodes and coordinate subsets --------------
-
-def cosupport(S: Subcode) -> int:
-    return ((1 << S.parent.n) - 1) ^ S.support_mask
-
 
 def subset_to_subcode(C: LinearCode, J: int) -> Subcode:
     """The Galois image of a coordinate set: the subcode vanishing on J."""

@@ -231,7 +231,9 @@ def rr_matroid_check(M: Matroid) -> bool:
     """h0(M, J) - h0(M*, E - J) = #J + k - n for every subset J, with the
     dual h0 agreeing with h1(M, J) (the Serre pairing at dimension level).
     One table comparison checks both: h0 and h1 obey Euler by
-    construction, so Serre is the Riemann-Roch identity of rank tables."""
+    construction, so Serre is the Riemann-Roch identity of rank tables.
+    `Matroid.dual` is built from that identity, so this holds for any
+    table: it guards the dual's lane arithmetic, not a theorem."""
     return rr_check(M)
 
 

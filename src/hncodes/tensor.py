@@ -9,21 +9,20 @@ obey Schaathun's lower bound
 
 over nonincreasing integer sequences kB >= t_1 >= ... >= t_{kA} >= 0 with
 sum t_i >= r, with equality for all r when both factors satisfy the chain
-condition (nested minimum-support subcodes in every dimension).
+condition (nested minimum-support subcodes in every dimension).  The
+table of d*_r is the suffix minima of one integer pass, `_exact_costs`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 
 from .algebra import _check_cap, subsets_where
 from .code import LinearCode, Subcode, _support_of_matrix, mask_of
 from .errors import InvalidHierarchy, InvariantViolation, NotASubcode
 from .hn import is_semistable
-
-_INF = float("inf")
 
 # random subcodes of the product certified by tensor_semistable_check
 _CERTIFIED_SUBCODES = 20
@@ -40,45 +39,41 @@ def _validate_hierarchy(d, label: str) -> tuple[int, ...]:
     return d
 
 
+def _exact_costs(dA, dB) -> list[int]:
+    """E[s], s = 0..kA kB: the least cost above with sum t_i == s, for two
+    valid hierarchies.  After factor i, ends[t] maps each sum of t_1..t_i
+    to the least cost with t_i >= t, which factor i + 1 taking t extends.
+    t = (kB, ..., kB, s mod kB, 0, ...) reaches every s."""
+    kB = len(dB) - 1
+    ends = [{0: 0}] * (kB + 1)          # before factor 1, the ceiling is kB
+    for a, b in zip(dA, dA[1:]):
+        best = {}
+        for t in range(kB, -1, -1):      # best: the new sequences, t_i >= t
+            for s, c in ends[t].items():
+                c += (b - a) * dB[t]
+                if best.get(s + t, c) >= c:
+                    best[s + t] = c
+            ends[t] = dict(best)
+    return [ends[0][s] for s in range(len(ends[0]))]
+
+
 def schaathun_bound(dA, dB, r: int, exact_sum: bool = False) -> int:
     """d*_r from the two weight hierarchies (d_0, ..., d_k) of the factors.
 
     With exact_sum=True the minimum runs over sequences with sum t_i == r
     instead of >= r; both forms take the same value.
     """
-    dA = _validate_hierarchy(dA, "first hierarchy")
-    dB = _validate_hierarchy(dB, "second hierarchy")
-    kA, kB = len(dA) - 1, len(dB) - 1
-    if not 0 <= r <= kA * kB:
-        raise InvariantViolation(f"r must lie in [0, {kA * kB}], got {r}")
-    w = [dA[i] - dA[i - 1] for i in range(1, kA + 1)]
-
-    @lru_cache(maxsize=None)
-    def best(i: int, prev: int, need: int):
-        # prev: ceiling for t_i; need: what the remaining t's must still sum to
-        if i == kA:
-            return 0 if need == 0 else _INF
-        if need > (kA - i) * prev:
-            return _INF
-        res = _INF
-        for t in range(min(prev, need if exact_sum else prev), -1, -1):
-            rest = best(i + 1, t, need - t if exact_sum else max(0, need - t))
-            if rest is not _INF:
-                res = min(res, w[i] * dB[t] + rest)
-        return res
-
-    val = best(0, kB, r)
-    if val is _INF:
-        raise InvariantViolation("no feasible split sequence")
-    return int(val)
+    E = _exact_costs(_validate_hierarchy(dA, "first hierarchy"),
+                     _validate_hierarchy(dB, "second hierarchy"))
+    if not 0 <= r < len(E):
+        raise InvariantViolation(f"r must lie in [0, {len(E) - 1}], got {r}")
+    return E[r] if exact_sum else min(E[r:])
 
 
 def schaathun_bound_table(A: LinearCode, B: LinearCode) -> tuple[int, ...]:
-    """(d*_0, ..., d*_{kA kB}) for the pair of codes."""
-    dA = A.weight_hierarchy()
-    dB = B.weight_hierarchy()
-    return tuple(schaathun_bound(dA, dB, r)
-                 for r in range(A.k * B.k + 1))
+    """(d*_0, ..., d*_{kA kB}) for the pair of codes, from one pass."""
+    E = _exact_costs(A.weight_hierarchy(), B.weight_hierarchy())
+    return tuple(accumulate(reversed(E), min))[::-1]
 
 
 def tensor_product(A: LinearCode, B: LinearCode) -> LinearCode:
@@ -175,7 +170,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
             raise InvariantViolation("a column set is smaller than the "
                                      "distance it must dominate")
         cost += step * dB[t[i - 1]]
-    bound = schaathun_bound(dA, dB, r)
+    bound = min(_exact_costs(dA, dB)[r:])
     if not D.weight >= cost >= bound:
         raise InvariantViolation("certificate chain fails: "
                                  f"{D.weight} >= {cost} >= {bound}")

@@ -111,13 +111,13 @@ def random_code(rng: random.Random, field: FieldSpec, n: int,
 
 
 def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
-    """Random r-dimensional subcode of C."""
+    """Random r-dimensional subcode of C, reduced in F^k as `shorten` is."""
     f = C.field
     while True:
         coeffs = Matrix.from_rows(
             f, [[rng.randrange(f.q) for _ in range(C.k)] for _ in range(r)])
         if coeffs.rank() == r:
-            return Subcode(C, coeffs.matmul(C.gen).rref_nonzero())
+            return Subcode(C, coeffs.rref_nonzero().matmul(C.gen))
 
 
 def iter_all_codes(field: FieldSpec, n: int, kmin: int = 1,

@@ -1,5 +1,5 @@
 """The package exports every name the benchmark imports from it or
-patches in it."""
+patches in it, and the library computes with no floats."""
 
 import ast
 import importlib
@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "hncodes"
 
 
 def test_bench_imports_exist():
@@ -58,3 +59,17 @@ def test_bench_trace_targets_exist():
     # a target listed twice (a span and a footprint) is one target
     ids = {id(fn) for fn in functions.values()}
     assert len(ids) == len(functions)
+
+
+def test_library_has_no_floats():
+    # every computed value is exact: no module but the CLI (its SVG
+    # coordinates and its stderr timing) names `float` or writes a float
+    # literal
+    paths = [p for p in sorted(LIBRARY.glob("*.py")) if p.name != "cli.py"]
+    assert len(paths) >= 10
+    hits = [(path.name, node.lineno) for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, ast.Constant)
+            and isinstance(node.value, float)]
+    assert hits == []

@@ -16,7 +16,7 @@ from hncodes import (
     enumeration_cap,
     zoo,
 )
-from hncodes.algebra import Matrix
+from hncodes.algebra import FieldSpec, Matrix
 from hncodes.code import Subcode, bits_of, mask_of
 
 import oracles
@@ -299,6 +299,29 @@ def test_subcode_closure_oracle():
             cl = S.closure()
             assert cl.dim == oracles.qlog(len(inside), C.field.q)
             assert cl.contains(S)
+
+
+def test_random_subcode_is_reduced_in_coefficient_space():
+    # the basis is RREF coefficients times the RREF generator: already its
+    # own RREF, and the RREF of the drawn coefficients times the generator
+    for field in (GF3, GF4, FieldSpec(2, 8, 0x11B)):
+        rng = random.Random(149)
+        for _ in range(15):
+            n = rng.randrange(2, 8)
+            C = zoo.random_code(rng, field, n, rng.randrange(1, n + 1))
+            r = rng.randrange(1, C.k + 1)
+            state = rng.getstate()
+            S = zoo.random_subcode(rng, C, r)
+            rng.setstate(state)
+            while True:                                # the same draw
+                coeffs = Matrix.from_rows(field, [
+                    [rng.randrange(field.q) for _ in range(C.k)]
+                    for _ in range(r)])
+                if coeffs.rank() == r:
+                    break
+            assert S.dim == r and S.parent is C
+            assert S.basis == S.basis.rref_nonzero()
+            assert S.basis == coeffs.matmul(C.gen).rref_nonzero()
 
 
 def test_field_mismatch_rejected():

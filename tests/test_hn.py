@@ -30,7 +30,6 @@ from hncodes.code import mask_of
 from hncodes.hn import (
     CanonicalPolygon,
     SubspaceLattice,
-    cosupport,
     polygon_from_profile,
     subset_filtration,
     subset_to_subcode,
@@ -340,7 +339,8 @@ def test_code_and_matroid_share_the_subset_filtration():
     for C in filtration_codes(rng, 80):
         M = matroid_from_code(C)
         steps = canonical_filtration(C).steps
-        expect = tuple(cosupport(S) for S in reversed(steps))
+        full = (1 << C.n) - 1
+        expect = tuple(full ^ S.support_mask for S in reversed(steps))
         if not C.is_full_support:
             expect = (0,) + expect
         assert M.filtration().steps == expect
@@ -799,10 +799,11 @@ def test_subset_to_subcode_and_cosupport():
     S = subset_to_subcode(C, 0b1111)             # vanish on the first four
     assert S.dim == 4
     assert S.support_mask == 0b111110000
-    assert cosupport(S) == 0b1111
-    # adjunction: S' vanishes on J iff J inside cosupport(S')
+    full = (1 << C.n) - 1
+    assert full ^ S.support_mask == 0b1111
+    # adjunction: S' vanishes on J iff J inside the cosupport of S'
     T = subset_to_subcode(C, 0b11)
-    assert cosupport(T) & 0b11 == 0b11
+    assert (full ^ T.support_mask) & 0b11 == 0b11
 
 
 def test_one_analysis_per_code(monkeypatch):
@@ -937,6 +938,29 @@ def test_gap_rival_degrees_against_the_lattice_scan():
         vertices += len(got)
         padded += bool(got) and not C.is_full_support
     assert vertices >= 300 and padded >= 50
+
+
+def test_gap_rival_degrees_search_once_per_parallel_class(monkeypatch):
+    # the GF(3) sum <1100, 0012> + [3,1] repetition: the filtration step of
+    # rank 2 has support {0, 1, 2, 3}, where column 1 repeats column 0 and
+    # column 3 is twice column 2, so two contractions are searched, not four
+    searches = []
+    search = hncodes.algebra.min_column_rank_by_size
+
+    def counted(M, *args, **kwargs):
+        searches.append(M.n)
+        return search(M, *args, **kwargs)
+    monkeypatch.setattr(hncodes.algebra, "min_column_rank_by_size", counted)
+    C = code_direct_sum(LinearCode.from_rows(GF3, [(1, 1, 0, 0),
+                                                  (0, 0, 1, 2)]),
+                        zoo.repetition(GF3, 3))
+    filt = canonical_filtration(C)
+    assert filt.ranks == (0, 2, 3)
+    assert filt.steps[1].support_mask == 0b1111
+    assert hn.gap_rival_degrees(C) == (2,)
+    assert searches == [7, 6, 6]
+    assert hn.gap_rival_degrees(C) == oracles.lattice_rival_degrees(
+        SubspaceLattice(C), filt)
 
 
 def three_sided_16_9():

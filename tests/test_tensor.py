@@ -28,6 +28,7 @@ from hncodes.tensor import (
     witness,
 )
 
+import hncodes.tensor as tensor
 import oracles
 
 GF2, GF3 = zoo.gf2(), zoo.gf3()
@@ -97,6 +98,29 @@ def test_schaathun_exact_sum_agrees():
         for r in range(kA * kB + 1):
             assert schaathun_bound(dA, dB, r) == \
                 schaathun_bound(dA, dB, r, exact_sum=True)
+
+
+def test_bound_table_is_one_pass_and_witness_validates_nothing(monkeypatch):
+    # the table is the suffix minima of one exact pass, and a witness reads
+    # the pass for its r off the hierarchies its codes already hold
+    passes, validated = [], []
+    costs, validate = tensor._exact_costs, tensor._validate_hierarchy
+    monkeypatch.setattr(tensor, "_exact_costs",
+                        lambda dA, dB: passes.append((dA, dB))
+                        or costs(dA, dB))
+    monkeypatch.setattr(tensor, "_validate_hierarchy",
+                        lambda d, label: validated.append(label)
+                        or validate(d, label))
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    assert schaathun_bound_table(A, B) == (0, 6, 9, 13, 15)
+    assert passes == [((0, 2, 3), (0, 3, 5))]
+    D = zoo.random_subcode(random.Random(541), A.tensor(B), 3)
+    assert witness(D, A, B).bound == 13
+    assert len(passes) == 2 and validated == []
+    # the public bound validates each of its inputs once
+    assert schaathun_bound((0, 2, 3), (0, 3, 5), 3) == 13
+    assert validated == ["first hierarchy", "second hierarchy"]
+    assert len(passes) == 3
 
 
 # ---------------------------------------------------------------------------
