@@ -261,7 +261,7 @@ class Matrix:
         return [self.row(i) for i in range(self.rows)]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def _require_same_field(self, other: "Matrix"):
         if self.field != other.field:
@@ -436,8 +436,10 @@ class Matrix:
         """
         f = self.field
         if f.q == 2:
-            cols = [sum(1 << i for i, x in enumerate(self.column(j)) if x)
-                    for j in range(self.cols)]
+            # slice c - 1 - j of the reversed digits: column j, row 0 last
+            c = self.cols
+            digits = bytes(self.entries[::-1]).translate(_BINARY)
+            cols = [int(digits[c - 1 - j::c] or b"0", 2) for j in range(c)]
 
             def contract(tail, v):
                 top = 1 << (v.bit_length() - 1)

@@ -58,25 +58,21 @@ def bits_of(mask: int) -> list[int]:
 
 
 def _support_of_matrix(M: Matrix) -> int:
-    mask = 0
-    for i in range(M.rows):
-        row = M.row(i)
-        for j, x in enumerate(row):
-            if x:
-                mask |= 1 << j
-    return mask
+    return mask_of(j for j in range(M.cols) if any(M.column(j)))
 
 
 class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
     # Memos of the code's own analysis: the min-rank search as (minima,
-    # witnesses) kept by `algebra.least_ranks`, the rank table, the dual,
-    # the subset and the canonical filtration and the subcode lattice (all
-    # three filled by hn.py), the chain condition (tensor.py), and the last
-    # tensor product as (other, product).
-    __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_dual",
-                 "_sfilt", "_filt", "_lattice", "_chained", "_tensor")
+    # witnesses) kept by `algebra.least_ranks`, the rank table, the weight
+    # hierarchy, the dual, the subset and the canonical filtration and the
+    # subcode lattice (all three filled by hn.py), the chain condition
+    # (tensor.py), and the last tensor product as (other, product, star),
+    # star its Schaathun table, filled by the first witness that reads it.
+    __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_hier",
+                 "_dual", "_sfilt", "_filt", "_lattice", "_chained",
+                 "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -93,6 +89,7 @@ class LinearCode:
         self.gen = R
         self._minr = None
         self._rtab = None
+        self._hier = None
         self._dual = None
         self._sfilt = None
         self._filt = None
@@ -185,7 +182,7 @@ class LinearCode:
         """The generator's column oracle: the searches take the code."""
         return self.gen.independence()
 
-    # Like `least_ranks`, the rank table checks the cap on every call.
+    # The rank table and the hierarchy check the cap on every call.
 
     def rank_table(self) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
@@ -214,7 +211,10 @@ class LinearCode:
     def weight_hierarchy(self) -> tuple[int, ...]:
         """(d_0, ..., d_k): d_i the least support size of an i-dim subcode."""
         from .hn import profile_hierarchy
-        return profile_hierarchy(self.k, self.dlp())
+        _check_cap(self.n)
+        if self._hier is None:
+            self._hier = profile_hierarchy(self.k, self.dlp())
+        return self._hier
 
     # -- products ------------------------------------------------------------
 
@@ -227,7 +227,7 @@ class LinearCode:
             raise FieldMismatch("tensor factors live over different fields")
         if self._tensor is None or self._tensor[0] != other:
             T = LinearCode(self.gen.kron(other.gen).rref_nonzero())
-            self._tensor = (other, T)
+            self._tensor = (other, T, None)
         return self._tensor[1]
 
     def schur_product(self, other: "LinearCode") -> "LinearCode":

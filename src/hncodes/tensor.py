@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import _check_cap, subsets_where
-from .code import LinearCode, Subcode, _support_of_matrix, mask_of
+from .code import LinearCode, Subcode, mask_of
 from .errors import InvalidHierarchy, InvariantViolation, NotASubcode
 from .hn import is_semistable
 
@@ -93,23 +93,26 @@ def schaathun_verify(A: LinearCode, B: LinearCode) -> bool:
 class SchaathunWitness:
     """Certificate that a subcode D of A (x) B has weight >= d*_{dim D}.
 
-    column_dims[j] is the dimension of the j-th column projection of D
-    (a subcode of A); J[i] collects the columns where that dimension is
-    at least i + 1; t[i] is the dimension of B shortened to J[i], read
-    off B's rank table (`subset_dim`).  The recorded chain is
+    column_dims[j] and supports[j] are the dimension and the support (a
+    bitmask over A's coordinates) of the j-th column projection of D, a
+    subcode of A; J[i] collects the columns where that dimension is at
+    least i + 1; t[i] is the dimension of B shortened to J[i], read off
+    B's rank table (`subset_dim`).  The recorded chain is
 
-        weight(D) = sum_j w(proj_j)                (per-column supports)
+        weight(D) = sum_j #supports[j]
                   >= sum_i (d_i(A) - d_{i-1}(A)) * #J_i
                   >= sum_i (d_i(A) - d_{i-1}(A)) * d_{t_i}(B) = cost
                   >= d*_{dim D}.
     """
 
-    __slots__ = ("r", "weight", "column_dims", "J", "t", "cost", "bound")
+    __slots__ = ("r", "weight", "column_dims", "supports", "J", "t", "cost",
+                 "bound")
 
-    def __init__(self, r, weight, column_dims, J, t, cost, bound):
+    def __init__(self, r, weight, column_dims, supports, J, t, cost, bound):
         self.r = r
         self.weight = weight
         self.column_dims = column_dims
+        self.supports = supports
         self.J = J
         self.t = t
         self.cost = cost
@@ -122,7 +125,11 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
     D must lie in the product: A (x) B is exactly the set of arrays whose
     columns lie in A and whose rows lie in B, so membership is one rank
     test of D's basis against the product's generator (NotASubcode
-    otherwise), skipped when D is a subcode of that product code."""
+    otherwise), skipped when D is a subcode of that product code.  Matrix
+    column j of D's basis has the column tokens tok[j::nB] (one
+    `independence` pass): its support is where they are nonzero, its
+    dimension the number taken when contracted from left to right.  d*_r
+    is read off the product's table, one pass per product (`_tensor`)."""
     nA, nB = A.n, B.n
     if D.parent.n != nA * nB:
         raise NotASubcode("ambient length is not the product of the "
@@ -131,24 +138,27 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
     if D.parent != T and T.gen.stack(D.basis).rank() != T.k:
         raise NotASubcode("a basis vector has a matrix column outside the "
                           "first factor or a matrix row outside the second")
-    r = D.dim
+    r, weight = D.dim, D.weight
     dA = A.weight_hierarchy()
     dB = B.weight_hierarchy()
-    # matrix column j of D's basis, entries j, j + nB, ...: it spans the
-    # j-th column projection of D, a subcode of A
-    cols = [D.basis.col_submatrix(range(j, nA * nB, nB)) for j in range(nB)]
-    column_dims = tuple(P.rank() for P in cols)
-    # per-column support decomposition of the weight, each piece bounded
-    # below through the hierarchy of the first factor
-    total = 0
-    for j, P in enumerate(cols):
-        supp = _support_of_matrix(P)
-        total += supp.bit_count()
-        if supp.bit_count() < dA[column_dims[j]]:
+    tok, contract, _ = D.basis.independence()
+    column_dims, supports = [], []
+    for j in range(nB):
+        tail = tok[j::nB]
+        supp, rank = sum(1 << a for a, w in enumerate(tail) if w), 0
+        while tail:
+            v, tail = tail[0], tail[1:]
+            if v:
+                rank, tail = rank + 1, contract(tail, v)
+        # per-column support decomposition of the weight, each piece
+        # bounded below through the hierarchy of the first factor
+        if supp.bit_count() < dA[rank]:
             raise InvariantViolation(
                 f"column {j} projection beats the hierarchy of the first "
                 "factor")
-    if total != D.weight:
+        column_dims.append(rank)
+        supports.append(supp)
+    if sum(supp.bit_count() for supp in supports) != weight:
         raise InvariantViolation("per-column supports do not add up to "
                                  "the weight")
     top = max(column_dims, default=0)
@@ -170,11 +180,14 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
             raise InvariantViolation("a column set is smaller than the "
                                      "distance it must dominate")
         cost += step * dB[t[i - 1]]
-    bound = min(_exact_costs(dA, dB)[r:])
-    if not D.weight >= cost >= bound:
+    if A._tensor[2] is None:
+        A._tensor = (B, T, schaathun_bound_table(A, B))
+    bound = A._tensor[2][r]
+    if not weight >= cost >= bound:
         raise InvariantViolation("certificate chain fails: "
-                                 f"{D.weight} >= {cost} >= {bound}")
-    return SchaathunWitness(r, D.weight, column_dims, J, t, cost, bound)
+                                 f"{weight} >= {cost} >= {bound}")
+    return SchaathunWitness(r, weight, tuple(column_dims), tuple(supports),
+                            J, t, cost, bound)
 
 
 def tensor_semistable_check(A: LinearCode, B: LinearCode) -> bool:

@@ -101,11 +101,10 @@ def binary_9_7() -> LinearCode:
 def random_code(rng: random.Random, field: FieldSpec, n: int,
                 k: int) -> LinearCode:
     """Uniformly random [n, k] code (rejection sampling on full-rank
-    generators)."""
+    generators, drawn row by row)."""
     while True:
-        rows = [[rng.randrange(field.q) for _ in range(n)]
-                for _ in range(k)]
-        M = Matrix.from_rows(field, rows)
+        M = Matrix(field, k, n,
+                   tuple([rng.randrange(field.q) for _ in range(k * n)]))
         if M.rank() == k:
             return LinearCode(M.rref_nonzero())
 
@@ -114,8 +113,8 @@ def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
     """Random r-dimensional subcode of C, reduced in F^k as `shorten` is."""
     f = C.field
     while True:
-        coeffs = Matrix.from_rows(
-            f, [[rng.randrange(f.q) for _ in range(C.k)] for _ in range(r)])
+        coeffs = Matrix(f, r, C.k,
+                        tuple([rng.randrange(f.q) for _ in range(r * C.k)]))
         if coeffs.rank() == r:
             return Subcode(C, coeffs.rref_nonzero().matmul(C.gen))
 

@@ -297,6 +297,22 @@ def kron_rows(field, rowsA, rowsB):
     return out
 
 
+def brute_column_projections(field, rows, nA, nB):
+    """(dims, supports) of the matrix columns of the span of `rows`, each
+    word read as an nA x nB array row by row.  Column j's projection is the
+    set of the words' entries j, j + nB, ...: its dimension is log_q of the
+    number of distinct projections, its support the bitmask over 0..nA-1
+    of the positions where some projection is nonzero."""
+    words = span_words(field, rows, nA * nB)
+    dims, supports = [], []
+    for j in range(nB):
+        proj = {tuple(w[a * nB + j] for a in range(nA)) for w in words}
+        dims.append(qlog(len(proj), field.q))
+        supports.append(sum(1 << a for a in range(nA)
+                            if any(p[a] for p in proj)))
+    return tuple(dims), tuple(supports)
+
+
 def brute_semimodular(n: int, table) -> bool:
     """Global rank axioms over every pair of subsets."""
     if table[0] != 0:

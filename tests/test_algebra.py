@@ -592,6 +592,21 @@ def test_column_tokens_against_brute_tables():
                 dfs += 1
                 assert column_rank_table(M) == table
         assert dfs >= 15, f
+    # column j is the tuple of entries (i, j), and GF(2) tokens are the
+    # sums x_i 2^i of the columns, on 0 x n, m x 0 and random matrices
+    rng = random.Random(2903)
+    for f in [FieldSpec(2)] + fields:
+        shapes = [(0, 0), (0, 5), (4, 0)] + [
+            (rng.randrange(1, 7), rng.randrange(1, 10)) for _ in range(10)]
+        for k, n in shapes:
+            M = Matrix(f, k, n, tuple(rng.randrange(f.q)
+                                      for _ in range(k * n)))
+            assert [M.column(j) for j in range(n)] == [
+                tuple(M.entry(i, j) for i in range(k)) for j in range(n)]
+            if f.q == 2:
+                assert M.independence()[0] == [
+                    sum(M.entry(i, j) << i for i in range(k))
+                    for j in range(n)]
 
 
 def rank_table_pool(rng):

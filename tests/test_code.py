@@ -141,6 +141,20 @@ def test_memo_honours_the_cap():
         canonical_filtration(C)
 
 
+def test_hierarchy_is_kept_on_the_code(monkeypatch):
+    # a second call reads the memo, not the profile; the cap is still
+    # checked on it (test_memo_honours_the_cap)
+    import hncodes.hn as hn
+    C = zoo.binary_9_7()
+    d = C.weight_hierarchy()
+    reached = []
+    profile = hn.subset_profile
+    monkeypatch.setattr(hn, "subset_profile",
+                        lambda X: reached.append(X) or profile(X))
+    assert C.weight_hierarchy() == d and reached == []
+    assert zoo.binary_9_7().weight_hierarchy() == d and len(reached) == 1
+
+
 def test_hierarchy_against_oracle():
     rng = random.Random(101)
     pool = small_codes(rng, 30) + small_codes(rng, 6, fields=(GF4,), nmax=6, kmax=2)
@@ -322,6 +336,37 @@ def test_random_subcode_is_reduced_in_coefficient_space():
             assert S.dim == r and S.parent is C
             assert S.basis == S.basis.rref_nonzero()
             assert S.basis == coeffs.matmul(C.gen).rref_nonzero()
+
+
+def test_zoo_draws_match_a_checked_draw():
+    # random_code and random_subcode skip from_rows' checks on the entries
+    # they draw, but draw the same entries in the same order
+    for field in (GF2, GF3, GF4):
+        rng = random.Random(157)
+        for _ in range(30):
+            n = rng.randrange(1, 6)
+            k = rng.randrange(1, n + 1)
+            r = rng.randrange(1, k + 1)
+            state = rng.getstate()
+            C = zoo.random_code(rng, field, n, k)
+            S = zoo.random_subcode(rng, C, r)
+            after = rng.getstate()
+            rng.setstate(state)
+            while True:
+                M = Matrix.from_rows(field, [
+                    [rng.randrange(field.q) for _ in range(n)]
+                    for _ in range(k)])
+                if M.rank() == k:
+                    break
+            while True:
+                coeffs = Matrix.from_rows(field, [
+                    [rng.randrange(field.q) for _ in range(k)]
+                    for _ in range(r)])
+                if coeffs.rank() == r:
+                    break
+            assert C.gen == M.rref_nonzero()
+            assert S.basis == coeffs.rref_nonzero().matmul(C.gen)
+            assert rng.getstate() == after
 
 
 def test_field_mismatch_rejected():

@@ -19,7 +19,7 @@ from hncodes import (
     tensor_semistable_check,
     zoo,
 )
-from hncodes.algebra import Matrix
+from hncodes.algebra import FieldSpec, Matrix
 from hncodes.code import Subcode
 from hncodes.tensor import (
     schaathun_bound,
@@ -28,6 +28,7 @@ from hncodes.tensor import (
     witness,
 )
 
+import hncodes.code as code
 import hncodes.tensor as tensor
 import oracles
 
@@ -117,6 +118,7 @@ def test_bound_table_is_one_pass_and_witness_validates_nothing(monkeypatch):
     D = zoo.random_subcode(random.Random(541), A.tensor(B), 3)
     assert witness(D, A, B).bound == 13
     assert len(passes) == 2 and validated == []
+    assert witness(D, A, B).bound == 13 and len(passes) == 2
     # the public bound validates each of its inputs once
     assert schaathun_bound((0, 2, 3), (0, 3, 5), 3) == 13
     assert validated == ["first hierarchy", "second hierarchy"]
@@ -193,6 +195,69 @@ def test_witness_of_a_product_subcode_stacks_no_generator(monkeypatch):
                         lambda M, other: stacked.append(M) or stack(M, other))
     assert witness(D, A, B).r == 3
     assert stacked == []
+
+
+def test_witness_reads_its_columns_off_one_token_pass(monkeypatch):
+    # no per-column matrix is built or reduced, and the only support read
+    # is D's own weight, once
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    D = zoo.random_subcode(random.Random(541), A.tensor(B), 3)
+    calls, supports = [], []
+    for name in ("rref", "col_submatrix"):
+        method = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name,
+                            lambda M, *args, name=name, method=method:
+                            calls.append(name) or method(M, *args))
+    support = code._support_of_matrix
+    monkeypatch.setattr(code, "_support_of_matrix",
+                        lambda M: supports.append(M) or support(M))
+    w = witness(D, A, B)
+    assert w.r == 3 and calls == []
+    assert [M is D.basis for M in supports] == [True]
+
+
+def test_semistable_check_runs_one_bound_pass_per_product(monkeypatch):
+    # all 20 certificates of a fresh pair read the product's one table
+    passes, certified = [], []
+    costs, certify = tensor._exact_costs, tensor.witness
+    monkeypatch.setattr(tensor, "_exact_costs",
+                        lambda dA, dB: passes.append((dA, dB))
+                        or costs(dA, dB))
+    monkeypatch.setattr(tensor, "witness",
+                        lambda D, A, B: certified.append(D)
+                        or certify(D, A, B))
+    assert tensor_semistable_check(zoo.binary_5_2(), zoo.binary_3_2())
+    assert len(certified) == 20
+    assert passes == [((0, 3, 5), (0, 2, 3))]
+
+
+def test_witness_columns_against_brute_projections():
+    # column dimensions and supports against the projections of the
+    # subcode's words, over GF(2), GF(3), GF(4) and GF(256), on random,
+    # zero and whole subcodes of products of factors with zero columns
+    rng = random.Random(2929)
+    for field in (GF2, GF3, zoo.gf4(), FieldSpec(2, 8, 0x11B)):
+        seen = {"zero": 0, "whole": 0, "random": 0, "zero column": 0}
+        while sum(seen.values()) - seen["zero column"] < 60:
+            nA, nB = rng.randrange(1, 4), rng.randrange(1, 5)
+            A, B = (_zero_padded(rng, zoo.random_code(
+                rng, field, n, rng.randrange(1, min(n, 2) + 1)),
+                rng.randrange(2)) for n in (nA, nB))
+            T = A.tensor(B)
+            kind = rng.choice(["zero", "whole", "random"])
+            r = {"zero": 0, "whole": T.k,
+                 "random": rng.randrange(1, T.k + 1)}[kind]
+            if field.q ** r > 4096:
+                continue
+            D = zoo.random_subcode(rng, T, r)
+            w = witness(D, A, B)
+            assert (w.column_dims, w.supports) == \
+                oracles.brute_column_projections(
+                    field, D.basis.row_list(), A.n, B.n)
+            seen[kind] += 1
+            seen["zero column"] += not (A.is_full_support
+                                        and B.is_full_support)
+        assert min(seen.values()) >= 10, (field, seen)
 
 
 def _inside_product_by_words(D, A, B) -> bool:
