@@ -26,9 +26,10 @@ condition reads the filtration and least ranks, not the lattice or the
 rank table: by the Galois connection its rivals are coordinate subsets,
 so it is capped by the columns like every other column question.
 The lattice serves the lattice laws alone (`verify_parallelogram`,
-`verify_galois`); it enumerates every subcode, so its cap counts
+`verify_galois`) and reads its order on masks of the points of P^(k-1).
+The exhaustive lattice enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
-is built.
+is built; a sampled lattice's cap counts the points.
 
 All slopes are exact `fractions.Fraction`s, and polygon values are exact
 ints or Fractions.
@@ -370,6 +371,17 @@ def _lattice_bits(C: LinearCode) -> int:
     return (total - 1).bit_length()
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class SubspaceLattice:
     """Subcodes of C as subspaces of its coefficient space F^k.
 
@@ -380,36 +392,43 @@ class SubspaceLattice:
     `index_of` needs no elimination.  `elements[i]` is the key matrix of
     element i and `subcode(i)` the Subcode it stands for.
 
-    Join is the RREF of the two stacked coefficient matrices, and
-    leq(i, j) is join(i, j) == j.  The meet of comparable elements is the
-    smaller one; otherwise it is U & W = (U^perp + W^perp)^perp, where
-    `_perp` interns each element's orthogonal complement (a k-column
-    nullspace) once, both ways.  Every elimination has k columns.  Joins,
-    supports and complements are memoized by element index.
+    The order is read on point masks: the points of P^(k-1) an element
+    holds, as bits of an int, built when the element is first compared.
+    leq is mask containment and meet the AND of two masks, looked up among
+    the masks built so far; an AND that names no known element is
+    (U^perp + W^perp)^perp once, by one k-column RREF.  `_perps` holds each
+    element's orthogonal complement (a k-column nullspace), found once and
+    recorded both ways, and a join is complement, meet, complement.
 
     Without `subcodes` every subcode is enumerated, and it is refused
     when the subcodes number more than 2^cap; `subcode_lattice(C)` is
     that lattice, built once per code.  With `subcodes` the lattice starts
-    from those alone and interns just the elements that joins, complements
-    and `index_of` reach, so it never enumerates and has no cap.
+    from those alone and interns just what meets, complements and
+    `index_of` reach; its cap counts the (q^k - 1)/(q - 1) points.
     """
 
     def __init__(self, C: LinearCode, subcodes=None):
+        q, k = C.field.q, C.k
         if subcodes is None:
             _check_cap(_lattice_bits(C), "subcodes")
+        else:                            # the points that masks range over
+            _check_cap(((q ** k - 1) // (q - 1) - 1).bit_length(), "points")
         self.code = C
         self._pivots = C.gen.rref()[1]
+        self._place = [q ** e for e in reversed(range(k))]
         self.elements: list[Matrix] = []
         self._index: dict[tuple, int] = {}
-        self._perps: dict[int, int] = {}
-        self._supports: dict[int, int] = {}
-        self._joins: dict[tuple, int] = {}
+        self._perps = _Memo(self._complement)
+        self._supports = _Memo(lambda i: _support_of_matrix(
+            self.elements[i].matmul(C.gen)))
+        self._masks = _Memo(self._point_mask)
+        self._by_mask: dict[int, int] = {}
         if subcodes is not None:
             for S in subcodes:
                 self.index_of(S)
             return
-        for r in range(C.k + 1):
-            for X in iter_rref_matrices(C.field, r, C.k):
+        for r in range(k + 1):
+            for X in iter_rref_matrices(C.field, r, k):
                 self._intern(X)
 
     def __len__(self):
@@ -439,46 +458,60 @@ class SubspaceLattice:
         return self.elements[i].rows
 
     def support(self, i: int) -> int:
-        s = self._supports.get(i)
-        if s is None:
-            X = self.elements[i]
-            s = self._supports[i] = _support_of_matrix(X.matmul(self.code.gen))
-        return s
+        return self._supports[i]
 
     def cosupport(self, i: int) -> int:
         return ((1 << self.code.n) - 1) ^ self.support(i)
 
     def degree(self, i: int) -> int:
-        return self.code.n - self.support(i).bit_count()
+        return self.code.n - self._supports[i].bit_count()
+
+    def _point_mask(self, i: int) -> int:
+        """The points of element i: bit sum_j v_j q^(k-1-j) for each point
+        v.  With RREF rows u_1..u_r these are u_a + sum_{b>a} c_b u_b, whose
+        leading entry is 1 at pivot a, as the other rows vanish there."""
+        f, place, pts = self.code.field, self._place, []
+        rows = reversed(self.elements[i].row_list())
+        if f.p == 2:                     # a vector sum XORs the words
+            span = [0]                   # the words of the rows below u
+            for u in rows:
+                cu = [sum(M[x] * e for x, e in zip(u, place)) for M in f._mul]
+                pts += [cu[1] ^ w for w in span]
+                span = [w ^ c for c in cu for w in span]
+        else:
+            ADD, span = f._add, [(0,) * len(place)]
+            for u in rows:
+                led = [tuple(ADD[x][y] for x, y in zip(u, w)) for w in span]
+                pts += [sum(map(int.__mul__, v, place)) for v in led]
+                span += [tuple(M[x] for x in v)
+                         for M in f._mul[1:] for v in led]
+        m = sum(1 << x for x in pts)
+        self._by_mask[m] = i
+        return m
 
     def leq(self, i: int, j: int) -> bool:
-        return self.join(i, j) == j
+        m = self._masks[i]
+        return m & self._masks[j] == m
 
-    def _perp(self, i: int) -> int:
-        p = self._perps.get(i)
-        if p is None:
-            N = self.elements[i].right_nullspace().rref_nonzero()
-            p = self._perps[i] = self._intern(N)
-            self._perps[p] = i
+    def _complement(self, i: int) -> int:
+        N = self.elements[i].right_nullspace().rref_nonzero()
+        p = self._intern(N)
+        self._perps[p] = i
         return p
 
     def meet(self, i: int, j: int) -> int:
-        v = self.join(i, j)
-        if v == j:                       # comparable: the smaller one
-            return i
-        if v == i:
-            return j
-        return self._perp(self.join(self._perp(i), self._perp(j)))
+        m = self._masks[i] & self._masks[j]
+        v = self._by_mask.get(m)
+        if v is None:                    # (U^perp + W^perp)^perp, once
+            perp, E = self._perps, self.elements
+            v = perp[self._intern(E[perp[i]].stack(E[perp[j]]).rref_nonzero())]
+            self._masks[v] = m
+            self._by_mask[m] = v
+        return v
 
     def join(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        v = self._joins.get(key)
-        if v is None:
-            X = self.elements[i].stack(self.elements[j])
-            v = self._joins[key] = self._intern(X.rref_nonzero())
-        return v
+        perp = self._perps
+        return perp[self.meet(perp[i], perp[j])]
 
 
 def subcode_lattice(C: LinearCode) -> SubspaceLattice:
@@ -500,15 +533,14 @@ def verify_parallelogram(lattice) -> bool:
     """
     _check_cap(2 * (len(lattice) - 1).bit_length(),
                "pairs of lattice elements")
-    idx = range(len(lattice))
-    pairs = ((i, j) for i in idx for j in idx)
-    for i, j in pairs:
-        m = lattice.meet(i, j)
-        v = lattice.join(i, j)
-        if lattice.rank(i) + lattice.rank(j) != lattice.rank(v) + lattice.rank(m):
-            return False
-        if lattice.degree(i) + lattice.degree(j) > lattice.degree(v) + lattice.degree(m):
-            return False
+    rank, degree, meet, join = (lattice.rank, lattice.degree, lattice.meet,
+                                lattice.join)
+    elems = [(i, rank(i), degree(i)) for i in range(len(lattice))]
+    for i, ri, di in elems:
+        for j, rj, dj in elems:
+            m, v = meet(i, j), join(i, j)
+            if ri + rj != rank(v) + rank(m) or di + dj > degree(v) + degree(m):
+                return False
     return True
 
 
@@ -565,6 +597,15 @@ def subset_to_subcode(C: LinearCode, J: int) -> Subcode:
     return C.shorten(full ^ J)
 
 
+def _column_span(C: LinearCode, J: int) -> Matrix:
+    """The RREF span in F^k of the generator's J-columns, whose complement
+    is the key of the subcode vanishing on J (the coefficients that
+    `LinearCode.shorten` multiplies by the generator)."""
+    G, js = C.gen, bits_of(J)
+    cols = tuple(x for j in js for x in G.entries[j::G.cols])
+    return Matrix(G.field, len(js), G.rows, cols).rref_nonzero()
+
+
 def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     """Check the order-reversing correspondence laws on sampled elements.
 
@@ -575,13 +616,14 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     The laws run over pairs: an exhaustive side of 2^b elements counts as
     2^(2b) against the cap, checked before either side is built.
 
-    Every law is read on SubspaceLattice indices: the image
-    `subset_to_subcode(C, J)` of each subset is interned once, and meets,
-    joins and containments are the lattice's memoized k-column
-    operations.  Exhaustively the code's own lattice (`subcode_lattice`) is
-    read.  With sampled subcodes a fresh lattice starts from them alone and
-    interns only the meets, joins and images the laws reach, so it never
-    enumerates the subspaces of F^k.
+    Every law is read on SubspaceLattice indices and point masks.  Each
+    subset's image is interned from its k-column key, the complement of
+    `_column_span`, and the subsets are grouped by image: each pair of
+    classes takes one join and one meet, which every pair (J, K) in them
+    compares with the images of J & K and J | K.  Exhaustively the code's
+    own lattice (`subcode_lattice`) is read.  With sampled subcodes a fresh
+    lattice starts from them alone and interns only the meets, joins and
+    images the laws reach, so it never enumerates the subspaces of F^k.
     """
     side = max(_lattice_bits(C) if subcodes is None else 0,
                C.n if subsets is None else 0)
@@ -592,43 +634,38 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     else:
         lat = SubspaceLattice(C, subcodes=subcodes)
         idx = [lat.index_of(S) for S in subcodes]
-    if subsets is None:
-        subsets = range(1 << C.n)
-    subsets = list(subsets)
-    leq, meet, join, cos = lat.leq, lat.meet, lat.join, lat.cosupport
-    img = {}
+    cos, mask, meet, join = lat.cosupport, lat._masks, lat.meet, lat.join
 
-    def image(J):
-        i = img.get(J)
-        if i is None:
-            i = img[J] = lat.index_of(subset_to_subcode(C, J))
-        return i
-
+    def image(J):                        # (index, mask) of J's image
+        i = lat._perps[lat._intern(_column_span(C, J))]
+        return i, mask[i]
+    img = _Memo(image)
+    classes = {}                         # image index -> its subsets
+    for J in range(1 << C.n) if subsets is None else subsets:
+        classes.setdefault(img[J][0], []).append(J)
     for s in idx:
         Sc = cos(s)
-        if not leq(s, image(Sc)):
+        if not lat.leq(s, img[Sc][0]) or lat.degree(s) != Sc.bit_count():
             return False
-        if lat.degree(s) != Sc.bit_count():
-            return False
-    images = [(J, image(J)) for J in subsets]
-    for J, iJ in images:
-        if J & ~cos(iJ):
+    for c, Js in classes.items():
+        if any(J & ~cos(c) for J in Js):
             return False
     for s in idx:
-        Sc = cos(s)
-        for J, iJ in images:
-            if leq(s, iJ) != (J & ~Sc == 0):
+        Sc, ms = cos(s), mask[s]
+        for c, Js in classes.items():
+            below = ms & mask[c] == ms
+            if any(below != (J & ~Sc == 0) for J in Js):
                 return False
-    for s in idx:
-        for t in idx:
-            if (cos(s) | cos(t)) & ~cos(meet(s, t)):
+    cosups = [(s, cos(s)) for s in idx]
+    for s, Sc in cosups:
+        for t, Tc in cosups:
+            if (Sc | Tc) & ~cos(meet(s, t)) or Sc & Tc != cos(join(s, t)):
                 return False
-            if cos(s) & cos(t) != cos(join(s, t)):
-                return False
-    for J, iJ in images:
-        for K, iK in images:
-            if not leq(join(iJ, iK), image(J & K)):
-                return False
-            if meet(iJ, iK) != image(J | K):
-                return False
+    for a, As in classes.items():
+        for b, Bs in classes.items():
+            up, down = mask[join(a, b)], meet(a, b)
+            for J in As:
+                for K in Bs:
+                    if up & ~img[J & K][1] or img[J | K][0] != down:
+                        return False
     return True

@@ -171,15 +171,15 @@ def dual_dlp_check(C: LinearCode) -> bool:
     D = C.dual()
     kj = C.dlp()
     kjd = D.dlp()
-    full = (1 << C.n) - 1
     wits = C.dlp_witnesses()
     for j in range(C.n + 1):
         if kjd[C.n - j] != kj[j] + C.n - j - C.k:
             return False
         # the complement of C's maximizer maximizes for the dual: the dual
-        # shortened there must realize k_{n-j} of the dual
-        comp = full ^ wits[j]
-        if D.shorten(comp).dim != kjd[C.n - j]:
+        # shortened there, the subcode vanishing on wits[j], must realize
+        # k_{n-j} of the dual; its dimension is D.k minus one column rank
+        rank = D.gen.col_submatrix(bits_of(wits[j])).rank()
+        if D.k - rank != kjd[C.n - j]:
             return False
     return True
 

@@ -24,9 +24,10 @@ from hncodes import (
     subset_polygon,
     zoo,
 )
-from hncodes.algebra import (FieldSpec, column_rank_table, least_ranks,
-                             min_column_rank_by_size, subsets_where)
-from hncodes.code import mask_of
+from hncodes.algebra import (FieldSpec, Matrix, column_rank_table,
+                             least_ranks, min_column_rank_by_size,
+                             subsets_where)
+from hncodes.code import Subcode, mask_of
 from hncodes.hn import (
     CanonicalPolygon,
     SubspaceLattice,
@@ -645,6 +646,30 @@ def test_large_lattice_refused_before_enumerating(monkeypatch):
             build(C)
 
 
+def test_sampled_lattice_charges_its_points_to_the_cap(monkeypatch):
+    # a sampled lattice keeps masks over the (q^k - 1)/(q - 1) points of
+    # P^(k-1): GF(256)^4 has 16,843,009 of them (2^24.0), refused at the
+    # default cap before any element is interned and accepted under 2^25
+    interned, intern = [], SubspaceLattice._intern
+
+    def counted(self, X):
+        interned.append(X)
+        return intern(self, X)
+    monkeypatch.setattr(SubspaceLattice, "_intern", counted)
+    C = zoo.random_code(random.Random(293), FieldSpec(2, 8, 0x11D), 5, 4)
+    samples = [C.zero_subcode(), C.whole_subcode()]
+    with pytest.raises(SizeLimitExceeded) as err:
+        SubspaceLattice(C, subcodes=samples)
+    assert err.value.needed == 25 and "points" in str(err.value)
+    assert not interned
+    with enumeration_cap(25):
+        assert len(SubspaceLattice(C, subcodes=samples)) == 2
+    # parity [14, 13]: 2^13 points, within the default cap
+    P = zoo.parity(GF2, 14)
+    lat = SubspaceLattice(P, subcodes=[P.zero_subcode(), P.whole_subcode()])
+    assert lat.leq(0, 1) and not lat.leq(1, 0) and lat.meet(0, 1) == 0
+
+
 def test_gap_condition_on_a_large_field_with_a_small_lattice():
     # q^k = 65,536, but the [4,2] code over GF(256) has 259 subcodes
     C = LinearCode.from_rows(FieldSpec(2, 8, 0x11D),
@@ -713,12 +738,69 @@ def test_subspace_lattice_against_codeword_sets():
                              levels)
         assert len(P) <= len(L)
     assert padded >= 5 and big >= 5
+    # larger fields, where each point has q - 1 nonzero multiples: masks
+    # hold a point once, led by 1, and a subcode given by scaled rows is
+    # the element that its RREF rows key
+    GF5, GF8 = FieldSpec(5), FieldSpec(2, 3, 0b1011)
+    for field, k in [(GF5, 2), (GF5, 3)] + [(GF8, 2)] * 2:
+        C = zoo.random_code(rng, field, rng.randrange(k, 6), k)
+        levels = oracles.subspaces_by_dim(field, oracles.rows_of(C))
+        L = SubspaceLattice(C)
+        assert len(L) == sum(map(len, levels))
+        idx = range(len(L))
+        _check_lattice_pairs(C, L, [(i, j) for i in idx for j in idx],
+                             levels)
+        for i in idx[1:]:                # the zero subcode has no rows
+            basis = L.subcode(i).basis.row_list()
+            rows = [tuple(field.mul(c, x) for x in row)
+                    for c, row in zip(range(field.q - 1, 0, -1), basis)]
+            assert L.index_of(Subcode.from_rows(C, rows)) == i
+
+
+def test_sampled_lattice_on_a_large_field():
+    # the GF(256) [4,2] code of the gap-condition test: sampled pairs read
+    # against codeword sets, with the levels made of the sampled subcodes
+    # (their meets and joins stay among them, as k = 2)
+    rng = random.Random(281)
+    f = FieldSpec(2, 8, 0x11D)
+    C = LinearCode.from_rows(f, [(1, 1, 1, 0), (0, 0, 0, 1)])
+    lines = [zoo.random_subcode(rng, C, 1) for _ in range(3)]
+    lines.append(Subcode.from_rows(C, [(7, 7, 7, f.mul(7, 9))]))
+    lines.append(Subcode.from_rows(C, [(1, 1, 1, 9)]))     # the same line
+    samples = [C.zero_subcode(), C.whole_subcode()] + lines
+    P = SubspaceLattice(C, subcodes=samples)
+    assert len(P) == len(set(samples)) == 6
+    got = [P.index_of(S) for S in samples]
+    words = {S: oracles.span_words(f, S.basis.row_list(), C.n)
+             for S in samples}
+    levels = [[words[S] for S in set(samples) if S.dim == r]
+              for r in range(3)]
+    _check_lattice_pairs(C, P, [(i, j) for i in got for j in got], levels)
 
 
 def test_parallelogram_exhaustive_small():
     rng = random.Random(251)
     for C in small_codes(rng, 12, nmax=6, kmax=3):
         assert verify_parallelogram(SubspaceLattice(C))
+
+
+def test_parallelogram_makes_no_matrix_joins(monkeypatch):
+    # meets are mask ANDs and joins complements of meets, so the pair laws
+    # eliminate only for complements (one nullspace per element) and for
+    # meets not seen before: at most two fresh RREFs per element
+    rref, fresh = Matrix.rref, []
+
+    def counted(self):
+        fresh.append(self._rref is None)
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counted)
+    rng = random.Random(283)
+    for field, n, k, size in ((GF2, 6, 3, 16), (GF4, 5, 2, 7)):
+        C = zoo.random_code(rng, field, n, k)
+        fresh.clear()
+        lat = hn.subcode_lattice(C)
+        assert verify_parallelogram(lat) and len(lat) == size
+        assert 0 < sum(fresh) <= 2 * len(lat)
 
 
 def test_parallelogram_counts_its_pairs_against_the_cap():
@@ -787,7 +869,7 @@ def test_exhaustive_galois_laws_are_capped_by_their_pairs(monkeypatch):
     # before any subset is read
     def refuse(*args):
         raise AssertionError("the subsets were walked")
-    monkeypatch.setattr(hn, "subset_to_subcode", refuse)
+    monkeypatch.setattr(hn, "_column_span", refuse)
     C = LinearCode.from_rows(GF2, [(1,) * 6 + (0,) * 5, (0,) * 6 + (1,) * 5])
     with pytest.raises(SizeLimitExceeded) as err:
         verify_galois(C)
