@@ -29,7 +29,8 @@ The lattice serves the lattice laws alone (`verify_parallelogram`,
 `verify_galois`) and reads its order on masks of the points of P^(k-1).
 The exhaustive lattice enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
-is built; a sampled lattice's cap counts the points.
+is built; a sampled lattice's cap counts the points, one mask bit and
+a build linear in them each.
 
 All slopes are exact `fractions.Fraction`s, and polygon values are exact
 ints or Fractions.
@@ -393,12 +394,14 @@ class SubspaceLattice:
     element i and `subcode(i)` the Subcode it stands for.
 
     The order is read on point masks: the points of P^(k-1) an element
-    holds, as bits of an int, built when the element is first compared.
+    holds, one bit each, built when the element is first compared in time
+    and memory linear in its points.
     leq is mask containment and meet the AND of two masks, looked up among
     the masks built so far; an AND that names no known element is
     (U^perp + W^perp)^perp once, by one k-column RREF.  `_perps` holds each
     element's orthogonal complement (a k-column nullspace), found once and
     recorded both ways, and a join is complement, meet, complement.
+    `vanishing(J)` interns the subcode vanishing on the columns J.
 
     Without `subcodes` every subcode is enumerated, and it is refused
     when the subcodes number more than 2^cap; `subcode_lattice(C)` is
@@ -416,6 +419,7 @@ class SubspaceLattice:
         self.code = C
         self._pivots = C.gen.rref()[1]
         self._place = [q ** e for e in reversed(range(k))]
+        self._lead = [(e - 1) // (q - 1) for e in self._place]
         self.elements: list[Matrix] = []
         self._index: dict[tuple, int] = {}
         self._perps = _Memo(self._complement)
@@ -467,25 +471,40 @@ class SubspaceLattice:
         return self.code.n - self._supports[i].bit_count()
 
     def _point_mask(self, i: int) -> int:
-        """The points of element i: bit sum_j v_j q^(k-1-j) for each point
-        v.  With RREF rows u_1..u_r these are u_a + sum_{b>a} c_b u_b, whose
-        leading entry is 1 at pivot a, as the other rows vanish there."""
-        f, place, pts = self.code.field, self._place, []
-        rows = reversed(self.elements[i].row_list())
-        if f.p == 2:                     # a vector sum XORs the words
-            span = [0]                   # the words of the rows below u
-            for u in rows:
-                cu = [sum(M[x] * e for x, e in zip(u, place)) for M in f._mul]
-                pts += [cu[1] ^ w for w in span]
-                span = [w ^ c for c in cu for w in span]
-        else:
-            ADD, span = f._add, [(0,) * len(place)]
-            for u in rows:
-                led = [tuple(ADD[x][y] for x, y in zip(u, w)) for w in span]
-                pts += [sum(map(int.__mul__, v, place)) for v in led]
-                span += [tuple(M[x] for x in v)
-                         for M in f._mul[1:] for v in led]
-        m = sum(1 << x for x in pts)
+        """The points of element i as bits of an int.  A point v led by 1 at
+        position j is bit lead[j] + sum_{t>j} v_t q^(k-1-t), where the
+        lead[j] = (q^(k-1-j) - 1)/(q - 1) points led further right come
+        first, so the points of P^(k-1) take one bit each.  With RREF rows
+        u_1..u_r the points led at pivot a are u_a + w for w in the span
+        of the rows below, as the other rows vanish at that pivot.  The
+        span is kept grouped by its non-pivot digits, which add in the
+        field once per group; its pivot digits add as ints, and each
+        point is written once into a string of binary digits."""
+        f, place, lead = self.code.field, self._place, self._lead
+        rows = self.elements[i].row_list()
+        piv = [u.index(1) for u in rows]
+        free = [t for t in range(len(place)) if t not in piv]
+        ADD = f._add
+        # the top row's points come last; point x is digits[~x]
+        width = lead[piv[0]] + place[piv[0]] if rows else 1
+        digits = bytearray(b"0") * width
+        span = {(0,) * len(free): [0]}   # other digits -> pivot digits' value
+        for a in reversed(range(len(rows))):
+            j, u = piv[a], [rows[a][t] for t in free]
+            for w, pvs in span.items():
+                top = ~lead[j] - sum(place[t] * ADD[y][z]
+                                     for t, y, z in zip(free, u, w))
+                for pv in pvs:
+                    digits[top - pv] = 49
+            if a:
+                grown = {}
+                for c, M in enumerate(f._mul):
+                    for w, pvs in span.items():
+                        cw = tuple(ADD[M[y]][z] for y, z in zip(u, w))
+                        grown.setdefault(cw, []).extend(
+                            [c * place[j] + pv for pv in pvs])
+                span = grown
+        m = int(digits, 2)
         self._by_mask[m] = i
         return m
 
@@ -498,6 +517,11 @@ class SubspaceLattice:
         p = self._intern(N)
         self._perps[p] = i
         return p
+
+    def vanishing(self, J: int) -> int:
+        """The subcode vanishing on the columns J, interned from its key:
+        the complement of `_column_span(C, J)`."""
+        return self._perps[self._intern(_column_span(self.code, J))]
 
     def meet(self, i: int, j: int) -> int:
         m = self._masks[i] & self._masks[j]
@@ -616,11 +640,11 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     The laws run over pairs: an exhaustive side of 2^b elements counts as
     2^(2b) against the cap, checked before either side is built.
 
-    Every law is read on SubspaceLattice indices and point masks.  Each
-    subset's image is interned from its k-column key, the complement of
-    `_column_span`, and the subsets are grouped by image: each pair of
-    classes takes one join and one meet, which every pair (J, K) in them
-    compares with the images of J & K and J | K.  Exhaustively the code's
+    Every law is read on SubspaceLattice indices.  Each subset's image is
+    interned from its k-column key by `SubspaceLattice.vanishing`, and
+    the subsets are grouped by image: each pair of classes takes one join
+    and one meet, which every pair (J, K) in them compares with the
+    images of J & K and J | K.  Exhaustively the code's
     own lattice (`subcode_lattice`) is read.  With sampled subcodes a fresh
     lattice starts from them alone and interns only the meets, joins and
     images the laws reach, so it never enumerates the subspaces of F^k.
@@ -634,26 +658,22 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     else:
         lat = SubspaceLattice(C, subcodes=subcodes)
         idx = [lat.index_of(S) for S in subcodes]
-    cos, mask, meet, join = lat.cosupport, lat._masks, lat.meet, lat.join
-
-    def image(J):                        # (index, mask) of J's image
-        i = lat._perps[lat._intern(_column_span(C, J))]
-        return i, mask[i]
-    img = _Memo(image)
-    classes = {}                         # image index -> its subsets
+    cos, leq, meet, join = lat.cosupport, lat.leq, lat.meet, lat.join
+    img = _Memo(lat.vanishing)           # subset -> the index of its image
+    classes = {}                         # image -> its subsets
     for J in range(1 << C.n) if subsets is None else subsets:
-        classes.setdefault(img[J][0], []).append(J)
+        classes.setdefault(img[J], []).append(J)
     for s in idx:
         Sc = cos(s)
-        if not lat.leq(s, img[Sc][0]) or lat.degree(s) != Sc.bit_count():
+        if not leq(s, img[Sc]) or lat.degree(s) != Sc.bit_count():
             return False
     for c, Js in classes.items():
         if any(J & ~cos(c) for J in Js):
             return False
     for s in idx:
-        Sc, ms = cos(s), mask[s]
+        Sc = cos(s)
         for c, Js in classes.items():
-            below = ms & mask[c] == ms
+            below = leq(s, c)
             if any(below != (J & ~Sc == 0) for J in Js):
                 return False
     cosups = [(s, cos(s)) for s in idx]
@@ -663,9 +683,9 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
                 return False
     for a, As in classes.items():
         for b, Bs in classes.items():
-            up, down = mask[join(a, b)], meet(a, b)
+            up, down = join(a, b), meet(a, b)
             for J in As:
                 for K in Bs:
-                    if up & ~img[J & K][1] or img[J | K][0] != down:
+                    if not leq(up, img[J & K]) or img[J | K] != down:
                         return False
     return True

@@ -1,6 +1,7 @@
 """Canonical polygons, filtrations, semistability, and the two lattices."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -668,6 +669,41 @@ def test_sampled_lattice_charges_its_points_to_the_cap(monkeypatch):
     P = zoo.parity(GF2, 14)
     lat = SubspaceLattice(P, subcodes=[P.zero_subcode(), P.whole_subcode()])
     assert lat.leq(0, 1) and not lat.leq(1, 0) and lat.meet(0, 1) == 0
+
+
+def test_sampled_lattice_masks_at_the_point_cap():
+    # the largest sampled lattices the default cap admits: 2^20 - 1 points
+    # over GF(2), 65,793 over GF(256) and 797,161 over GF(3).  The whole
+    # subcode sets every point's bit once and a hyperplane those of its
+    # (q^(k-1) - 1)/(q - 1) points.  Building both masks takes memory
+    # linear in the points, traced over GF(256), where q^k = 2^24 vectors
+    # would not fit the bound
+    rng = random.Random(307)
+    GF256 = FieldSpec(2, 8, 0x11D)
+    for field, k in ((GF2, 20), (GF256, 3), (FieldSpec(3), 13)):
+        q = field.q
+        points = (q ** k - 1) // (q - 1)
+        C = zoo.random_code(rng, field, k + 1, k)
+        H = zoo.random_subcode(rng, C, k - 1)
+        line = zoo.random_subcode(rng, C, 1)
+        lat = SubspaceLattice(C, subcodes=[C.zero_subcode(), C.whole_subcode(),
+                                           H, line])
+        if field == GF256:
+            tracemalloc.start()
+            try:
+                lat.leq(2, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * points
+        assert lat.leq(2, 1) and not lat.leq(1, 2)
+        assert lat._masks[1] == (1 << points) - 1
+        assert lat._masks[2].bit_count() == (q ** (k - 1) - 1) // (q - 1)
+        assert lat.meet(1, 2) == 2 and lat.join(2, 1) == 1
+        on = H.contains(line)
+        assert lat.leq(3, 2) == on
+        assert lat.meet(2, 3) == (3 if on else 0)
+        assert lat.join(2, 3) == (2 if on else 1)
 
 
 def test_gap_condition_on_a_large_field_with_a_small_lattice():
