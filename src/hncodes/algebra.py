@@ -685,9 +685,9 @@ def min_column_rank_by_size(M):
 
 def least_ranks(X):
     """(minima, witnesses) by subset size of a code or matroid X, kept on
-    X._minr; the cap is checked on every call, so whether it is honoured
-    does not depend on what was computed before.  The one choice of engine:
-    a Matroid reads its rank table, `ranks`, and a code runs the search."""
+    X._minr; the one charge of the cap for all that is read from them, made
+    on every call, so a refusal does not depend on what was computed before.
+    The one choice of engine: a Matroid reads its `ranks`, a code searches."""
     _check_cap(X.n)
     if X._minr is None:
         X._minr = (least_ranks_of_table(X.ranks) if hasattr(X, "ranks")

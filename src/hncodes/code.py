@@ -182,7 +182,7 @@ class LinearCode:
         """The generator's column oracle: the searches take the code."""
         return self.gen.independence()
 
-    # The rank table and the hierarchy check the cap on every call.
+    # Each call charges the cap: rank_table here, the rest in `least_ranks`.
 
     def rank_table(self) -> bytes:
         """rank of the generator's column subsets, indexed by bitmask."""
@@ -211,7 +211,7 @@ class LinearCode:
     def weight_hierarchy(self) -> tuple[int, ...]:
         """(d_0, ..., d_k): d_i the least support size of an i-dim subcode."""
         from .hn import profile_hierarchy
-        _check_cap(self.n)
+        least_ranks(self)                # the owner of the cap's unit
         if self._hier is None:
             self._hier = profile_hierarchy(self.k, self.dlp())
         return self._hier

@@ -14,11 +14,11 @@ A code is semistable exactly when its polygon has one side: no subcode
 beats the code's rate, d_i k >= i w(C) for 0 < i < k.  By the Galois
 connection the code polygon is the subset polygon with its axes swapped,
 and the filtration's element at a vertex is the unique subset of least
-rank for its size, so the polygon, the filtration and this verdict all
-read the one memoized least-rank search (`algebra.least_ranks`) and no
-code builds its 2^n rank table for them.  Stability, the strict form,
-reads the weight hierarchy.  Every verdict is refused past the
-enumeration cap in force (`algebra.enumeration_cap`).
+rank for its size.  So the polygons, both filtrations and this verdict
+read one chain: `subset_filtration` builds the hull of the least ranks
+once per object, and `algebra.least_ranks`, read first on every call,
+alone charges the enumeration cap; no 2^n rank table is built for them.
+Stability, the strict form, reads the weight hierarchy.
 
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it.  The gap
@@ -212,17 +212,17 @@ def hierarchies_tile(n: int, k: int, d, dual_d) -> bool:
 
 def subset_polygon(X) -> CanonicalPolygon:
     """Polygon of the coordinate-subset lattice: profile
-    (s, k - min {r(S) : #S = s})."""
-    return polygon_from_profile([X.k - m for m in least_ranks(X)[0]])
+    (s, k - min {r(S) : #S = s}), the one kept with `subset_filtration`."""
+    return subset_filtration(X).polygon
 
 
 def code_polygon(C: LinearCode) -> CanonicalPolygon:
     """Polygon of the subcode lattice, profile (i, n - d_i): the subset
     polygon with its axes swapped.  Zero columns give the subset polygon a
     flat first side from the loop vertex (0, k), which is dropped first.
-    The subset polygon's vertices are reflected once, into one polygon."""
-    minr = least_ranks(C)[0]
-    vs = _upper_hull(list(enumerate(C.k - m for m in minr)))
+    The vertices of the polygon kept by `subset_filtration` are reflected,
+    so no hull is built here."""
+    vs = subset_filtration(C).polygon.vertices
     if vs[1][1] == vs[0][1]:
         vs = vs[1:]
     return CanonicalPolygon([(y, x) for x, y in reversed(vs)])
@@ -260,13 +260,13 @@ def subset_filtration(X) -> Filtration:
     vertex the s-subset of least rank is unique: two of them, S != T, would
     by submodularity put S | T or S & T above the strictly concave hull.
     So the search's witness, its first least-rank s-subset, is that
-    subset.  A chain that does not nest raises.  The result is kept on
-    X._sfilt; the cap is checked on every call, as `least_ranks` does.
+    subset.  A chain that does not nest raises.  The chain and its polygon,
+    the one hull of the least ranks, are kept on X._sfilt; every call reads
+    `least_ranks` first, which charges the cap, so a filled memo is too.
     """
-    _check_cap(X.n)
+    minr, wit = least_ranks(X)
     if X._sfilt is None:
-        poly = subset_polygon(X)
-        wit = least_ranks(X)[1]
+        poly = polygon_from_profile([X.k - m for m in minr])
         out = [wit[s] for s in poly.vertex_ranks]
         for A, B in zip(out, out[1:]):
             if A & ~B:
@@ -308,13 +308,13 @@ def canonical_filtration(C: LinearCode) -> Filtration:
     the images of the subset steps just before the last, in reverse.  The
     zero and the whole subcode are the ends.  No rank table is built.
 
-    The filtration is memoized on C; the cap is checked on every call, as
-    the code's other memos do.
+    The filtration is memoized on C.  Every call first reads
+    `subset_filtration`, whose least-rank read charges the cap.
     """
-    _check_cap(C.n)
+    sfilt = subset_filtration(C)
     if C._filt is None:
         poly = code_polygon(C)
-        inner = subset_filtration(C).steps[-poly.N:-1]
+        inner = sfilt.steps[-poly.N:-1]
         steps = [C.zero_subcode()]
         steps += [subset_to_subcode(C, S) for S in reversed(inner)]
         steps.append(C.whole_subcode())

@@ -228,8 +228,8 @@ def is_chained(C: LinearCode) -> bool:
     """Chain condition: nested subcodes D_1 < ... < D_k with each D_i of
     dimension i and weight d_i.  Decided by reachability through the
     levels of minimum supports ordered by inclusion.  The verdict is kept
-    on C; the cap is checked on every call, as the code's other memos do."""
-    _check_cap(C.n)
+    on C; every call reads the code's rank table, which charges the cap."""
+    C.rank_table()
     if C._chained is None:
         reach = {0}                      # the empty support is below all
         for lvl in _levels(C):

@@ -1042,6 +1042,55 @@ def test_every_enumerating_entry_point_honours_a_raised_cap():
             assert call() == expect
 
 
+def test_derived_memos_leave_the_cap_to_its_owners(monkeypatch):
+    # `least_ranks` alone charges the least-rank unit and the rank table
+    # its own: with every memo filled, no polygon, filtration, verdict,
+    # hierarchy or chain condition reaches a cap check of its own.  The
+    # GF(3) code [2,1] + [3,2] has a zero column, so its subset polygon
+    # starts flat.
+    def refuse(*args):
+        raise AssertionError("a derived memo charged the cap itself")
+    codes = [zoo.binary_9_7(),
+             LinearCode.from_rows(GF3, [(1, 2, 0, 0, 0, 0),
+                                        (0, 0, 1, 0, 1, 0),
+                                        (0, 0, 0, 1, 1, 0)])]
+    calls = [subset_filtration, canonical_filtration, subset_polygon,
+             code_polygon, is_semistable, semistability_witness,
+             tensor.is_chained]
+
+    def answers():
+        return [[call(C) for call in calls] for C in codes], graded_pieces(
+            codes[0])
+    before = answers()
+    hierarchies = [C.weight_hierarchy() for C in codes]
+    assert [code_polygon(C).N for C in codes] == [2, 2]
+    assert subset_polygon(codes[1]).vertices[:2] == ((0, 3), (1, 3))
+    monkeypatch.setattr(hn, "_check_cap", refuse)
+    monkeypatch.setattr(tensor, "_check_cap", refuse)
+    assert answers() == before
+    # `rank_table` owns the name in `hncodes.code`, which `is_chained`
+    # reads above, so it is patched only for the hierarchy
+    monkeypatch.setattr(hncodes.code, "_check_cap", refuse)
+    assert [C.weight_hierarchy() for C in codes] == hierarchies
+
+
+def test_one_hull_per_object(monkeypatch):
+    # `subset_filtration` builds the hull of the least ranks once and keeps
+    # its polygon; both polygons and both verdicts read it back
+    hulls = []
+    hull = hn._upper_hull
+    monkeypatch.setattr(hn, "_upper_hull",
+                        lambda pts: hulls.append(len(pts)) or hull(pts))
+    for C, sides in ((zoo.binary_9_7(), 2), (zoo.binary_5_2(), 1)):
+        canonical_filtration(C)
+        assert hulls == [C.n + 1]
+        for _ in range(3):
+            assert subset_polygon(C).N == code_polygon(C).N == sides
+            assert is_semistable(C) == (semistability_witness(C) is None)
+        assert hulls == [C.n + 1]
+        hulls.clear()
+
+
 def test_gap_rival_degrees_against_the_lattice_scan():
     # at each interior vertex, the largest degree of a rival subcode read
     # off the contractions' least ranks against a scan of the whole subcode
