@@ -135,18 +135,22 @@ class LinearCode:
     # -- subcodes and coordinate operations ---------------------------------
 
     def whole_subcode(self) -> "Subcode":
-        return Subcode(self, self.gen)
+        return Subcode(self, Matrix.identity(self.field, self.k))
 
     def zero_subcode(self) -> "Subcode":
-        return Subcode(self, Matrix(self.field, 0, self.n, ()))
+        return Subcode(self, Matrix(self.field, 0, self.k, ()))
+
+    def _column_span(self, J: int) -> Matrix:
+        """The RREF span in F^k of the generator's J-columns, whose complement
+        is the key of the subcode vanishing on J."""
+        G, js = self.gen, bits_of(J)
+        cols = tuple(x for j in js for x in G.entries[j::G.cols])
+        return Matrix(G.field, len(js), G.rows, cols).rref_nonzero()
 
     def shorten(self, J: int) -> "Subcode":
         """C_J: the largest subcode supported inside the coordinate set J."""
-        # reduced in F^k: RREF coefficients times the RREF generator are RREF
-        out_cols = [j for j in range(self.n) if not (J >> j) & 1]
-        sub = self.gen.col_submatrix(out_cols)
-        coeffs = sub.transpose().right_nullspace().rref_nonzero()
-        return Subcode(self, coeffs.matmul(self.gen))
+        span = self._column_span(((1 << self.n) - 1) ^ J)
+        return Subcode(self, span.right_nullspace().rref_nonzero())
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""
@@ -257,31 +261,37 @@ class LinearCode:
 
 
 class Subcode:
-    """A subspace of a LinearCode, held as an RREF basis inside the parent.
+    """A subspace of a LinearCode, keyed by its coefficients in F^k.
 
-    Dimension 0 is allowed (the zero subcode), unlike LinearCode itself.
-    The constructor trusts `basis` to be an RREF basis of a subspace of
-    the parent; `from_rows` checks outside rows.
+    `key` is the RREF r x k matrix whose rows are the coefficients of a
+    basis in the parent's RREF generator G, one key per subcode, and
+    `basis` is key G, which is RREF because both factors are; this
+    constructor is the one place a key is multiplied out.  Dimension 0 is
+    allowed (the zero subcode), unlike LinearCode itself.  The constructor
+    trusts `key`; `from_rows` checks outside rows.
     """
 
-    __slots__ = ("parent", "basis", "dim")
+    __slots__ = ("parent", "key", "basis", "dim")
 
-    def __init__(self, parent: LinearCode, basis: Matrix):
+    def __init__(self, parent: LinearCode, key: Matrix):
         self.parent = parent
-        self.basis = basis
-        self.dim = basis.rows
+        self.key = key
+        self.basis = key.matmul(parent.gen)
+        self.dim = key.rows
 
     @classmethod
     def from_rows(cls, parent: LinearCode, rows) -> "Subcode":
         """Subcode spanned by outside rows (dependent rows are dropped);
-        refuses rows of the wrong length or outside the parent code."""
+        refuses rows of the wrong length or outside the parent code.  G is
+        the identity at its pivots, so the RREF rows read there are the
+        key."""
         M = Matrix.from_rows(parent.field, rows)
-        if M.cols != parent.n:
+        if M.rows and M.cols != parent.n:
             raise InvariantViolation("subcode length differs from parent")
         M = M.rref_nonzero()
         if M.rows and parent.gen.stack(M).rank() != parent.k:
             raise NotASubcode("rows do not lie in the parent code's row space")
-        return cls(parent, M)
+        return cls(parent, M.col_submatrix(parent.gen.rref()[1]))
 
     @property
     def support_mask(self) -> int:
@@ -310,30 +320,33 @@ class Subcode:
         return self.parent.shorten(self.support_mask)
 
     def contains(self, other: "Subcode") -> bool:
+        if other.parent != self.parent:
+            raise NotASubcode("subcodes of two different codes")
         if other.dim == 0:
             return True
         if self.dim < other.dim:
             return False
-        return self.basis.stack(other.basis).rank() == self.dim
+        return self.key.stack(other.key).rank() == self.dim
 
     def meet(self, other: "Subcode") -> "Subcode":
-        """U & W = (U^perp + W^perp)^perp, complements taken in F^n."""
-        N = self.basis.right_nullspace().stack(other.basis.right_nullspace())
+        """U & W = (U^perp + W^perp)^perp, complements taken in F^k."""
+        if other.parent != self.parent:
+            raise NotASubcode("meet of subcodes of two different codes")
+        N = self.key.right_nullspace().stack(other.key.right_nullspace())
         return Subcode(self.parent, N.right_nullspace().rref_nonzero())
 
     def join(self, other: "Subcode") -> "Subcode":
         if other.parent != self.parent:
             raise NotASubcode("join of subcodes of two different codes")
-        B = self.basis.stack(other.basis).rref_nonzero()
-        return Subcode(self.parent, B)
+        return Subcode(self.parent, self.key.stack(other.key).rref_nonzero())
 
     def __eq__(self, other):
         return (isinstance(other, Subcode)
                 and self.parent == other.parent
-                and self.basis == other.basis)
+                and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.parent.gen, self.basis))
+        return hash((self.parent, self.key))
 
     def __repr__(self):
         return (f"Subcode(dim {self.dim} of [{self.parent.n},"

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Matrix, _check_cap, iter_rref_matrices, least_ranks
-from .code import LinearCode, Subcode, _support_of_matrix, bits_of
+from .code import LinearCode, Subcode, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
 
@@ -386,12 +386,10 @@ class _Memo(dict):
 class SubspaceLattice:
     """Subcodes of C as subspaces of its coefficient space F^k.
 
-    C.gen is in RREF, so it is the identity on its pivot columns and the
-    coefficients of a codeword x G are its entries there.  Each subcode is
-    keyed by the RREF of its r x k coefficient matrix; the RREF basis of a
-    subcode, read at the pivot columns, already is that matrix, so
-    `index_of` needs no elimination.  `elements[i]` is the key matrix of
-    element i and `subcode(i)` the Subcode it stands for.
+    Each element is a `Subcode.key`, the RREF of an r x k coefficient
+    matrix, so `index_of` interns a subcode's key as it stands.
+    `elements[i]` is the key of element i and `subcode(i)` the Subcode it
+    stands for.
 
     The order is read on point masks: the points of P^(k-1) an element
     holds, one bit each, built when the element is first compared in time
@@ -417,14 +415,12 @@ class SubspaceLattice:
         else:                            # the points that masks range over
             _check_cap(((q ** k - 1) // (q - 1) - 1).bit_length(), "points")
         self.code = C
-        self._pivots = C.gen.rref()[1]
         self._place = [q ** e for e in reversed(range(k))]
         self._lead = [(e - 1) // (q - 1) for e in self._place]
         self.elements: list[Matrix] = []
         self._index: dict[tuple, int] = {}
         self._perps = _Memo(self._complement)
-        self._supports = _Memo(lambda i: _support_of_matrix(
-            self.elements[i].matmul(C.gen)))
+        self._supports = _Memo(lambda i: self.subcode(i).support_mask)
         self._masks = _Memo(self._point_mask)
         self._by_mask: dict[int, int] = {}
         if subcodes is not None:
@@ -448,15 +444,10 @@ class SubspaceLattice:
     def index_of(self, S: Subcode) -> int:
         if S.parent != self.code:
             raise NotASubcode("subcode of another code")
-        B, piv = S.basis, self._pivots
-        X = Matrix(B.field, S.dim, len(piv),
-                   tuple(B.entry(i, p) for i in range(S.dim) for p in piv))
-        return self._intern(X)
+        return self._intern(S.key)
 
     def subcode(self, i: int) -> Subcode:
-        X = self.elements[i]
-        # X and the generator are both in RREF, so their product is too
-        return Subcode(self.code, X.matmul(self.code.gen))
+        return Subcode(self.code, self.elements[i])
 
     def rank(self, i: int) -> int:
         return self.elements[i].rows
@@ -520,8 +511,8 @@ class SubspaceLattice:
 
     def vanishing(self, J: int) -> int:
         """The subcode vanishing on the columns J, interned from its key:
-        the complement of `_column_span(C, J)`."""
-        return self._perps[self._intern(_column_span(self.code, J))]
+        the complement of the columns' span, `LinearCode._column_span`."""
+        return self._perps[self._intern(self.code._column_span(J))]
 
     def meet(self, i: int, j: int) -> int:
         m = self._masks[i] & self._masks[j]
@@ -619,15 +610,6 @@ def subset_to_subcode(C: LinearCode, J: int) -> Subcode:
     """The Galois image of a coordinate set: the subcode vanishing on J."""
     full = (1 << C.n) - 1
     return C.shorten(full ^ J)
-
-
-def _column_span(C: LinearCode, J: int) -> Matrix:
-    """The RREF span in F^k of the generator's J-columns, whose complement
-    is the key of the subcode vanishing on J (the coefficients that
-    `LinearCode.shorten` multiplies by the generator)."""
-    G, js = C.gen, bits_of(J)
-    cols = tuple(x for j in js for x in G.entries[j::G.cols])
-    return Matrix(G.field, len(js), G.rows, cols).rref_nonzero()
 
 
 def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:

@@ -178,7 +178,7 @@ def dual_dlp_check(C: LinearCode) -> bool:
         # the complement of C's maximizer maximizes for the dual: the dual
         # shortened there, the subcode vanishing on wits[j], must realize
         # k_{n-j} of the dual; its dimension is D.k minus one column rank
-        rank = D.gen.col_submatrix(bits_of(wits[j])).rank()
+        rank = D._column_span(wits[j]).rows
         if D.k - rank != kjd[C.n - j]:
             return False
     return True

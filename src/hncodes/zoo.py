@@ -110,13 +110,14 @@ def random_code(rng: random.Random, field: FieldSpec, n: int,
 
 
 def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
-    """Random r-dimensional subcode of C, reduced in F^k as `shorten` is."""
+    """Random r-dimensional subcode of C, keyed by the RREF of the drawn
+    coefficients."""
     f = C.field
     while True:
         coeffs = Matrix(f, r, C.k,
                         tuple([rng.randrange(f.q) for _ in range(r * C.k)]))
         if coeffs.rank() == r:
-            return Subcode(C, coeffs.rref_nonzero().matmul(C.gen))
+            return Subcode(C, coeffs.rref_nonzero())
 
 
 def iter_all_codes(field: FieldSpec, n: int, kmin: int = 1,

@@ -73,3 +73,17 @@ def test_library_has_no_floats():
             or isinstance(node, ast.Constant)
             and isinstance(node.value, float)]
     assert hits == []
+
+
+def test_library_imports_no_private_helpers():
+    # an underscore name is its module's own: no library module imports
+    # one from another, except the cap's one refusal, `algebra._check_cap`
+    allowed = {("algebra", "_check_cap")}
+    hits = [(path.name, node.module, a.name)
+            for path in sorted(LIBRARY.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names
+            if a.name.startswith("_") and not a.name.endswith("__")
+            and (node.module, a.name) not in allowed]
+    assert hits == []

@@ -277,6 +277,14 @@ def test_subcode_membership_and_errors():
     assert W.dim == C.k and W.weight == C.weight
 
 
+def test_subcode_of_no_rows_is_the_zero_subcode():
+    # no rows span the zero subcode, whatever the parent's length
+    for C in (zoo.binary_9_7(), zoo.full_space(GF3, 2)):
+        Z = Subcode.from_rows(C, [])
+        assert Z == C.zero_subcode() and Z.dim == 0
+        assert Z.basis.cols == C.n and Z.key.cols == C.k
+
+
 def test_subcode_meet_join_closure():
     C = zoo.full_space(GF2, 4)
     A = Subcode.from_rows(C, [(1, 0, 0, 0), (0, 1, 0, 0)])

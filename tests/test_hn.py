@@ -1,6 +1,7 @@
 """Canonical polygons, filtrations, semistability, and the two lattices."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -905,11 +906,65 @@ def test_exhaustive_galois_laws_are_capped_by_their_pairs(monkeypatch):
     # before any subset is read
     def refuse(*args):
         raise AssertionError("the subsets were walked")
-    monkeypatch.setattr(hn, "_column_span", refuse)
+    monkeypatch.setattr(LinearCode, "_column_span", refuse)
     C = LinearCode.from_rows(GF2, [(1,) * 6 + (0,) * 5, (0,) * 6 + (1,) * 5])
     with pytest.raises(SizeLimitExceeded) as err:
         verify_galois(C)
     assert err.value.needed == 22 and "pairs" in str(err.value)
+
+
+def test_one_key_per_subcode(monkeypatch):
+    # a subcode is named by its RREF key in F^k alone: the products that
+    # multiply a key by the generator all happen in Subcode.__init__, the
+    # lattice interns a subcode's key as it stands, and shortening, the
+    # lattice's vanishing subcodes and from_rows agree on the key
+    codes = [
+        LinearCode.from_rows(GF2, [(0, 1, 1, 0, 1), (0, 0, 0, 1, 1)]),
+        LinearCode.from_rows(GF2, [(1, 0, 1, 1), (0, 1, 1, 0)]),
+        LinearCode.from_rows(GF3, [(1, 2, 0, 1, 0), (0, 0, 1, 2, 1),
+                                   (0, 0, 0, 0, 1)]),
+        LinearCode.from_rows(GF4, [(0, 1, 2, 0, 3), (0, 0, 0, 1, 2)]),
+    ]
+    product, built = Matrix.matmul, Matrix.__init__
+    callers, matrices = [], []
+
+    def spy_product(M, other):
+        callers.append(sys._getframe(1).f_code)
+        return product(M, other)
+
+    def spy_build(M, *args):
+        matrices.append(args)
+        built(M, *args)
+
+    monkeypatch.setattr(Matrix, "matmul", spy_product)
+    rng = random.Random(907)
+    for C in codes:
+        full = (1 << C.n) - 1
+        L = SubspaceLattice(C)
+        shortened = [C.shorten(J) for J in range(1 << C.n)]
+        subcodes = [L.subcode(i) for i in range(len(L))]
+        subcodes += [zoo.random_subcode(rng, C, r) for r in range(1, C.k + 1)]
+        subcodes += canonical_filtration(C).steps
+        for A, B in zip(subcodes, subcodes[1:]):
+            assert A.meet(B).dim + A.join(B).dim == A.dim + B.dim
+        for J, S in enumerate(shortened):
+            assert S.key == L.elements[L.vanishing(full ^ J)]
+        for S in subcodes:
+            assert Subcode.from_rows(C, S.basis.row_list()) == S
+            monkeypatch.setattr(Matrix, "__init__", spy_build)
+            i = L.index_of(S)
+            monkeypatch.setattr(Matrix, "__init__", built)
+            assert L.subcode(i) == S
+        assert matrices == []
+        # another code with the same k: no order or lattice operation
+        # mixes their subcodes
+        other = LinearCode(Matrix.identity(C.field, C.k)).whole_subcode()
+        for op in (Subcode.contains, Subcode.meet, Subcode.join):
+            with pytest.raises(NotASubcode):
+                op(C.whole_subcode(), other)
+            with pytest.raises(NotASubcode):
+                op(C.zero_subcode(), other)
+    assert callers and all(c is Subcode.__init__.__code__ for c in callers)
 
 
 def test_subset_to_subcode_and_cosupport():
