@@ -66,13 +66,14 @@ class LinearCode:
 
     # Memos of the code's own analysis: the min-rank search as (minima,
     # witnesses) kept by `algebra.least_ranks`, the rank table, the weight
-    # hierarchy, the dual, the subset and the canonical filtration and the
-    # subcode lattice (all three filled by hn.py), the chain condition
-    # (tensor.py), and the last tensor product as (other, product, star),
-    # star its Schaathun table, filled by the first witness that reads it.
+    # hierarchy, the dual, the column spans by column set, the subset and
+    # the canonical filtration and the exhaustive subcode lattice (all
+    # three filled by hn.py), the chain condition (tensor.py), and the last
+    # tensor product as (other, product, star), star its Schaathun table,
+    # filled by the first witness that reads it.
     __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_hier",
-                 "_dual", "_sfilt", "_filt", "_lattice", "_chained",
-                 "_tensor")
+                 "_dual", "_spans", "_sfilt", "_filt", "_lattice",
+                 "_chained", "_tensor")
 
     def __init__(self, gen: Matrix):
         R, piv = gen.rref()
@@ -91,6 +92,7 @@ class LinearCode:
         self._rtab = None
         self._hier = None
         self._dual = None
+        self._spans = {}
         self._sfilt = None
         self._filt = None
         self._lattice = None
@@ -142,10 +144,49 @@ class LinearCode:
 
     def _column_span(self, J: int) -> Matrix:
         """The RREF span in F^k of the generator's J-columns, whose complement
-        is the key of the subcode vanishing on J."""
-        G, js = self.gen, bits_of(J)
-        cols = tuple(x for j in js for x in G.entries[j::G.cols])
-        return Matrix(G.field, len(js), G.rows, cols).rref_nonzero()
+        is the key of the subcode vanishing on J.  Every span is kept.  When
+        J minus its top column is kept (or empty), that column is reduced
+        at the kept pivots and, if anything is left, scaled to lead with 1,
+        cleared from the kept rows and inserted in pivot order: one step,
+        so a walk up through the subsets eliminates nothing.  Any other J
+        takes one elimination of its columns."""
+        span = self._spans.get(J)
+        if span is None:
+            G, f = self.gen, self.field
+            top = J.bit_length() - 1
+            rest = J ^ (1 << top) if J else 0
+            kept = self._spans.get(rest) if rest else None
+            if kept is None and rest:            # one elimination
+                js = bits_of(J)
+                cols = tuple(x for j in js for x in G.entries[j::G.cols])
+                span = Matrix(f, len(js), G.rows, cols).rref_nonzero()
+            else:                                # one step from the kept span
+                rows, piv = ([], []) if kept is None else (
+                    kept.row_list(), list(kept._rref[1]))
+                v = list(G.entries[top::G.cols]) if J else []
+                SUB, MUL = f._sub, f._mul
+                for p, u in zip(piv, rows):
+                    if v[p]:
+                        m = MUL[v[p]]
+                        v = [SUB[x][m[y]] for x, y in zip(v, u)]
+                c = next((t for t, x in enumerate(v) if x), None)
+                if c is None and kept is not None:
+                    span = kept
+                else:
+                    if c is not None:
+                        m = MUL[f._inv[v[c]]]
+                        v = tuple(m[x] for x in v)
+                        rows = [tuple(SUB[x][MUL[u[c]][y]]
+                                      for x, y in zip(u, v)) if u[c] else u
+                                for u in rows]
+                        a = sum(p < c for p in piv)
+                        rows.insert(a, v)
+                        piv.insert(a, c)
+                    span = Matrix(f, len(rows), G.rows,
+                                  tuple(x for u in rows for x in u))
+                    span._rref = (span, tuple(piv))
+            self._spans[J] = span
+        return span
 
     def shorten(self, J: int) -> "Subcode":
         """C_J: the largest subcode supported inside the coordinate set J."""

@@ -21,12 +21,16 @@ alone charges the enumeration cap; no 2^n rank table is built for them.
 Stability, the strict form, reads the weight hierarchy.
 
 The canonical filtration and the exhaustive subcode lattice belong to the
-code: both are built once per LinearCode and kept on it.  The gap
+code: both are built once per LinearCode and kept on it, the lattice by
+whichever of `SubspaceLattice(C)` and `subcode_lattice(C)` builds it
+first.  The gap
 condition reads the filtration and least ranks, not the lattice or the
 rank table: by the Galois connection its rivals are coordinate subsets,
 so it is capped by the columns like every other column question.
 The lattice serves the lattice laws alone (`verify_parallelogram`,
-`verify_galois`) and reads its order on masks of the points of P^(k-1).
+`verify_galois`) and reads its order on masks of the points of P^(k-1);
+the Galois check reads the subset images from the column spans the code
+keeps, one reduction step each.
 The exhaustive lattice enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
 is built; a sampled lattice's cap counts the points, one mask bit and
@@ -402,10 +406,11 @@ class SubspaceLattice:
     `vanishing(J)` interns the subcode vanishing on the columns J.
 
     Without `subcodes` every subcode is enumerated, and it is refused
-    when the subcodes number more than 2^cap; `subcode_lattice(C)` is
-    that lattice, built once per code.  With `subcodes` the lattice starts
-    from those alone and interns just what meets, complements and
-    `index_of` reach; its cap counts the (q^k - 1)/(q - 1) points.
+    when the subcodes number more than 2^cap; the first such lattice of a
+    code keeps itself on C, and `subcode_lattice(C)` returns it.  With
+    `subcodes` the lattice starts from those alone and interns just what
+    meets, complements and `index_of` reach; its cap counts the
+    (q^k - 1)/(q - 1) points, and it is never kept on the code.
     """
 
     def __init__(self, C: LinearCode, subcodes=None):
@@ -430,6 +435,8 @@ class SubspaceLattice:
         for r in range(k + 1):
             for X in iter_rref_matrices(C.field, r, k):
                 self._intern(X)
+        if C._lattice is None:
+            C._lattice = self
 
     def __len__(self):
         return len(self.elements)
@@ -530,11 +537,12 @@ class SubspaceLattice:
 
 
 def subcode_lattice(C: LinearCode) -> SubspaceLattice:
-    """The exhaustive subcode lattice of C, built once and kept on C; the
-    cap is checked on every call, as the code's other memos do."""
+    """The exhaustive subcode lattice of C: the first one built, by this
+    call or by `SubspaceLattice(C)`, which keeps itself on C.  The cap is
+    checked on every call, as the code's other memos do."""
     _check_cap(_lattice_bits(C), "subcodes")
     if C._lattice is None:
-        C._lattice = SubspaceLattice(C)
+        SubspaceLattice(C)
     return C._lattice
 
 
@@ -542,19 +550,23 @@ def verify_parallelogram(lattice) -> bool:
     """Modularity of rank and lower semimodularity of degree on all pairs.
 
     rank(x) + rank(y) == rank(join) + rank(meet) and
-    deg(x) + deg(y) <= deg(join) + deg(meet).  A lattice of at most 2^b
-    elements counts as 2^(2b) pairs against the cap, checked before any
-    pair is read.
+    deg(x) + deg(y) <= deg(join) + deg(meet).  Both laws are symmetric
+    in x and y and a lattice's meet and join commute, so each unordered
+    pair is read once, and each element's rank and degree once.  Only
+    `len`, `rank`, `degree`, `meet` and `join` are read, so any lattice
+    indexed 0..len-1 will do, such as the coordinate subsets.  A lattice
+    of at most 2^b elements counts as 2^(2b) pairs against the cap,
+    checked before any pair is read.
     """
     _check_cap(2 * (len(lattice) - 1).bit_length(),
                "pairs of lattice elements")
-    rank, degree, meet, join = (lattice.rank, lattice.degree, lattice.meet,
-                                lattice.join)
-    elems = [(i, rank(i), degree(i)) for i in range(len(lattice))]
-    for i, ri, di in elems:
-        for j, rj, dj in elems:
+    rank, degree = _Memo(lattice.rank), _Memo(lattice.degree)
+    meet, join = lattice.meet, lattice.join
+    elems = [(i, rank[i], degree[i]) for i in range(len(lattice))]
+    for x, (i, ri, di) in enumerate(elems):
+        for j, rj, dj in elems[x:]:
             m, v = meet(i, j), join(i, j)
-            if ri + rj != rank(v) + rank(m) or di + dj > degree(v) + degree(m):
+            if ri + rj != rank[v] + rank[m] or di + dj > degree[v] + degree[m]:
                 return False
     return True
 
@@ -616,20 +628,25 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     """Check the order-reversing correspondence laws on sampled elements.
 
     Laws: both closure inclusions x <= x-circ-circ; the adjunction
-    (S vanishes on J iff J avoids the support of S); the join/meet
-    exchange inequalities; and degree(S) = #cosupport(S).  Exhaustive over
-    the subspace lattice and all 2^n subsets when samples are omitted.
-    The laws run over pairs: an exhaustive side of 2^b elements counts as
-    2^(2b) against the cap, checked before either side is built.
+    (S vanishes on J iff J avoids the support of S); and the join/meet
+    exchange inequalities.  Exhaustive over the subspace lattice and all
+    2^n subsets when samples are omitted.  The laws run over pairs: an
+    exhaustive side of 2^b elements counts as 2^(2b) against the cap,
+    checked before either side is built.
 
-    Every law is read on SubspaceLattice indices.  Each subset's image is
-    interned from its k-column key by `SubspaceLattice.vanishing`, and
-    the subsets are grouped by image: each pair of classes takes one join
-    and one meet, which every pair (J, K) in them compares with the
-    images of J & K and J | K.  Exhaustively the code's
-    own lattice (`subcode_lattice`) is read.  With sampled subcodes a fresh
-    lattice starts from them alone and interns only the meets, joins and
-    images the laws reach, so it never enumerates the subspaces of F^k.
+    Every law is read on SubspaceLattice indices, and each element's
+    cosupport is read once.  The pair laws are symmetric and meet and
+    join commute, so each unordered pair is read once.  Each subset's
+    image is interned from its k-column key by `SubspaceLattice.vanishing`;
+    the subsets are walked upward, so each key is one step from a span
+    the code keeps.  The subsets are grouped by image: each pair of
+    classes takes one join and one meet, which the images of J | K must
+    equal and which lies below each image class of J & K, asked once per
+    class.  Exhaustively the code's own lattice (`subcode_lattice`) is
+    read, the one that any earlier `SubspaceLattice(C)` built.  With
+    sampled subcodes a fresh lattice starts from them alone and interns
+    only the meets, joins and images the laws reach, so it never
+    enumerates the subspaces of F^k.
     """
     side = max(_lattice_bits(C) if subcodes is None else 0,
                C.n if subsets is None else 0)
@@ -640,34 +657,36 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     else:
         lat = SubspaceLattice(C, subcodes=subcodes)
         idx = [lat.index_of(S) for S in subcodes]
-    cos, leq, meet, join = lat.cosupport, lat.leq, lat.meet, lat.join
+    leq, meet, join = lat.leq, lat.meet, lat.join
+    cos = _Memo(lat.cosupport)
     img = _Memo(lat.vanishing)           # subset -> the index of its image
     classes = {}                         # image -> its subsets
     for J in range(1 << C.n) if subsets is None else subsets:
         classes.setdefault(img[J], []).append(J)
     for s in idx:
-        Sc = cos(s)
-        if not leq(s, img[Sc]) or lat.degree(s) != Sc.bit_count():
+        if not leq(s, img[cos[s]]):
             return False
     for c, Js in classes.items():
-        if any(J & ~cos(c) for J in Js):
+        if any(J & ~cos[c] for J in Js):
             return False
     for s in idx:
-        Sc = cos(s)
+        Sc = cos[s]
         for c, Js in classes.items():
             below = leq(s, c)
             if any(below != (J & ~Sc == 0) for J in Js):
                 return False
-    cosups = [(s, cos(s)) for s in idx]
-    for s, Sc in cosups:
-        for t, Tc in cosups:
-            if (Sc | Tc) & ~cos(meet(s, t)) or Sc & Tc != cos(join(s, t)):
+    for x, s in enumerate(idx):
+        Sc = cos[s]
+        for t in idx[x:]:
+            Tc = cos[t]
+            if (Sc | Tc) & ~cos[meet(s, t)] or Sc & Tc != cos[join(s, t)]:
                 return False
-    for a, As in classes.items():
-        for b, Bs in classes.items():
+    pairs = list(classes.items())
+    for x, (a, As) in enumerate(pairs):
+        for b, Bs in pairs[x:]:
             up, down = join(a, b), meet(a, b)
-            for J in As:
-                for K in Bs:
-                    if not leq(up, img[J & K]) or img[J | K] != down:
-                        return False
+            if ({img[J | K] for J in As for K in Bs} != {down}
+                    or not all(leq(up, c)
+                               for c in {img[J & K] for J in As for K in Bs})):
+                return False
     return True

@@ -213,6 +213,51 @@ def test_shorten_is_the_kernel_of_projection():
                 assert S.basis.row(b) in inside
 
 
+def _codes_with_zero_and_repeated_columns(rng, count):
+    """Random codes over GF(2), GF(3), GF(4) and GF(8), n <= 7, whose
+    generators have a zero column and a column repeated up to a scalar."""
+    GF8 = FieldSpec(2, 3, 0b1011)
+    out = []
+    while len(out) < count:
+        f = rng.choice((GF2, GF3, GF4, GF8))
+        n = rng.randrange(3, 8)
+        k = rng.randrange(1, min(n, 4) + 1)
+        G = zoo.random_code(rng, f, n, k).gen
+        cols = [G.column(j) for j in range(n)]
+        a, b, z = rng.sample(range(n), 3)
+        c = rng.randrange(1, f.q)
+        cols[b] = tuple(f.mul(c, x) for x in cols[a])
+        cols[z] = (0,) * k
+        M = Matrix(f, k, n, tuple(cols[j][i] for i in range(k)
+                                  for j in range(n)))
+        if M.rank():
+            out.append(LinearCode.span(M))
+    return out
+
+
+def test_kept_column_spans_match_a_fresh_elimination():
+    # a span built in one step from the kept span of J minus its top
+    # column must be the RREF of J's columns: the same entries, rows and
+    # pivots, whichever order the subsets are asked for in
+    rng = random.Random(911)
+    for C in _codes_with_zero_and_repeated_columns(rng, 16):
+        want = {}
+        for J in range(1 << C.n):
+            ref = C.gen.col_submatrix(bits_of(J)).transpose().rref_nonzero()
+            want[J] = (ref.entries, ref.rows, ref.rref()[1])
+        up = list(range(1 << C.n))
+        shuffled = up[:]
+        rng.shuffle(shuffled)
+        for order in (up, up[::-1], shuffled):
+            D = LinearCode(C.gen)        # a fresh code keeps no span
+            for J in order:
+                span = D._column_span(J)
+                R, piv = span.rref()
+                assert R is span and D._column_span(J) is span
+                assert (span.entries, span.rows, piv) == want[J]
+                assert span.cols == C.k
+
+
 def test_puncture_is_the_projection_image():
     rng = random.Random(127)
     for C in small_codes(rng, 10, nmax=6):

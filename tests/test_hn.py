@@ -853,6 +853,19 @@ def test_parallelogram_counts_its_pairs_against_the_cap():
         verify_parallelogram(lat)
 
 
+def test_parallelogram_reads_any_rank_degree_lattice():
+    # the check stays generic: on the coordinate-subset lattice the degree
+    # k - r(J) satisfies the law because rank is submodular, and a degree
+    # that is strictly concave in #J breaks it
+    rng = random.Random(919)
+    codes = [zoo.extended_hamming_8_4(), zoo.binary_5_2()]
+    codes += small_codes(rng, 6, fields=(GF2, GF3, GF4), nmax=8)
+    for C in codes:
+        assert verify_parallelogram(oracles.SubsetLattice.for_code(C))
+    assert not verify_parallelogram(
+        oracles.SubsetLattice(4, lambda J: -J.bit_count() ** 2))
+
+
 def test_subset_lattice_for_code():
     C = zoo.binary_9_7()
     S = oracles.SubsetLattice.for_code(C)
@@ -874,6 +887,52 @@ def test_galois_adjunction():
     pool += small_codes(rng, 10, nmax=6, kmax=3)
     for C in pool:
         assert verify_galois(C)
+
+
+def test_galois_catches_a_support_that_misses_a_column():
+    # degree and cosupport read one support, so a wrong support is caught
+    # only by a law that ties cosupports to the column images: the
+    # singleton adjunction s <= img[cos(s)]
+    C = LinearCode.from_rows(GF2, [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)])
+    lat = hn.subcode_lattice(C)
+    s = next(i for i in range(len(lat)) if lat.rank(i))
+    sup = lat.support(s)
+    lat._supports[s] = sup & (sup - 1)   # drop its lowest column
+    assert not lat.leq(s, lat.vanishing(lat.cosupport(s)))
+    assert not verify_galois(C)
+
+
+def test_one_lattice_per_code_and_no_elimination_per_subset(monkeypatch):
+    # the first exhaustive lattice of a code is the code's own, whichever
+    # entry point builds it, and the Galois check reads it: after the
+    # parallelogram has compared every element, the subset images come
+    # one step each from the spans the code keeps, with no fresh RREF
+    # and no new point mask
+    rref, point_mask = Matrix.rref, SubspaceLattice._point_mask
+    fresh, masks = [], []
+
+    def counted_rref(self):
+        fresh.append(self._rref is None)
+        return rref(self)
+
+    def counted_mask(self, i):
+        masks.append(i)
+        return point_mask(self, i)
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    monkeypatch.setattr(SubspaceLattice, "_point_mask", counted_mask)
+    rng = random.Random(929)
+    for field, n, k in ((GF2, 5, 3), (GF3, 5, 2), (GF4, 5, 2)):
+        C = zoo.random_code(rng, field, n, k)
+        sampled = SubspaceLattice(C, subcodes=[C.zero_subcode()])
+        assert C._lattice is None and len(sampled) == 1
+        lat = SubspaceLattice(C)
+        assert hn.subcode_lattice(C) is lat
+        assert SubspaceLattice(C) is not lat and C._lattice is lat
+        assert verify_parallelogram(lat)
+        fresh.clear()
+        masks.clear()
+        assert verify_galois(C)
+        assert sum(fresh) == 0 and masks == []
 
 
 def test_galois_adjunction_sampled_on_larger_code():
