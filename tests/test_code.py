@@ -258,6 +258,22 @@ def test_kept_column_spans_match_a_fresh_elimination():
                 assert span.cols == C.k
 
 
+def test_a_shorten_loop_keeps_one_span_per_column_set():
+    # the span memo grows with the distinct column sets asked for and no
+    # further: a repeated loop over every J adds nothing, and each kept
+    # span is at most k x k
+    C = zoo.random_code(random.Random(937), GF3, 9, 4)
+    full = (1 << C.n) - 1
+    assert C._spans == {}
+    for _ in range(3):
+        for J in range(1 << C.n):
+            C.shorten(J)
+        assert sorted(C._spans) == list(range(1 << C.n))
+    assert all(s.rows <= C.k and s.cols == C.k for s in C._spans.values())
+    assert sum(len(s.entries) for s in C._spans.values()) <= C.k ** 2 << C.n
+    assert C.shorten(full).dim == C.k and C.shorten(0).dim == 0
+
+
 def test_puncture_is_the_projection_image():
     rng = random.Random(127)
     for C in small_codes(rng, 10, nmax=6):

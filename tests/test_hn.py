@@ -866,6 +866,19 @@ def test_parallelogram_reads_any_rank_degree_lattice():
         oracles.SubsetLattice(4, lambda J: -J.bit_count() ** 2))
 
 
+def test_parallelogram_reads_both_orders_of_a_pair():
+    # a meet that is right for I <= J and empty for I > J breaks the rank
+    # law only on the second order of each overlapping pair, which a check
+    # over unordered pairs would never read
+    class OneSidedMeet(oracles.SubsetLattice):
+        def meet(self, I, J):
+            return I & J if I <= J else 0
+
+    C = zoo.binary_5_2()
+    assert verify_parallelogram(oracles.SubsetLattice.for_code(C))
+    assert not verify_parallelogram(OneSidedMeet.for_code(C))
+
+
 def test_subset_lattice_for_code():
     C = zoo.binary_9_7()
     S = oracles.SubsetLattice.for_code(C)
@@ -906,13 +919,14 @@ def test_one_lattice_per_code_and_no_elimination_per_subset(monkeypatch):
     # the first exhaustive lattice of a code is the code's own, whichever
     # entry point builds it, and the Galois check reads it: after the
     # parallelogram has compared every element, the subset images come
-    # one step each from the spans the code keeps, with no fresh RREF
-    # and no new point mask
+    # one step each from the spans the code keeps, with no fresh RREF of
+    # any column (only the empty set's span is reduced, from no rows) and
+    # no new point mask
     rref, point_mask = Matrix.rref, SubspaceLattice._point_mask
     fresh, masks = [], []
 
     def counted_rref(self):
-        fresh.append(self._rref is None)
+        fresh.append(self._rref is None and self.rows > 0)
         return rref(self)
 
     def counted_mask(self, i):
