@@ -4,9 +4,11 @@ Field elements are plain integers in [0, q).  The integer's little-endian
 base-p digits are the coefficients of the residue polynomial, so 0 and 1 are
 the field's zero and one for every (p, m) and prime subfields embed as the
 integers [0, p).  Every operation is a lookup in addition and
-multiplication tables built once at construction from two recurrences on
-those digits (`FieldSpec._build_tables`).  All matrix routines are exact
-(no floats anywhere) and deterministic.
+multiplication tables built once at construction, each row one or two
+`bytes.translate` calls on earlier rows: addition rows from the digits,
+multiplication rows from the powers of a generator of the nonzero
+elements (`FieldSpec._build_tables`).  All matrix routines are exact (no
+floats anywhere) and deterministic.
 
 The subset-rank helpers at the bottom enumerate column subsets by
 depth-first extension, in the lexicographic order of sorted column
@@ -85,13 +87,15 @@ class FieldSpec:
     arguments on the hot path.  The constructor checks the cheap bounds
     (p and m) before the primality test and before computing p^m, and the
     modulus range before any table is built.  Irreducibility is checked
-    last, on the finished multiplication table: the modulus is refused
-    with ReducibleModulus when a product of nonzero elements is 0, so the
-    refusal costs one table build.
+    by the search for a generator of the nonzero elements, before any
+    multiplication row is built: the modulus is refused with
+    ReducibleModulus when a nonzero element shows itself a non-unit or no
+    element generates, so the refusal costs the addition rows and at most
+    q - 1 walks of at most q - 1 powers.
     """
 
     __slots__ = ("p", "m", "q", "modulus",
-                 "_add", "_sub", "_neg", "_mul", "_inv")
+                 "_add", "_sub", "_neg", "_mul", "_inv", "_plus", "_times")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if p > MAX_FIELD_ORDER:
@@ -125,41 +129,84 @@ class FieldSpec:
     # -- table construction -------------------------------------------------
 
     def _build_tables(self):
-        """Fill the tables from two recurrences on the base-p digits.
+        """Fill the tables row by row, each row from one or two
+        `bytes.translate` calls on rows built before it.
 
-        Write a = a0 + p*a1 with a0 = a % p.  Addition is digit-wise, so
-        row a is (a0 + b) % p + p * add[a1][b // p] over the earlier row
-        a1.  The scalar rows a < p are digit-wise the same way; xc[c] is
-        x*c, the digits of c shifted up with the carried top digit folded
-        back in times x^m = -(modulus - q); and every other row is
-        mul[a0][b] + x*mul[a1][b], since a = a0 + x*a1.  The ring
-        GF(p)[x]/(modulus) is a field exactly when it has no zero divisors
-        (Lidl-Niederreiter, Thm. 1.61), which the finished `mul` shows.
+        Addition is digit-wise.  Write a = a0 + p*a1 with a0 = a % p.  Row
+        a0 < p turns the low digit of b, a rotation of 0..p-1; row p*a1 is
+        the low digit of b plus p times row a1 read at b // p, one lane add
+        of two translates; and row a is row a - a0 mapped through row a0.
+
+        The ring GF(p)[x]/(modulus) is a field exactly when its nonzero
+        elements are units, and then they are the powers of one generator
+        g (Lidl-Niederreiter, Thm. 2.8), so row g^(i+1) is row g^i mapped
+        through row g.  Row g itself is g*b = g*b0 + x*(g*b1) over
+        b = b0 + x*b1, where x*c shifts the digits of c up and folds the
+        carried top digit back in times x^m = -(modulus - q).  Candidates
+        g are tried from q - 1 down: one whose powers reach 1 after fewer
+        than q - 1 steps is passed over, and one whose powers reach 0, or
+        not 1 within q - 1 steps, is a nonzero non-unit, which refuses the
+        modulus.  Negation, subtraction and inverses are read off the rows
+        and the powers.  The rows are kept twice: padded to 256 bytes as
+        the translate tables of the kernels (`_plus`, `_times`), and as
+        lists, which index faster on the hot paths.
         """
         p, q = self.p, self.q
-        add = [list(range(q))]
-        for a in range(1, q):
-            a0, up = a % p, add[a // p]
-            add.append([(a0 + b) % p + p * up[b // p] for b in range(q)])
-        mul = [[0] * q]
-        for a in range(1, p):
-            row = [0] * q
-            for b in range(1, q):
-                row[b] = a * b % p + p * row[b // p]
-            mul.append(row)
-        top = q // p
-        xm = mul[p - 1][self.modulus - q]
-        xc = [add[c % top * p][mul[c // top][xm]] for c in range(q)]
-        for a in range(p, q):
-            low, up = mul[a % p], mul[a // p]
-            mul.append([add[low[b]][xc[up[b]]] for b in range(q)])
-        if any(0 in row[1:] for row in mul[1:]):
+        top, pad = q // p, bytes(256 - q)
+        low = lanes(bytes(range(p)) * top)                # b % p
+        high = bytes(b // p for b in range(q))
+        times_p = bytes(range(0, q, p)).ljust(256, b"\0")  # c -> p*c
+        step = lanes(high.translate(times_p))             # b - b % p
+        turns = bytes(range(p)) * 2
+        adds, plus = [], []
+        for a in range(q):
+            a0 = a % p
+            if a < p:
+                row = (lanes(turns[a:a + p] * top) + step).to_bytes(
+                    q, "little")
+            elif a0:
+                row = adds[a - a0].translate(plus[a0])
+            else:
+                row = (low + lanes(high.translate(plus[a // p].translate(
+                    times_p)))).to_bytes(q, "little")
+            adds.append(row)
+            plus.append(row + pad)
+        neg = [row.index(0) for row in adds]
+
+        xm, times_xm = neg[self.modulus - q], [0]         # d * x^m, d < p
+        for _ in range(1, p):
+            times_xm.append(adds[times_xm[-1]][xm])
+        shift = bytes(range(0, q, p))
+        xc = b"".join([shift.translate(plus[t]) for t in times_xm])
+        for g in range(q - 1, 0, -1):
+            gb = bytearray(q)                             # g*b
+            for b in range(1, p):
+                gb[b] = adds[gb[b - 1]][g]
+            for b in range(p, q):
+                gb[b] = adds[gb[b % p]][xc[gb[b // p]]]
+            powers, c = [1], g
+            while c > 1 and len(powers) < q:
+                powers.append(c)
+                c = gb[c]
+            if c != 1 or len(powers) == q - 1:
+                break
+        if c != 1 or len(powers) < q - 1:
             raise ReducibleModulus(
                 f"modulus {self.modulus} is reducible over GF({p})")
-        neg = [row.index(0) for row in add]
-        self._add, self._mul, self._neg = add, mul, neg
-        self._sub = [[row[nb] for nb in neg] for row in add]
-        self._inv = [0] + [row.index(1) for row in mul[1:]]
+        gb += pad
+        muls, row, inv = [bytes(q)] * q, bytes(range(q)), [0] * q
+        for i, c in enumerate(powers):
+            muls[c], row = row, row.translate(gb)
+            inv[c] = powers[-i]
+
+        self._add = [list(row) for row in adds]
+        self._mul = [list(row) for row in muls]
+        # where negation is the identity (characteristic 2), sub is add
+        negs = bytes(neg)
+        self._sub = self._add if negs == adds[0] else [
+            list(negs.translate(row)) for row in plus]
+        self._neg, self._inv, self._plus = neg, inv, plus
+        self._times = [row + pad for row in muls]
 
     # -- scalar operations --------------------------------------------------
 
@@ -451,7 +498,7 @@ class Matrix:
         if f.p == 2:
             # int.from_bytes called directly: the keyword bound by `lanes`
             # costs more than the conversion on these short tokens
-            times = _times_tables(f)
+            times = f._times
 
             def unit(w):
                 """Nonzero w scaled so that its top nonzero byte is 1."""
@@ -753,18 +800,6 @@ _BINARY = b"0" + b"1" * 255     # a byte as the binary digit "is nonzero"
 _BLOCK_BITS = 12                 # 2^12 subsets per block of lanes
 
 
-@functools.cache
-def _plus_tables(f: FieldSpec) -> list[bytes]:
-    """plus[t] translates every field element x to x + t."""
-    return [bytes(row) + bytes(256 - f.q) for row in f._add]
-
-
-@functools.cache
-def _times_tables(f: FieldSpec) -> list[bytes]:
-    """times[c] translates every field element x to c * x."""
-    return [bytes(row) + bytes(256 - f.q) for row in f._mul]
-
-
 def _projective_supports(M) -> list[int]:
     """The support of xM, as a bitmask, for every coefficient vector x whose
     first nonzero entry is 1.
@@ -782,7 +817,7 @@ def _projective_supports(M) -> list[int]:
             row = sum(x << j for j, x in enumerate(M.row(i)))
             words += [w ^ row for w in words]
         return words[1:]
-    q, MUL, plus = f.q, f._mul, _plus_tables(f)
+    q, MUL, plus = f.q, f._mul, f._plus
     N, m = (q ** k - 1) // (q - 1), n + 1    # a leading "0" in each support
     digits = bytearray(b"0" * (N * m))
     for j in range(n):

@@ -1,10 +1,12 @@
 """Field construction, exact linear algebra, and subset-rank machinery."""
 
+import hashlib
 import itertools
 import math
 import random
 import threading
 import types
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,60 @@ def test_gf256_matches_the_polynomial_oracle_on_sampled_rows():
     assert not oracles.is_irreducible(2, 8, 284)
     with pytest.raises(ReducibleModulus):
         FieldSpec(2, 8, 284)
+
+
+def _field_specs():
+    """The 1,411 specs (p, m, modulus) with q <= 256: each prime p with the
+    modulus p, and every modulus in [q, 2q) for m >= 2."""
+    primes = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+    return [(p, 1, p) for p in primes] + [
+        (p, m, f) for p in primes for m in range(2, 9) if p ** m <= 256
+        for f in range(p ** m, 2 * p ** m)]
+
+
+def _table_digest(F):
+    h = hashlib.sha256()
+    for table in (F._add, F._mul, [F._neg], F._sub, [F._inv]):
+        for row in table:
+            h.update(bytes(row))
+    return h.hexdigest()
+
+
+def test_field_tables_match_their_pinned_digests():
+    # every table of all 404 fields with q <= 256 is byte-identical to the
+    # pinned one, and the other 1,007 moduli are refused
+    pinned = {}
+    text = Path(__file__).with_name("field_table_digests.txt").read_text()
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            p, m, f, digest = line.split()
+            pinned[int(p), int(m), int(f)] = digest
+    specs = _field_specs()
+    assert (len(specs), len(pinned)) == (1411, 404)
+    for spec in specs:
+        if spec in pinned:
+            assert _table_digest(FieldSpec(*spec)) == pinned[spec], spec
+        else:
+            with pytest.raises(ReducibleModulus):
+                FieldSpec(*spec)
+
+
+def test_fields_past_order_32_match_the_polynomial_oracle():
+    # past q = 32 a field is refused exactly when trial division finds a
+    # factor, and rows 0, 1, p and q - 1 of its first modulus are GF(p)[x]
+    # modulo it
+    checked = set()
+    for p, m, f in _field_specs():
+        q = p ** m
+        if q <= 32:
+            continue
+        if not oracles.is_irreducible(p, m, f):
+            with pytest.raises(ReducibleModulus):
+                FieldSpec(p, m, f)
+        elif (p, m) not in checked:
+            checked.add((p, m))
+            _agrees_with_oracle(FieldSpec(p, m, f), {0, 1, p % q, q - 1})
+    assert len(checked) == 43 + 9       # 43 primes past 32, 9 extensions
 
 
 def test_field_repr_tells_unequal_fields_apart():

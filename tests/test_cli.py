@@ -173,6 +173,34 @@ def test_field_bounds_checked_before_work(tmp_path, field_line):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("modulus", [283, 285])
+def test_weights_over_gf256_finds_a_generator(tmp_path, modulus):
+    # x has order 51 modulo 283 and x^7 + ... + x + 1 (the integer 255)
+    # has order 51 modulo 285, so a generator search that starts at either
+    # end passes over a candidate in one of the two fields
+    rng = random.Random(modulus)
+    rows = [[rng.randrange(256) for _ in range(7)] for _ in range(3)]
+    path = tmp_path / f"gf256_{modulus}.code"
+    path.write_text(f"field 2 8 {modulus}\ncode 7 3\n"
+                    + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    proc = run_cli("weights", str(path))
+    assert proc.returncode == 0, proc.stderr
+    C = code.LinearCode.from_rows(algebra.FieldSpec(2, 8, modulus), rows)
+    results = json.loads(proc.stdout)["results"]
+    assert results["q"] == 256
+    assert results["weight_hierarchy"] == list(C.weight_hierarchy())
+
+
+def test_reducible_degree_8_modulus_exits_3(tmp_path):
+    # 284 = x^8 + x^4 + x^3 + x^2 is divisible by x
+    path = tmp_path / "gf256_284.code"
+    path.write_text("field 2 8 284\ncode 2 1\n1 2\n")
+    proc = run_cli("weights", str(path))
+    assert proc.returncode == 3
+    assert "reducible" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def write_random_binary_code(path, seed, n, k):
     C = zoo.random_code(random.Random(seed), zoo.gf2(), n, k)
     rows = ["".join(map(str, C.gen.row(i))) for i in range(k)]
