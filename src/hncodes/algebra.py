@@ -40,6 +40,7 @@ the DFS.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import contextvars
@@ -95,7 +96,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "m", "q", "modulus",
-                 "_add", "_sub", "_neg", "_mul", "_inv", "_plus", "_times")
+                 "_add", "_neg", "_mul", "_inv", "_plus", "_times")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if p > MAX_FIELD_ORDER:
@@ -146,10 +147,12 @@ class FieldSpec:
         g are tried from q - 1 down: one whose powers reach 1 after fewer
         than q - 1 steps is passed over, and one whose powers reach 0, or
         not 1 within q - 1 steps, is a nonzero non-unit, which refuses the
-        modulus.  Negation, subtraction and inverses are read off the rows
-        and the powers.  The rows are kept twice: padded to 256 bytes as
-        the translate tables of the kernels (`_plus`, `_times`), and as
-        lists, which index faster on the hot paths.
+        modulus.  Negation and inverses are read off the rows and the
+        powers; there is no subtraction table, as x - c*y is one addition
+        row and the multiplication row of -c.  The rows are kept twice:
+        padded to 256 bytes as the translate tables of the kernels
+        (`_plus`, `_times`), and as lists, which index faster on the hot
+        paths.
         """
         p, q = self.p, self.q
         top, pad = q // p, bytes(256 - q)
@@ -201,10 +204,6 @@ class FieldSpec:
 
         self._add = [list(row) for row in adds]
         self._mul = [list(row) for row in muls]
-        # where negation is the identity (characteristic 2), sub is add
-        negs = bytes(neg)
-        self._sub = self._add if negs == adds[0] else [
-            list(negs.translate(row)) for row in plus]
         self._neg, self._inv, self._plus = neg, inv, plus
         self._times = [row + pad for row in muls]
 
@@ -214,7 +213,7 @@ class FieldSpec:
         return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
+        return self._add[a][self._neg[b]]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -256,11 +255,40 @@ class FieldSpec:
         return f"FieldSpec({self.p}, {self.m}, modulus={self.modulus})"
 
 
+def _rref_step(rows: list, piv: list, v, f: FieldSpec):
+    """The one reduction step of the library.  `rows` are RREF rows with
+    pivot columns `piv`, both lists in pivot order, updated in place: v is
+    reduced at the pivots and, if anything is left, scaled to lead with 1,
+    cleared from the kept rows at its own pivot and inserted in pivot
+    order.  x - c*y is read as x + (-c)*y, one addition row each."""
+    ADD, MUL, NEG = f._add, f._mul, f._neg
+    for p, u in zip(piv, rows):
+        if v[p]:
+            m = MUL[NEG[v[p]]]
+            v = [ADD[x][m[y]] for x, y in zip(v, u)]
+    lead = next(filter(None, v), 0)
+    if not lead:                         # v adds no rank
+        return
+    c = v.index(lead)                    # the first nonzero entry
+    if lead != 1:
+        m = MUL[f._inv[lead]]
+        v = [m[x] for x in v]
+    for i, u in enumerate(rows):
+        if u[c]:
+            m = MUL[NEG[u[c]]]
+            rows[i] = [ADD[x][m[y]] for x, y in zip(u, v)]
+    a = bisect.bisect_left(piv, c)
+    rows.insert(a, v)
+    piv.insert(a, c)
+
+
 class Matrix:
     """Immutable dense matrix over a FieldSpec, entries stored row-major.
 
     The constructor checks only the shape and trusts the entries to be
-    field elements; `from_rows` checks rows from outside the library."""
+    field elements; `from_rows` checks rows from outside the library.
+    Every row reduction is `_rref_step`: `rref` steps the rows in from
+    nothing and `extend` into rows already in RREF."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
@@ -341,13 +369,6 @@ class Matrix:
             out.extend(acc)
         return Matrix(f, self.rows, other.cols, tuple(out))
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.cols != other.cols:
-            raise InvariantViolation("column counts differ")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
-
     def col_submatrix(self, cols) -> "Matrix":
         cols = list(cols)
         ent = tuple(self.entries[i * self.cols + j]
@@ -375,37 +396,36 @@ class Matrix:
         return Matrix(f, R, C, tuple(ent))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column tuple."""
-        if self._rref is not None:
-            return self._rref
-        f = self.field
-        SUB, MUL, INV = f._sub, f._mul, f._inv
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            head = rows[r]
-            hc = head[c]
-            if hc != 1:
-                mi = MUL[INV[hc]]
-                rows[r] = head = [mi[x] for x in head]
-            for i, other in enumerate(rows):
-                if i != r and other[c]:
-                    mc = MUL[other[c]]
-                    rows[i] = [SUB[x][mc[y]] for x, y in zip(other, head)]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        out = Matrix(f, self.rows, self.cols,
-                     tuple(x for row in rows for x in row))
-        out._rref = (out, tuple(pivots))
-        self._rref = (out, tuple(pivots))
+        """Reduced row echelon form, zero rows last, and the pivot column
+        tuple: the rows are stepped in one at a time (`_rref_step`)."""
+        if self._rref is None:
+            rows, piv = [], []
+            for i in range(self.rows):
+                _rref_step(rows, piv, self.row(i), self.field)
+            ent = tuple(itertools.chain.from_iterable(rows))
+            out = Matrix(self.field, self.rows, self.cols,
+                         ent + (0,) * (len(self.entries) - len(ent)))
+            out._rref = self._rref = (out, tuple(piv))
         return self._rref
+
+    def extend(self, other: "Matrix") -> "Matrix":
+        """The RREF span of the rows of self and of other, zero rows
+        dropped.  self must be in RREF with no zero rows, as `rref_nonzero`
+        gives, and its rows are not reduced again: each row of other is
+        one `_rref_step` into them.  self is returned when other adds no
+        rank."""
+        self._require_same_field(other)
+        if self.cols != other.cols:
+            raise InvariantViolation("column counts differ")
+        rows = self.row_list()
+        piv = [u.index(1) for u in rows]
+        for i in range(other.rows):
+            _rref_step(rows, piv, other.row(i), self.field)
+        out = self if len(rows) == self.rows else Matrix(
+            self.field, len(rows), self.cols,
+            tuple(itertools.chain.from_iterable(rows)))
+        out._rref = (out, tuple(piv))
+        return out
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -422,7 +442,8 @@ class Matrix:
         return out
 
     def right_nullspace(self) -> "Matrix":
-        """Basis of {x : M x = 0}, one solution per row."""
+        """The RREF basis of {x : M x = 0}: the solution of each free
+        column, stepped in from no rows."""
         R, piv = self.rref()
         free = [j for j in range(self.cols) if j not in piv]
         f = self.field
@@ -434,7 +455,8 @@ class Matrix:
             for i, pc in enumerate(piv):
                 v[pc] = NEG[R.entry(i, fc)]
             ent.extend(v)
-        return Matrix(f, len(free), self.cols, tuple(ent))
+        return Matrix(f, 0, self.cols, ()).extend(
+            Matrix(f, len(free), self.cols, tuple(ent)))
 
     def row_space_words(self) -> list[tuple[int, ...]]:
         """All q^rows words of the row space (independent rows assumed)."""
@@ -533,7 +555,7 @@ class Matrix:
 
             return cols, contract, f.q
 
-        SUB, MUL = f._sub, f._mul
+        ADD, MUL, NEG = f._add, f._mul, f._neg
 
         def unit(w):
             """w scaled to lead with 1, or 0 when w is zero."""
@@ -551,8 +573,8 @@ class Matrix:
             for w in tail:
                 c = w and w[i]
                 if c:
-                    mc = MUL[c]
-                    w = tuple([SUB[x][mc[y]] for x, y in zip(w, v)])
+                    mc = MUL[NEG[c]]
+                    w = tuple([ADD[x][mc[y]] for x, y in zip(w, v)])
                     if not any(w[:i]):          # its lead sat at the pivot
                         w = unit(w)
                 out.append(w)
@@ -883,13 +905,9 @@ def _word_rank_table(M) -> bytes:
 
 def iter_rref_matrices(field: FieldSpec, r: int, c: int):
     """Yield every r x c matrix over `field` in reduced row echelon form
-    with exactly r pivots (i.e. every r-dimensional subspace of F^c once).
+    with exactly r pivots (i.e. every r-dimensional subspace of F^c once),
+    each keeping itself as its RREF.
     """
-    if r == 0:
-        yield Matrix(field, 0, c, ())
-        return
-    if r > c:
-        return
     q = field.q
     for pivots in itertools.combinations(range(c), r):
         pivset = set(pivots)
@@ -901,4 +919,6 @@ def iter_rref_matrices(field: FieldSpec, r: int, c: int):
                 ent[i * c + p] = 1
             for (i, j), v in zip(free, vals):
                 ent[i * c + j] = v
-            yield Matrix(field, r, c, tuple(ent))
+            M = Matrix(field, r, c, tuple(ent))
+            M._rref = (M, pivots)
+            yield M

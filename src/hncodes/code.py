@@ -21,7 +21,6 @@ codewords' supports when q^k <= 2^n, otherwise from the column-rank DFS.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
 from .algebra import (
@@ -149,55 +148,31 @@ class LinearCode:
         kept for the life of the code, so the memo grows by one span of at
         most k rows per distinct J; only the exhaustive Galois check asks
         for all 2^n.  When the span of J minus its top column is kept, J's
-        span is one step from it: the top column is reduced at the kept
-        pivots and, if anything is left, scaled to lead with 1, cleared
-        from the kept rows and inserted in pivot order, so a walk up
-        through the subsets eliminates no column set.  The step is written
-        out rather than left to `Matrix.rref` on the kept rows and the
-        column stacked: that doubles the time of such a walk and costs
-        `sweep` about 13% of its ops/s.  Any other J takes one elimination
-        of its columns, with no walk down its prefixes."""
+        span extends it by that column, one `Matrix.extend` step, so a walk
+        up through the subsets eliminates no column set; any other J steps
+        its columns in from no rows, with no walk down its prefixes."""
         span = self._spans.get(J)
         if span is None:
-            G, f = self.gen, self.field
+            G = self.gen
             top = J.bit_length() - 1
             kept = self._spans.get(J ^ (1 << top)) if J else None
-            if kept is None:                     # one elimination
-                js = bits_of(J)
-                cols = tuple(x for j in js for x in G.entries[j::G.cols])
-                span = Matrix(f, len(js), G.rows, cols).rref_nonzero()
+            if kept is None:                     # from no rows
+                kept, js = Matrix(self.field, 0, G.rows, ()), bits_of(J)
             else:                                # one step from the kept span
-                SUB, MUL = f._sub, f._mul
-                rows, piv = kept.row_list(), list(kept._rref[1])
-                v = G.entries[top::G.cols]
-                for p, u in zip(piv, rows):
-                    if v[p]:
-                        m = MUL[v[p]]
-                        v = [SUB[x][m[y]] for x, y in zip(v, u)]
-                c = next((t for t, x in enumerate(v) if x), None)
-                if c is None:                    # the column adds no rank
-                    span = kept
-                else:
-                    m = MUL[f._inv[v[c]]]
-                    v = tuple(m[x] for x in v)
-                    rows = [tuple(SUB[x][MUL[u[c]][y]] for x, y in zip(u, v))
-                            if u[c] else u for u in rows]
-                    a = bisect_left(piv, c)
-                    rows.insert(a, v)
-                    piv.insert(a, c)
-                    span = Matrix(f, len(rows), G.rows,
-                                  tuple(x for u in rows for x in u))
-                    span._rref = (span, tuple(piv))
-            self._spans[J] = span
+                js = [top]
+            cols = tuple(x for j in js for x in G.entries[j::G.cols])
+            span = self._spans[J] = kept.extend(
+                Matrix(self.field, len(js), G.rows, cols))
         return span
 
     def shorten(self, J: int) -> "Subcode":
-        """C_J: the largest subcode supported inside the coordinate set J.
-        The span of the columns outside J is kept on the code (see
-        `_column_span`), so a loop over many J holds one span per J asked
-        for, at most k x k entries each, until the code is dropped."""
+        """C_J: the largest subcode supported inside the coordinate set J,
+        keyed by the complement of the span of the columns outside J.  That
+        span is kept on the code (see `_column_span`), so a loop over many
+        J holds one span per J asked for, at most k x k entries each, until
+        the code is dropped."""
         span = self._column_span(((1 << self.n) - 1) ^ J)
-        return Subcode(self, span.right_nullspace().rref_nonzero())
+        return Subcode(self, span.right_nullspace())
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""
@@ -223,8 +198,7 @@ class LinearCode:
                 "the dual of the full space has dimension 0, which is not "
                 "representable as a LinearCode")
         if self._dual is None:
-            H = self.gen.right_nullspace()
-            self._dual = LinearCode(H.rref_nonzero())
+            self._dual = LinearCode(self.gen.right_nullspace())
         return self._dual
 
     # -- weight data ---------------------------------------------------------
@@ -336,7 +310,7 @@ class Subcode:
         if M.rows and M.cols != parent.n:
             raise InvariantViolation("subcode length differs from parent")
         M = M.rref_nonzero()
-        if M.rows and parent.gen.stack(M).rank() != parent.k:
+        if M.rows and parent.gen.extend(M).rows != parent.k:
             raise NotASubcode("rows do not lie in the parent code's row space")
         return cls(parent, M.col_submatrix(parent.gen.rref()[1]))
 
@@ -373,19 +347,19 @@ class Subcode:
             return True
         if self.dim < other.dim:
             return False
-        return self.key.stack(other.key).rank() == self.dim
+        return self.key.extend(other.key).rows == self.dim
 
     def meet(self, other: "Subcode") -> "Subcode":
         """U & W = (U^perp + W^perp)^perp, complements taken in F^k."""
         if other.parent != self.parent:
             raise NotASubcode("meet of subcodes of two different codes")
-        N = self.key.right_nullspace().stack(other.key.right_nullspace())
-        return Subcode(self.parent, N.right_nullspace().rref_nonzero())
+        N = self.key.right_nullspace().extend(other.key.right_nullspace())
+        return Subcode(self.parent, N.right_nullspace())
 
     def join(self, other: "Subcode") -> "Subcode":
         if other.parent != self.parent:
             raise NotASubcode("join of subcodes of two different codes")
-        return Subcode(self.parent, self.key.stack(other.key).rref_nonzero())
+        return Subcode(self.parent, self.key.extend(other.key))
 
     def __eq__(self, other):
         return (isinstance(other, Subcode)

@@ -400,9 +400,10 @@ class SubspaceLattice:
     and memory linear in its points.
     leq is mask containment and meet the AND of two masks, looked up among
     the masks built so far; an AND that names no known element is
-    (U^perp + W^perp)^perp once, by one k-column RREF.  `_perps` holds each
-    element's orthogonal complement (a k-column nullspace), found once and
-    recorded both ways, and a join is complement, meet, complement.
+    (U^perp + W^perp)^perp once, the RREF rows of U^perp extended by those
+    of W^perp (`Matrix.extend`).  `_perps` holds each element's orthogonal
+    complement (a k-column nullspace), found once and recorded both ways,
+    and a join is complement, meet, complement.
     `vanishing(J)` interns the subcode vanishing on the columns J.
 
     Without `subcodes` every subcode is enumerated, and it is refused
@@ -511,8 +512,7 @@ class SubspaceLattice:
         return m & self._masks[j] == m
 
     def _complement(self, i: int) -> int:
-        N = self.elements[i].right_nullspace().rref_nonzero()
-        p = self._intern(N)
+        p = self._intern(self.elements[i].right_nullspace())
         self._perps[p] = i
         return p
 
@@ -526,7 +526,7 @@ class SubspaceLattice:
         v = self._by_mask.get(m)
         if v is None:                    # (U^perp + W^perp)^perp, once
             perp, E = self._perps, self.elements
-            v = perp[self._intern(E[perp[i]].stack(E[perp[j]]).rref_nonzero())]
+            v = perp[self._intern(E[perp[i]].extend(E[perp[j]]))]
             self._masks[v] = m
             self._by_mask[m] = v
         return v

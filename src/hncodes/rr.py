@@ -39,7 +39,8 @@ class CohomologyPair:
 
     h0_basis spans C cap F^J inside F^n.  h1_coords are the coordinates of
     [n] - J whose unit vectors represent a complement of the projected
-    code (the non-pivot columns of the projection, chosen greedily).
+    code: the columns outside J that lie in the span of the outside
+    columns before them.
     """
 
     __slots__ = ("code", "J", "h0", "h1", "h0_basis", "h1_coords")
@@ -57,19 +58,20 @@ class CohomologyPair:
 
 
 def cohomology(C: LinearCode, J: int) -> CohomologyPair:
-    full = (1 << C.n) - 1
+    """H0 and H1 of (C, J) from one walk up the columns outside J through
+    the spans the code keeps (`LinearCode._column_span`), one step per
+    column: h1_coords are the columns at which the rank does not grow, and
+    the walk ends at the span of all of them, which `shorten(J)` reads."""
+    prefix, rank, h1_coords = 0, 0, []
+    for c in bits_of(((1 << C.n) - 1) ^ J):
+        prefix |= 1 << c
+        grown = C._column_span(prefix).rows
+        if grown == rank:
+            h1_coords.append(c)
+        rank = grown
     sub = C.shorten(J)
-    out_cols = bits_of(full ^ J)
-    if out_cols:
-        proj = C.gen.col_submatrix(out_cols)
-        _, piv = proj.rref()
-        pivset = set(piv)
-        h1_coords = tuple(c for i, c in enumerate(out_cols)
-                          if i not in pivset)
-    else:
-        h1_coords = ()
-    h1 = len(h1_coords)
-    pair = CohomologyPair(C, J, sub.dim, h1, sub.basis, h1_coords)
+    pair = CohomologyPair(C, J, sub.dim, len(h1_coords), sub.basis,
+                          tuple(h1_coords))
     if pair.euler() != J.bit_count() + C.k - C.n:
         raise InvariantViolation("Euler characteristic miscomputed")
     return pair

@@ -123,8 +123,9 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
 
     D must lie in the product: A (x) B is exactly the set of arrays whose
     columns lie in A and whose rows lie in B, so membership is one rank
-    test of D's basis against the product's generator (NotASubcode
-    otherwise), skipped when D is a subcode of that product code.  Matrix
+    test, the product's generator extended by D's basis (NotASubcode when
+    the rank grows, FieldMismatch when D lives over another field),
+    skipped when D is a subcode of that product code.  Matrix
     column j of D's basis has the column tokens tok[j::nB] (one
     `independence` pass): its support is where they are nonzero, its
     dimension the number taken when contracted from left to right.  d*_r
@@ -134,7 +135,7 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
         raise NotASubcode("ambient length is not the product of the "
                           "factor lengths")
     T = A.tensor(B)
-    if D.parent != T and T.gen.stack(D.basis).rank() != T.k:
+    if D.parent != T and T.gen.extend(D.basis).rows != T.k:
         raise NotASubcode("a basis vector has a matrix column outside the "
                           "first factor or a matrix row outside the second")
     r, weight = D.dim, D.weight

@@ -5,7 +5,8 @@ codewords, coefficient tuples, and subsets.  No pruning and no shared code
 paths with the library beyond raw field arithmetic, and that arithmetic has
 its own reference at the end: digit polynomials multiplied and reduced by
 the modulus, and irreducibility by trial division.  Rank tables appear
-only as given data or row-reduced subset by subset (`brute_rank_table`):
+only as given data or row-reduced subset by subset (`brute_rank_table`;
+`brute_rref` is Gauss-Jordan elimination with the scalar operations):
 the matroid references scan a table mask by mask, and
 `SubsetLattice.for_code` is a lattice view over a code's own table.  The
 gap condition's reference scans an exhaustive subcode lattice, given
@@ -181,6 +182,28 @@ def brute_rank_table(field, rows) -> bytes:
                 basis.append((p, [field.mul(inv, x) for x in v]))
         table[J] = len(basis)
     return bytes(table)
+
+
+def brute_rref(field, vectors, n):
+    """(rows, pivots) of the RREF of the vectors' span in F^n, zero rows
+    dropped: Gauss-Jordan elimination column by column with the scalar
+    operations, each pivot row swapped up, scaled and cleared from every
+    other row."""
+    rows, pivots = [list(v) for v in vectors], []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i, u in enumerate(rows):
+            if i != r and u[c]:
+                rows[i] = [field.sub(x, field.mul(u[c], y))
+                           for x, y in zip(u, rows[r])]
+        pivots.append(c)
+    return [tuple(u) for u in rows[:len(pivots)]], tuple(pivots)
 
 
 def brute_semistable(field, rows, levels=None) -> bool:

@@ -12,6 +12,7 @@ import pytest
 
 from hncodes import (
     DivisionByZero,
+    FieldMismatch,
     FieldTooLarge,
     InvariantViolation,
     LinearCode,
@@ -191,8 +192,10 @@ def _field_specs():
 
 
 def _table_digest(F):
-    h = hashlib.sha256()
-    for table in (F._add, F._mul, [F._neg], F._sub, [F._inv]):
+    # subtraction has no table of its own: its rows are hashed through F.sub
+    h, q = hashlib.sha256(), F.q
+    sub = [list(map(F.sub, [a] * q, range(q))) for a in range(q)]
+    for table in (F._add, F._mul, [F._neg], sub, [F._inv]):
         for row in table:
             h.update(bytes(row))
     return h.hexdigest()
@@ -290,6 +293,32 @@ def test_rref_properties_random():
                 field, [M.row(i) for i in range(r)], range(c))
 
 
+def test_extend_matches_the_oracle_rref():
+    # RREF rows extended by more rows are the RREF of all of them, as the
+    # scalar Gauss-Jordan oracle reduces them, zero rows dropped; rows
+    # that add no rank give back the matrix itself
+    rng = random.Random(13)
+    for field in FIELDS:
+        for _ in range(25):
+            c = rng.randrange(1, 6)
+            R, B = (Matrix.from_rows(field, [
+                [rng.choice((0, 0, rng.randrange(field.q))) for _ in range(c)]
+                for _ in range(rng.randrange(4))]) for _ in range(2))
+            R = R.rref_nonzero() if R.rows else Matrix(field, 0, c, ())
+            B = B if B.rows else Matrix(field, 0, c, ())
+            E = R.extend(B)
+            rows, piv = oracles.brute_rref(
+                field, R.row_list() + B.row_list(), c)
+            assert (E.entries, E.rows, E.rref()) == (
+                sum(rows, ()), len(rows), (E, piv))
+            assert (E is R) == (len(piv) == R.rows)
+    R = Matrix.identity(FIELDS[0], 2)
+    with pytest.raises(InvariantViolation):
+        R.extend(Matrix.identity(FIELDS[0], 3))
+    with pytest.raises(FieldMismatch):
+        R.extend(Matrix.identity(FIELDS[1], 2))
+
+
 def test_nullspace():
     import random
     rng = random.Random(7)
@@ -301,6 +330,8 @@ def test_nullspace():
                                           for _ in range(c)] for _ in range(r)])
             N = M.right_nullspace()
             assert N.rows == c - M.rank()               # rank-nullity
+            rows, piv = oracles.brute_rref(field, N.row_list(), c)
+            assert (N.entries, N.rref()) == (sum(rows, ()), (N, piv))
             for i in range(N.rows):
                 v = Matrix.from_rows(field, [N.row(i)])
                 prod = M.matmul(v.transpose())

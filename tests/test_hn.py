@@ -823,8 +823,10 @@ def test_parallelogram_exhaustive_small():
 
 def test_parallelogram_makes_no_matrix_joins(monkeypatch):
     # meets are mask ANDs and joins complements of meets, so the pair laws
-    # eliminate only for complements (one nullspace per element) and for
-    # meets not seen before: at most two fresh RREFs per element
+    # reduce only for complements (one nullspace per element) and for
+    # meets not seen before, and both step into RREF rows the lattice
+    # keeps: rref is read for the complements, and no call of it
+    # eliminates (at most two fresh RREFs per element, and in fact none)
     rref, fresh = Matrix.rref, []
 
     def counted(self):
@@ -837,7 +839,8 @@ def test_parallelogram_makes_no_matrix_joins(monkeypatch):
         fresh.clear()
         lat = hn.subcode_lattice(C)
         assert verify_parallelogram(lat) and len(lat) == size
-        assert 0 < sum(fresh) <= 2 * len(lat)
+        assert fresh and sum(fresh) <= 2 * len(lat)
+        assert sum(fresh) == 0
 
 
 def test_parallelogram_counts_its_pairs_against_the_cap():
@@ -947,6 +950,35 @@ def test_one_lattice_per_code_and_no_elimination_per_subset(monkeypatch):
         masks.clear()
         assert verify_galois(C)
         assert sum(fresh) == 0 and masks == []
+
+
+def test_subcode_questions_eliminate_nothing_the_code_keeps(monkeypatch):
+    # cohomology walks the outside columns up through the kept spans, and
+    # the joins, meets and membership tests of subcodes and of the lattice
+    # step into RREF rows already kept: no rref call, for any J or pair,
+    # reduces a matrix whose RREF is not kept
+    rref, fresh = Matrix.rref, []
+
+    def counted(self):
+        fresh.append(self._rref is None)
+        return rref(self)
+    rng = random.Random(953)
+    for field, n, k in ((GF2, 5, 3), (GF3, 4, 2), (GF4, 4, 2)):
+        C = zoo.random_code(rng, field, n, k)
+        monkeypatch.setattr(Matrix, "rref", counted)
+        fresh.clear()
+        for J in range(1 << n):
+            assert rr.cohomology(C, J).h0 == C.shorten(J).dim
+        lat = SubspaceLattice(C)
+        subs = [lat.subcode(i) for i in range(len(lat))]
+        for i, U in enumerate(subs):
+            for j, W in enumerate(subs):
+                m = lat.meet(i, j)
+                assert U.meet(W) == lat.subcode(m)
+                assert U.join(W) == lat.subcode(lat.join(i, j))
+                assert U.contains(W) == lat.leq(j, i) == (m == j)
+        assert fresh and not any(fresh)
+        monkeypatch.undo()
 
 
 def test_galois_adjunction_sampled_on_larger_code():

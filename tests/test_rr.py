@@ -72,6 +72,12 @@ def test_cohomology_against_oracle():
                 assert oracles.in_row_space(C.field, rows, row)
             assert len(P.h1_coords) == P.h1
             assert all(not (J >> i) & 1 for i in P.h1_coords)
+            # exactly the outside columns in the span of those before them
+            out = [i for i in range(C.n) if not (J >> i) & 1]
+            rank = [oracles.brute_column_rank(C.field, rows, out[:a])
+                    for a in range(len(out) + 1)]
+            assert P.h1_coords == tuple(
+                c for a, c in enumerate(out) if rank[a + 1] == rank[a])
 
 
 def test_cohomology_extremes():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from hncodes import (
+    FieldMismatch,
     InvalidHierarchy,
     InvariantViolation,
     LinearCode,
@@ -184,17 +185,28 @@ def test_witness_rejects_foreign_subcode():
         witness(Subcode.from_rows(C, [outside]), A, B)
 
 
+def test_witness_refuses_a_subcode_over_another_field():
+    # the membership test compares fields before it compares rows: a
+    # subcode of a ternary code of length nA nB is refused with the
+    # mismatch, not read as binary rows
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    D = zoo.random_code(random.Random(547), GF3, 15, 3).whole_subcode()
+    with pytest.raises(FieldMismatch, match="operands live over different"):
+        witness(D, A, B)
+
+
 def test_witness_of_a_product_subcode_stacks_no_generator(monkeypatch):
     # a subcode of the code A.tensor(B) returns lies in the product by
-    # construction, so its witness runs no membership rank test
+    # construction, so its witness runs no membership rank test: the
+    # generator is not extended by D's basis
     A, B = zoo.binary_3_2(), zoo.binary_5_2()
     D = zoo.random_subcode(random.Random(541), A.tensor(B), 3)
-    stacked = []
-    stack = Matrix.stack
-    monkeypatch.setattr(Matrix, "stack",
-                        lambda M, other: stacked.append(M) or stack(M, other))
+    extended = []
+    extend = Matrix.extend
+    monkeypatch.setattr(Matrix, "extend",
+                        lambda M, other: extended.append(M) or extend(M, other))
     assert witness(D, A, B).r == 3
-    assert stacked == []
+    assert extended == []
 
 
 def test_witness_reads_its_columns_off_one_token_pass(monkeypatch):
