@@ -148,11 +148,10 @@ class FieldSpec:
         than q - 1 steps is passed over, and one whose powers reach 0, or
         not 1 within q - 1 steps, is a nonzero non-unit, which refuses the
         modulus.  Negation and inverses are read off the rows and the
-        powers; there is no subtraction table, as x - c*y is one addition
-        row and the multiplication row of -c.  The rows are kept twice:
-        padded to 256 bytes as the translate tables of the kernels
-        (`_plus`, `_times`), and as lists, which index faster on the hot
-        paths.
+        powers; x - c*y is one addition row and the multiplication row of
+        -c, with no subtraction table.  The rows are kept twice: padded to
+        256 bytes as the kernels' translate tables (`_plus`, `_times`), and
+        as lists, which index faster on the hot paths.
         """
         p, q = self.p, self.q
         top, pad = q // p, bytes(256 - q)
@@ -410,20 +409,21 @@ class Matrix:
 
     def extend(self, other: "Matrix") -> "Matrix":
         """The RREF span of the rows of self and of other, zero rows
-        dropped.  self must be in RREF with no zero rows, as `rref_nonzero`
-        gives, and its rows are not reduced again: each row of other is
-        one `_rref_step` into them.  self is returned when other adds no
-        rank."""
+        dropped: each row of other is one `_rref_step` into the nonzero
+        rows of self's RREF, which are not reduced again when kept (as on
+        every span of the library), and that RREF is returned when it has
+        no zero rows and other adds no rank."""
         self._require_same_field(other)
         if self.cols != other.cols:
             raise InvariantViolation("column counts differ")
-        rows = self.row_list()
-        piv = [u.index(1) for u in rows]
+        R, kept = self.rref()
+        rows, piv = R.row_list()[:len(kept)], list(kept)
         for i in range(other.rows):
             _rref_step(rows, piv, other.row(i), self.field)
-        out = self if len(rows) == self.rows else Matrix(
-            self.field, len(rows), self.cols,
-            tuple(itertools.chain.from_iterable(rows)))
+        if len(piv) == len(kept) == R.rows:
+            return R
+        out = Matrix(self.field, len(rows), self.cols,
+                     tuple(itertools.chain.from_iterable(rows)))
         out._rref = (out, tuple(piv))
         return out
 
@@ -443,11 +443,10 @@ class Matrix:
 
     def right_nullspace(self) -> "Matrix":
         """The RREF basis of {x : M x = 0}: the solution of each free
-        column, stepped in from no rows."""
+        column, reduced."""
         R, piv = self.rref()
         free = [j for j in range(self.cols) if j not in piv]
-        f = self.field
-        NEG = f._neg
+        f, NEG = self.field, self.field._neg
         ent = []
         for fc in free:
             v = [0] * self.cols
@@ -455,8 +454,7 @@ class Matrix:
             for i, pc in enumerate(piv):
                 v[pc] = NEG[R.entry(i, fc)]
             ent.extend(v)
-        return Matrix(f, 0, self.cols, ()).extend(
-            Matrix(f, len(free), self.cols, tuple(ent)))
+        return Matrix(f, len(free), self.cols, tuple(ent)).rref_nonzero()
 
     def row_space_words(self) -> list[tuple[int, ...]]:
         """All q^rows words of the row space (independent rows assumed)."""

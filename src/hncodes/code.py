@@ -149,28 +149,40 @@ class LinearCode:
         most k rows per distinct J; only the exhaustive Galois check asks
         for all 2^n.  When the span of J minus its top column is kept, J's
         span extends it by that column, one `Matrix.extend` step, so a walk
-        up through the subsets eliminates no column set; any other J steps
-        its columns in from no rows, with no walk down its prefixes."""
+        up through the subsets eliminates no column set; any other J is one
+        elimination of its columns, with no walk down its prefixes."""
         span = self._spans.get(J)
         if span is None:
-            G = self.gen
+            G, f = self.gen, self.field
             top = J.bit_length() - 1
             kept = self._spans.get(J ^ (1 << top)) if J else None
-            if kept is None:                     # from no rows
-                kept, js = Matrix(self.field, 0, G.rows, ()), bits_of(J)
+            if kept is None:                     # one elimination
+                js = bits_of(J)
+                cols = tuple(x for j in js for x in G.entries[j::G.cols])
+                span = Matrix(f, len(js), G.rows, cols).rref_nonzero()
             else:                                # one step from the kept span
-                js = [top]
-            cols = tuple(x for j in js for x in G.entries[j::G.cols])
-            span = self._spans[J] = kept.extend(
-                Matrix(self.field, len(js), G.rows, cols))
+                span = kept.extend(Matrix(f, 1, G.rows, G.column(top)))
+            self._spans[J] = span
         return span
 
+    def _dependent_columns(self, J: int) -> tuple[int, ...]:
+        """The columns of J in the span of the columns of J before them: a
+        walk up J from no rows, one `Matrix.extend` step per column, whose
+        span at the end is kept as J's (one span per call)."""
+        G, span, dependent = self.gen, Matrix(self.field, 0, self.k, ()), []
+        for j in bits_of(J):
+            grown = span.extend(Matrix(G.field, 1, G.rows, G.column(j)))
+            if grown.rows == span.rows:
+                dependent.append(j)
+            span = grown
+        self._spans.setdefault(J, span)
+        return tuple(dependent)
+
     def shorten(self, J: int) -> "Subcode":
-        """C_J: the largest subcode supported inside the coordinate set J,
-        keyed by the complement of the span of the columns outside J.  That
-        span is kept on the code (see `_column_span`), so a loop over many
-        J holds one span per J asked for, at most k x k entries each, until
-        the code is dropped."""
+        """C_J: the largest subcode supported inside the coordinate set J.
+        The span of the columns outside J is kept on the code (see
+        `_column_span`), so a loop over many J holds one span per J asked
+        for, at most k x k entries each, until the code is dropped."""
         span = self._column_span(((1 << self.n) - 1) ^ J)
         return Subcode(self, span.right_nullspace())
 

@@ -400,10 +400,10 @@ class SubspaceLattice:
     and memory linear in its points.
     leq is mask containment and meet the AND of two masks, looked up among
     the masks built so far; an AND that names no known element is
-    (U^perp + W^perp)^perp once, the RREF rows of U^perp extended by those
-    of W^perp (`Matrix.extend`).  `_perps` holds each element's orthogonal
-    complement (a k-column nullspace), found once and recorded both ways,
-    and a join is complement, meet, complement.
+    (U^perp + W^perp)^perp once, U^perp's RREF extended by W^perp's.
+    `_perps` holds each element's orthogonal complement (a k-column
+    nullspace), found once and recorded both ways, and a join is
+    complement, meet, complement.
     `vanishing(J)` interns the subcode vanishing on the columns J.
 
     Without `subcodes` every subcode is enumerated, and it is refused

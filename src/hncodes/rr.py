@@ -58,20 +58,13 @@ class CohomologyPair:
 
 
 def cohomology(C: LinearCode, J: int) -> CohomologyPair:
-    """H0 and H1 of (C, J) from one walk up the columns outside J through
-    the spans the code keeps (`LinearCode._column_span`), one step per
-    column: h1_coords are the columns at which the rank does not grow, and
-    the walk ends at the span of all of them, which `shorten(J)` reads."""
-    prefix, rank, h1_coords = 0, 0, []
-    for c in bits_of(((1 << C.n) - 1) ^ J):
-        prefix |= 1 << c
-        grown = C._column_span(prefix).rows
-        if grown == rank:
-            h1_coords.append(c)
-        rank = grown
+    """H0 and H1 of (C, J) from one walk up the columns outside J: h1_coords
+    are where its rank does not grow (`LinearCode._dependent_columns`),
+    and the code keeps the span it ends at, which `shorten(J)` reads."""
+    h1_coords = C._dependent_columns(((1 << C.n) - 1) ^ J)
     sub = C.shorten(J)
     pair = CohomologyPair(C, J, sub.dim, len(h1_coords), sub.basis,
-                          tuple(h1_coords))
+                          h1_coords)
     if pair.euler() != J.bit_count() + C.k - C.n:
         raise InvariantViolation("Euler characteristic miscomputed")
     return pair

@@ -123,9 +123,8 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
 
     D must lie in the product: A (x) B is exactly the set of arrays whose
     columns lie in A and whose rows lie in B, so membership is one rank
-    test, the product's generator extended by D's basis (NotASubcode when
-    the rank grows, FieldMismatch when D lives over another field),
-    skipped when D is a subcode of that product code.  Matrix
+    test of D's basis against the product's generator (NotASubcode, or
+    FieldMismatch), skipped when D is a subcode of that product.  Matrix
     column j of D's basis has the column tokens tok[j::nB] (one
     `independence` pass): its support is where they are nonzero, its
     dimension the number taken when contracted from left to right.  d*_r

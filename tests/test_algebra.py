@@ -294,24 +294,25 @@ def test_rref_properties_random():
 
 
 def test_extend_matches_the_oracle_rref():
-    # RREF rows extended by more rows are the RREF of all of them, as the
-    # scalar Gauss-Jordan oracle reduces them, zero rows dropped; rows
-    # that add no rank give back the matrix itself
+    # any rows extended by more rows give the RREF of all of them, as the
+    # scalar Gauss-Jordan oracle reduces them, zero rows dropped, whether
+    # or not the first rows are in RREF; rows that add no rank give back
+    # the first rows when they keep themselves as their RREF
     rng = random.Random(13)
     for field in FIELDS:
         for _ in range(25):
             c = rng.randrange(1, 6)
-            R, B = (Matrix.from_rows(field, [
-                [rng.choice((0, 0, rng.randrange(field.q))) for _ in range(c)]
-                for _ in range(rng.randrange(4))]) for _ in range(2))
-            R = R.rref_nonzero() if R.rows else Matrix(field, 0, c, ())
-            B = B if B.rows else Matrix(field, 0, c, ())
-            E = R.extend(B)
+            A, B = (Matrix(field, r, c, tuple(
+                rng.choice((0, 0, rng.randrange(field.q)))
+                for _ in range(r * c)))
+                for r in (rng.randrange(4), rng.randrange(4)))
             rows, piv = oracles.brute_rref(
-                field, R.row_list() + B.row_list(), c)
-            assert (E.entries, E.rows, E.rref()) == (
-                sum(rows, ()), len(rows), (E, piv))
-            assert (E is R) == (len(piv) == R.rows)
+                field, A.row_list() + B.row_list(), c)
+            for R in (A, A.rref_nonzero()):
+                E = R.extend(B)
+                assert (E.entries, E.rows, E.rref()) == (
+                    sum(rows, ()), len(rows), (E, piv))
+            assert (E is R) == (len(piv) == R.rows)     # R keeps its RREF
     R = Matrix.identity(FIELDS[0], 2)
     with pytest.raises(InvariantViolation):
         R.extend(Matrix.identity(FIELDS[0], 3))
