@@ -24,10 +24,14 @@ the enumeration is exponential.  `column_rank_table` visits every subset;
 the least-rank search, behind a code's polygons, filtrations and verdicts,
 cuts the later siblings of every dependent column and the subtrees that
 cannot improve a minimum, which it tells from how many later tokens are
-zero or repeat a point.  A Matroid reads its least ranks off its rank
-table (`least_ranks_of_table`), and every other question over all column
-subsets is whole-table arithmetic on the rank table too (`popcounts`,
-`subsets_where`).
+zero or repeat a point.  A code's least ranks are searched one block
+at a time: the connected components of its column matroid, read off its
+RREF generator (`column_blocks`), have additive ranks, so the least ranks
+of the code are the min-plus convolution of the blocks' and the cap counts
+the columns of the largest block (`least_ranks`).  A Matroid reads its
+least ranks off its rank table (`least_ranks_of_table`), and every other
+question over all column subsets is whole-table arithmetic on the rank
+table too (`popcounts`, `subsets_where`).
 
 `column_rank_table` has a second engine for a Matrix with q^rows <= 2^cols:
 the number of coefficient vectors whose word lies inside each column set U
@@ -46,6 +50,7 @@ import contextlib
 import contextvars
 import functools
 import itertools
+import types
 
 from .errors import (
     DivisionByZero,
@@ -375,7 +380,10 @@ class Matrix:
         return Matrix(self.field, self.rows, len(cols), ent)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; row (i, j) maps to index i * other.rows + j."""
+        """Kronecker product; row (i, j) maps to index i * other.rows + j.
+        When both factors keep themselves as their RREF with no zero row,
+        so does the product: row (i, j) leads with 1 at column
+        p_i * other.cols + p'_j, where every other row is 0."""
         self._require_same_field(other)
         f = self.field
         MUL = f._mul
@@ -392,7 +400,13 @@ class Matrix:
                     orow = other.row(j)
                     for l in range(other.cols):
                         ent[base + l] = ma[orow[l]]
-        return Matrix(f, R, C, tuple(ent))
+        out = Matrix(f, R, C, tuple(ent))
+        own = [M._rref[1] for M in (self, other) if M._rref
+               and M._rref[0] is M and len(M._rref[1]) == M.rows]
+        if len(own) == 2:
+            out._rref = (out, tuple(a * other.cols + b
+                                    for a in own[0] for b in own[1]))
+        return out
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form, zero rows last, and the pivot column
@@ -750,16 +764,79 @@ def min_column_rank_by_size(M):
     return best, wit
 
 
+def column_blocks(R: Matrix) -> list[int]:
+    """The connected components of the column matroid of an RREF matrix R
+    with independent rows, as column masks, largest first.  A non-pivot
+    column's fundamental circuit is itself and the pivots of the rows
+    where it is nonzero, and a pivot column is nonzero in its own row
+    only, so each row's support joins the blocks it meets; a zero column
+    is a block of its own, a loop."""
+    full = (1 << R.cols) - 1
+    nonzero = int(bytes(R.entries[::-1]).translate(_BINARY), 2)
+    blocks = [1 << j for j in range(R.cols)]
+    for i in range(0, len(R.entries), R.cols):
+        row = nonzero >> i & full
+        blocks = [c for c in blocks if not c & row] + [
+            sum(c for c in blocks if c & row)]
+    return sorted(blocks, key=int.bit_count, reverse=True)
+
+
+# A code of at most this many columns, within the cap, is searched whole:
+# there the search costs less than splitting it into blocks.
+WHOLE_SEARCH_COLS = 8
+
+
 def least_ranks(X):
     """(minima, witnesses) by subset size of a code or matroid X, kept on
     X._minr; the one charge of the cap for all that is read from them, made
     on every call, so a refusal does not depend on what was computed before.
-    The one choice of engine: a Matroid reads its `ranks`, a code searches."""
-    _check_cap(X.n)
+    The one choice of engine: a Matroid reads its `ranks`, charged at n.  A
+    code is charged at its largest block (`LinearCode.blocks`, not split
+    while n is within the cap).  It is searched whole when it is one block,
+    or has at most `WHOLE_SEARCH_COLS` columns within the cap, and block by
+    block otherwise.  At a polygon vertex the least-rank subset is unique
+    (`hn.subset_filtration`), so both find the same subset there."""
+    cap = _enum_cap.get()
+    if X.n > cap:
+        _check_cap(X.n if hasattr(X, "ranks") else X.blocks()[0].bit_count())
     if X._minr is None:
-        X._minr = (least_ranks_of_table(X.ranks) if hasattr(X, "ranks")
-                   else min_column_rank_by_size(X))
+        if hasattr(X, "ranks"):
+            X._minr = least_ranks_of_table(X.ranks)
+        elif X.n <= min(cap, WHOLE_SEARCH_COLS) or len(X.blocks()) == 1:
+            X._minr = min_column_rank_by_size(X)
+        else:
+            X._minr = _least_ranks_of_blocks(X)
     return X._minr
+
+
+def _least_ranks_of_blocks(C):
+    """Least ranks and witnesses of a code C from those of its blocks, whose
+    ranks add up: their min-plus convolution, with unions as witnesses.
+    A block of one column (a loop or a coloop) is read off its token, and
+    any other is searched on C's tokens, its witnesses moved from its own
+    column indices to C's."""
+    cols, contract, q = C.independence()
+    minr, wit = [0], [0]
+    for b in C.blocks():
+        js = [j for j in range(b.bit_length()) if b >> j & 1]
+        if len(js) == 1:
+            bm, bw = [0, 1 if cols[js[0]] else 0], [0, b]
+        else:
+            # the block as the search takes it: n, and an oracle on the
+            # code's tokens of its columns
+            bm, local = min_column_rank_by_size(types.SimpleNamespace(
+                n=len(js), independence=lambda: (
+                    [cols[j] for j in js], contract, q)))
+            bw = [sum(1 << j for i, j in enumerate(js) if w >> i & 1)
+                  for w in local]
+        out = [len(minr) + len(bm)] * (len(minr) + len(bm) - 1)
+        ow = [0] * len(out)
+        for s, (r, w) in enumerate(zip(minr, wit)):
+            for t, (x, v) in enumerate(zip(bm, bw), s):
+                if r + x < out[t]:
+                    out[t], ow[t] = r + x, w | v
+        minr, wit = out, ow
+    return minr, wit
 
 
 # -- whole subset tables: entry J is lane J of one int (`lanes`) ------------

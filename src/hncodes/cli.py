@@ -584,8 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-enum", type=_cap_arg, metavar="N",
                             default=SUBSET_ENUM_CAP,
                             help="refuse any exhaustive search of more than "
-                                 "2^N subsets, subcodes or pairs "
-                                 "(default %(default)s)")
+                                 "2^N column subsets (of the largest block, "
+                                 "for a code's least ranks), subcodes or "
+                                 "pairs (default %(default)s)")
 
     sp = sub.add_parser("weights", help="weight hierarchy d_i and profile "
                                         "k_j of a code")

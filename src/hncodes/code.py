@@ -9,14 +9,16 @@ subcode deliberately has degree n.
 Weight hierarchies are computed through the dimension/length profile
 k_j = max {dim C_J : #J = j} rather than by enumerating subcodes, so the
 cost never depends on q^k.  The least column ranks behind the profile come
-from one search per code (`least_ranks`) that walks the column subsets in
-the lexicographic order of their sorted indices, cuts the later siblings of
-a dependent column and prunes what cannot improve a minimum; it still
-visits subsets that are not a prefix of their closure, and it is capped at
-2^n subsets.  The full rank table, read only where every subset is asked
-for (the Riemann-Roch/Serre identities, the chain condition, `subset_dim`
-and `matroid_from_code`), comes from `column_rank_table`: from the
-codewords' supports when q^k <= 2^n, otherwise from the column-rank DFS.
+from one search per code, or past 8 columns one per block of its column
+matroid (`least_ranks`).  Each walks the column subsets in the
+lexicographic order of their sorted indices, cuts the later siblings of a
+dependent column and prunes what cannot improve a minimum; it still visits
+subsets that are not a prefix of their closure, and the cap counts the
+columns of the largest block.  The full rank table, read only where every
+subset is asked for (the Riemann-Roch/Serre identities, the chain
+condition, `subset_dim` and `matroid_from_code`), comes from
+`column_rank_table`: from the codewords' supports when q^k <= 2^n,
+otherwise from the column-rank DFS.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .algebra import (
     FieldSpec,
     Matrix,
     _check_cap,
+    column_blocks,
     column_rank_table,
     least_ranks,
 )
@@ -65,14 +68,15 @@ class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
     # Memos of the code's own analysis: the min-rank search as (minima,
-    # witnesses) kept by `algebra.least_ranks`, the rank table, the weight
-    # hierarchy, the dual, the column spans by column set, the subset and
-    # the canonical filtration and the exhaustive subcode lattice (all
-    # three filled by hn.py), the chain condition (tensor.py), and the last
-    # tensor product as (other, product, star), star its Schaathun table,
-    # filled by the first witness that reads it.
-    __slots__ = ("field", "n", "k", "gen", "_minr", "_rtab", "_hier",
-                 "_dual", "_spans", "_sfilt", "_filt", "_lattice",
+    # witnesses) kept by `algebra.least_ranks`, the blocks of the column
+    # matroid, the rank table, the weight hierarchy, the dual, the column
+    # spans by column set, the subset and the canonical filtration and the
+    # exhaustive subcode lattice (all three filled by hn.py), the chain
+    # condition (tensor.py), and the last tensor product as (other,
+    # product, star), star its Schaathun table, filled by the first
+    # witness that reads it.
+    __slots__ = ("field", "n", "k", "gen", "_minr", "_blocks", "_rtab",
+                 "_hier", "_dual", "_spans", "_sfilt", "_filt", "_lattice",
                  "_chained", "_tensor")
 
     def __init__(self, gen: Matrix):
@@ -89,6 +93,7 @@ class LinearCode:
         self.k = gen.rows
         self.gen = R
         self._minr = None
+        self._blocks = None
         self._rtab = None
         self._hier = None
         self._dual = None
@@ -219,6 +224,12 @@ class LinearCode:
         """The generator's column oracle: the searches take the code."""
         return self.gen.independence()
 
+    def blocks(self) -> list[int]:
+        """The column matroid's blocks (`algebra.column_blocks`), kept."""
+        if self._blocks is None:
+            self._blocks = column_blocks(self.gen)
+        return self._blocks
+
     # Each call charges the cap: rank_table here, the rest in `least_ranks`.
 
     def rank_table(self) -> bytes:
@@ -263,7 +274,7 @@ class LinearCode:
         if self.field != other.field:
             raise FieldMismatch("tensor factors live over different fields")
         if self._tensor is None or self._tensor[0] != other:
-            T = LinearCode(self.gen.kron(other.gen).rref_nonzero())
+            T = LinearCode(self.gen.kron(other.gen))
             self._tensor = (other, T, None)
         return self._tensor[1]
 

@@ -353,6 +353,41 @@ def test_kron_entries():
                         f3.mul(A.entry(i, a), B.entry(j, b))
 
 
+def test_kron_of_rref_factors_keeps_its_rref(monkeypatch):
+    # the product of two RREF matrices with no zero row is RREF: row (i, j)
+    # leads at column p_i * n_B + p'_j, where every other row is 0.  So
+    # `kron` keeps the product as its own RREF, which must equal the brute
+    # elimination of its rows, on random GF(2/3/4) generator pairs; a
+    # factor that is not its own RREF leaves the product to be reduced
+    rng = random.Random(3801)
+    fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111)]
+    for _ in range(150):
+        f = rng.choice(fields)
+        A, B = [zoo.random_code(rng, f, n, rng.randrange(1, n + 1)).gen
+                for n in (rng.randrange(1, 6), rng.randrange(1, 6))]
+        K = A.kron(B)
+        assert K.rref()[0] is K
+        assert (K.row_list(), K.rref()[1]) == oracles.brute_rref(
+            f, K.row_list(), K.cols)
+        shuffled = Matrix.from_rows(f, A.row_list()[::-1])
+        if A.rows > 1:
+            P = shuffled.kron(B)
+            assert P._rref is None
+            R, piv = P.rref()
+            assert (R.row_list()[:len(piv)], piv) == oracles.brute_rref(
+                f, P.row_list(), P.cols)
+    # and a tensor product steps no row into RREF
+    stepped, step = [], algebra._rref_step
+
+    def counted(rows, piv, v, f):
+        stepped.append(v)
+        return step(rows, piv, v, f)
+    A, B = zoo.binary_9_7(), zoo.random_code(rng, FieldSpec(2), 6, 3)
+    monkeypatch.setattr(algebra, "_rref_step", counted)
+    T = A.tensor(B)
+    assert (T.n, T.k) == (54, 21) and stepped == []
+
+
 def test_row_space_intersection():
     # Subcode.meet intersects row spaces, here inside the full space F^4
     f2 = FieldSpec(2)

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,33 @@ def test_dual_honours_a_raised_cap(tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["subset_polygon_duality_ok"] is True
     assert results["slope_map"]["ok"] is True
+
+
+def test_sum_past_the_cap_runs_at_the_default_cap(tmp_path, capsys):
+    # a shuffled binary [40,20] = [20,10] + [20,10] is searched block by
+    # block, so each least-rank subcommand answers at the default cap, and
+    # its answers are those merged from the blocks' own searches; a cap
+    # below its largest block, 20 columns, still refuses it
+    from test_hn import merged_from_blocks, shuffled_sum
+    rng = random.Random(3806)
+    blocks = [zoo.random_code(rng, zoo.gf2(), 20, 10) for _ in range(2)]
+    C, at = shuffled_sum(rng, blocks)
+    _, _, hier, vertices = merged_from_blocks(blocks, at)
+    rows = ["".join(map(str, C.gen.row(i))) for i in range(C.k)]
+    path = tmp_path / "sum40.code"
+    path.write_text("\n".join(["field 2 1", "code 40 20", *rows]) + "\n")
+    out = {}
+    for command in ("weights", "polygon", "filtration", "semistable"):
+        assert cli.main([command, str(path)]) == 0
+        out[command] = json.loads(capsys.readouterr().out)["results"]
+        assert cli.main([command, str(path), "--max-enum", "19"]) == 4
+        capsys.readouterr()
+    assert out["weights"]["weight_hierarchy"] == list(hier)
+    polygon = [[x, str(Fraction(y))] for x, y in vertices]
+    assert [[x, str(Fraction(y))] for x, y in
+            out["polygon"]["polygon"]["vertices"]] == polygon
+    assert out["filtration"]["length"] == len(vertices) - 1
+    assert out["semistable"]["semistable"] == (len(vertices) == 2)
 
 
 def test_rr_honours_a_raised_cap(tmp_path, capsys):

@@ -139,6 +139,21 @@ def test_memo_honours_the_cap():
         assert canonical_filtration(C).ranks == (0, 4, 7)
     with pytest.raises(SizeLimitExceeded), enumeration_cap(5):
         canonical_filtration(C)
+    # a code that splits is charged at its largest block: the square's
+    # blocks have 2, 2 and 1 columns, so cap 1 refuses every least-rank
+    # read and cap 2 answers them, while the rank table's 2^5 entries are
+    # refused below 5
+    S = zoo.binary_5_2_square()
+    with enumeration_cap(2):
+        assert S.weight_hierarchy() == (0, 1, 3, 5)
+        S.dlp_witnesses()
+    for call in (S.weight_hierarchy, S.dlp, S.dlp_witnesses):
+        with pytest.raises(SizeLimitExceeded) as err, enumeration_cap(1):
+            call()
+        assert err.value.needed == 2
+    with pytest.raises(SizeLimitExceeded) as err, enumeration_cap(4):
+        S.rank_table()
+    assert err.value.needed == 5
 
 
 def test_hierarchy_is_kept_on_the_code(monkeypatch):

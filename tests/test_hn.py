@@ -237,6 +237,14 @@ def test_witness_violates_the_rate():
 def test_witness_honours_the_cap():
     with pytest.raises(SizeLimitExceeded), enumeration_cap(8):
         semistability_witness(zoo.binary_9_7())
+    # the square splits into blocks of 2, 2 and 1 columns, charged at 2;
+    # its witness is the weight-1 word
+    with pytest.raises(SizeLimitExceeded) as err, enumeration_cap(1):
+        semistability_witness(zoo.binary_5_2_square())
+    assert err.value.needed == 2
+    with enumeration_cap(2):
+        assert semistability_witness(
+            zoo.binary_5_2_square()).support_mask == 0b1
 
 
 def test_verdicts_honour_the_cap():
@@ -245,6 +253,12 @@ def test_verdicts_honour_the_cap():
             verdict(zoo.binary_9_7())
         with enumeration_cap(9):
             assert verdict(zoo.binary_9_7()) is False
+        # a code that splits is charged at its largest block
+        with pytest.raises(SizeLimitExceeded) as err, enumeration_cap(1):
+            verdict(zoo.binary_5_2_square())
+        assert err.value.needed == 2
+        with enumeration_cap(2):
+            assert verdict(zoo.binary_5_2_square()) is False
 
 
 def test_filtration_of_binary_9_7():
@@ -387,6 +401,72 @@ def codes_with_loops_and_copies(rng, count, nmax, kmax, padded=0.4):
         rng.shuffle(cols)
         out.append(LinearCode.from_rows(field, list(zip(*cols))))
     return out
+
+
+def shuffled_sums(rng, count):
+    """Direct sums of 1-3 random blocks [n_i <= 5, k_i <= 3] over
+    GF(2/3/4/256), half of them padded with up to 3 zero and repeated
+    columns, all with shuffled columns."""
+    fields = (GF2, GF3, GF4, FieldSpec(2, 8, 0x11B))
+    out = []
+    for _ in range(count):
+        field = rng.choice(fields)
+        blocks = []
+        for _ in range(rng.randrange(1, 4)):
+            n = rng.randrange(1, 6)
+            blocks.append(oracles.rows_of(zoo.random_code(
+                rng, field, n, rng.randrange(1, min(n, 3) + 1))))
+        k = sum(map(len, blocks))
+        cols, above = [], 0
+        for rows in blocks:
+            cols += [(0,) * above + col + (0,) * (k - above - len(rows))
+                     for col in zip(*rows)]
+            above += len(rows)
+        if rng.random() < 0.5:
+            cols += [rng.choice(cols) if rng.random() < 0.5 else (0,) * k
+                     for _ in range(rng.randrange(1, 4))]
+        rng.shuffle(cols)
+        out.append(LinearCode.from_rows(field, list(zip(*cols))))
+    return out
+
+
+def test_least_ranks_of_blocks_against_the_whole_search():
+    # the blocks' least ranks, convolved, against the search of the whole
+    # generator: on shuffled sums of 1-3 blocks padded with zero and
+    # repeated columns, and on connected codes.  The minima agree, each
+    # witness has its size and its rank (row-reduced from the columns), at
+    # every polygon vertex the witness is the whole search's, each block
+    # is a separator (its rank and its complement's add up to k), and
+    # `least_ranks`, which searches a code of at most 8 columns whole,
+    # agrees with both
+    rng = random.Random(3803)
+    codes = shuffled_sums(rng, 600)
+    codes += [zoo.random_code(rng, rng.choice((GF2, GF3, GF4)), n,
+                              rng.randrange(1, n + 1))
+              for n in rng.choices(range(2, 13), k=80)]
+
+    def rank(C, J):
+        cols = [C.gen.column(j) for j in range(C.n) if J >> j & 1]
+        return len(oracles.brute_rref(C.field, cols, C.k)[1])
+    split = vertices = long = 0
+    for C in codes:
+        blocks, full = C.blocks(), (1 << C.n) - 1
+        assert sum(blocks) == full and len(set(blocks)) == len(blocks)
+        assert all(rank(C, b) + rank(C, full ^ b) == C.k for b in blocks)
+        minr, wit = min_column_rank_by_size(C)
+        got = hncodes.algebra._least_ranks_of_blocks(C)
+        assert got[0] == minr
+        assert [(J.bit_count(), rank(C, J)) for J in got[1]] == list(
+            enumerate(minr))
+        sizes = polygon_from_profile([C.k - m for m in minr]).vertex_ranks
+        assert [got[1][s] for s in sizes] == [wit[s] for s in sizes]
+        dispatched = least_ranks(C)
+        assert dispatched[0] == minr
+        assert [dispatched[1][s] for s in sizes] == [wit[s] for s in sizes]
+        split += len(blocks) > 1
+        long += len(blocks) > 1 and C.n > 8
+        vertices += len(sizes) - 2
+    assert split >= 500 and long >= 150 and vertices >= 300
 
 
 def test_filtration_steps_are_the_least_rank_witnesses():
@@ -544,6 +624,14 @@ def test_semistable_code_is_searched_once(monkeypatch):
     C.weight_hierarchy()
     assert graded_pieces(C) == [C]
     assert searches == [5]
+    # the sum of two copies, n = 10, is semistable too: each block is
+    # searched once, and the sum never whole
+    del searches[:]
+    D = code_direct_sum(zoo.binary_5_2(), zoo.binary_5_2())
+    assert is_semistable(D) and D.is_full_support
+    D.weight_hierarchy()
+    assert graded_pieces(D) == [D]
+    assert searches == [5, 5]
 
 
 def test_graded_pieces_random_full_support():
@@ -1150,12 +1238,16 @@ def test_one_analysis_per_code(monkeypatch):
     assert len(builds) == 1
 
 
+def connected_21_2():
+    """The binary [21, 2] code <1^19 0 1, 0^19 1 1>: its columns are 19
+    copies of (1, 0), then (0, 1) and (1, 1), all three points of F_2^2, so
+    its column matroid and its dual's are connected, one block of 21."""
+    return LinearCode.from_rows(GF2, [(1,) * 19 + (0, 1), (0,) * 19 + (1, 1)])
+
+
 def test_lattice_checks_honour_a_raised_cap():
     # n = 21 is past the default cap, yet the subcode lattice has 5 elements
-    def long_code():
-        return LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0),
-                                          (0,) * 19 + (1, 1)])
-    C = long_code()
+    C = connected_21_2()
     with enumeration_cap(22):
         assert gap_condition_check(C)
     assert len(hn.subcode_lattice(C)) == 5
@@ -1164,17 +1256,17 @@ def test_lattice_checks_honour_a_raised_cap():
         assert dual_dlp_check(C)
     for check in (gap_condition_check, wei_duality_check, dual_dlp_check):
         with pytest.raises(SizeLimitExceeded):
-            check(long_code())
+            check(connected_21_2())
 
 
 def test_every_enumerating_entry_point_honours_a_raised_cap():
-    # The binary [21, 2] code <1^19 0^2, 0^19 1^2> and its [21, 19] dual
-    # have full support, so each call below searches the 2^21 column
-    # subsets of one of them or of the product with a [1, 1] factor: each
-    # is refused at the default cap of 20 and answers under
-    # enumeration_cap(22).  One code object serves every call, so the
-    # memos are shared and every later refusal is made with them filled.
-    C = LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0), (0,) * 19 + (1, 1)])
+    # The connected binary [21, 2] code and its [21, 19] dual have full
+    # support, so each call below searches the 2^21 column subsets of one
+    # of them or of the product with a [1, 1] factor: each is refused at
+    # the default cap of 20 and answers under enumeration_cap(22).  One
+    # code object serves every call, so the memos are shared and every
+    # later refusal is made with them filled.
+    C = connected_21_2()
     R1 = zoo.repetition(GF2, 1)
     whole = C.tensor(R1).whole_subcode()
     top, low, full = 0b11 << 19, (1 << 19) - 1, (1 << 21) - 1
@@ -1199,7 +1291,7 @@ def test_every_enumerating_entry_point_honours_a_raised_cap():
         (lambda: is_stable(C), False),
         (lambda: semistability_witness(C).support_mask, top),
         (lambda: [(P.n, P.k) for P in graded_pieces(C)], [(2, 1), (19, 1)]),
-        (lambda: hn.gap_rival_degrees(C), (2,)),
+        (lambda: hn.gap_rival_degrees(C), (1,)),
         (lambda: gap_condition_check(C), True),
         (lambda: rr.rr_check(C), True),
         (lambda: rr.serre_check(C), True),
@@ -1226,18 +1318,111 @@ def test_every_enumerating_entry_point_honours_a_raised_cap():
             assert call() == expect
 
 
+def shuffled_sum(rng, blocks):
+    """The direct sum of the codes `blocks` with its columns shuffled, and
+    where each column of the unshuffled sum went."""
+    n, rows, before = sum(B.n for B in blocks), [], 0
+    for B in blocks:
+        rows += [(0,) * before + r + (0,) * (n - before - B.n)
+                 for r in oracles.rows_of(B)]
+        before += B.n
+    perm = rng.sample(range(n), n)
+    at = {j: p for p, j in enumerate(perm)}
+    return LinearCode.from_rows(blocks[0].field,
+                                [[r[p] for p in perm] for r in rows]), at
+
+
+def merged_from_blocks(blocks, at):
+    """The least ranks and their witnesses, the hierarchy and the code
+    polygon of a sum, from each block's own exhaustive search: minima and
+    hierarchies by min-plus over the blocks, witnesses as unions (column j
+    of the unshuffled sum at `at[j]`), and the polygon from the blocks'
+    sides merged by slope."""
+    minr, wit, hier, sides, before = [0], [0], [0], [], 0
+    for B in blocks:
+        m, w = min_column_rank_by_size(B)
+        w = [sum(1 << at[before + i] for i in range(B.n) if J >> i & 1)
+             for J in w]
+        best = {}
+        for s, (r, J) in enumerate(zip(minr, wit)):
+            for t, (x, K) in enumerate(zip(m, w)):
+                if s + t not in best or r + x < best[s + t][0]:
+                    best[s + t] = (r + x, J | K)
+        minr, wit = map(list, zip(*[best[s] for s in range(len(best))]))
+        d = B.weight_hierarchy()
+        hier = [min(hier[i] + d[r - i] for i in range(len(hier))
+                    if 0 <= r - i < len(d))
+                for r in range(len(hier) + len(d) - 1)]
+        vs = code_polygon(B).vertices
+        sides += [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:])]
+        before += B.n
+    sides.sort(key=lambda side: Fraction(side[1], side[0]), reverse=True)
+    vertices = [(0, sum(B.n for B in blocks))]
+    for dx, dy in sides:
+        x, y = vertices[-1]
+        if len(vertices) > 1 and Fraction(dy, dx) == Fraction(
+                y - vertices[-2][1], x - vertices[-2][0]):
+            vertices.pop()
+        vertices.append((x + dx, y + dy))
+    return minr, wit, tuple(hier), tuple(vertices)
+
+
+def test_sums_past_the_cap_answer_from_their_blocks():
+    # at the default cap, a sum past n = 20 whose largest block is within
+    # it answers: its hierarchy, both polygons, the filtration and the
+    # verdicts equal those merged from each block's own exhaustive search.
+    # The rank table's readers still need 2^n entries, so they refuse.
+    # The sums are the [21,2] code <1^19 0^2, 0^19 1^2>, whose blocks are
+    # two parallel classes, a shuffled binary [40,20] = [20,10] + [20,10],
+    # and a shuffled [54,26] = [20,10] + [18,4] + [16,12]
+    rng = random.Random(3805)
+    sums = [(LinearCode.from_rows(GF2, [(1,) * 19 + (0, 0),
+                                        (0,) * 19 + (1, 1)]),
+             [zoo.repetition(GF2, 19), zoo.repetition(GF2, 2)],
+             dict(enumerate(range(21))))]
+    for shape in ([(20, 10), (20, 10)], [(20, 10), (18, 4), (16, 12)]):
+        blocks = [zoo.random_code(rng, GF2, n, k) for n, k in shape]
+        C, at = shuffled_sum(rng, blocks)
+        sums.append((C, blocks, at))
+    sides = []
+    for C, blocks, at in sums:
+        assert C.n > 20 >= max(b.bit_count() for b in C.blocks())
+        minr, wit, hier, vertices = merged_from_blocks(blocks, at)
+        poly = polygon_from_profile([C.k - m for m in minr])
+        assert subset_polygon(C) == poly
+        assert subset_filtration(C).steps == tuple(
+            wit[s] for s in poly.vertex_ranks)
+        assert C.weight_hierarchy() == hier
+        assert code_polygon(C).vertices == vertices
+        filt = canonical_filtration(C)
+        assert [(S.dim, S.degree) for S in filt.steps] == list(vertices)
+        assert is_semistable(C) == (len(vertices) == 2)
+        assert semistability_witness(C) == (
+            None if is_semistable(C) else filt.steps[1])
+        # a proper summand is at least as steep as the sum, so no sum is
+        # stable
+        assert is_stable(C) is False
+        for read in (C.rank_table, lambda: rr.rr_check(C)):
+            with pytest.raises(SizeLimitExceeded) as err:
+                read()
+            assert err.value.needed == C.n
+        sides.append(len(vertices) - 1)
+    assert sides == [2, 2, 4]
+
+
 def test_derived_memos_leave_the_cap_to_its_owners(monkeypatch):
     # `least_ranks` alone charges the least-rank unit and the rank table
     # its own: with every memo filled, no polygon, filtration, verdict,
     # hierarchy or chain condition reaches a cap check of its own.  The
     # GF(3) code [2,1] + [3,2] has a zero column, so its subset polygon
-    # starts flat.
+    # starts flat, and the [16,9] sum is searched block by block.
     def refuse(*args):
         raise AssertionError("a derived memo charged the cap itself")
     codes = [zoo.binary_9_7(),
              LinearCode.from_rows(GF3, [(1, 2, 0, 0, 0, 0),
                                         (0, 0, 1, 0, 1, 0),
-                                        (0, 0, 0, 1, 1, 0)])]
+                                        (0, 0, 0, 1, 1, 0)]),
+             three_sided_16_9()]
     calls = [subset_filtration, canonical_filtration, subset_polygon,
              code_polygon, is_semistable, semistability_witness,
              tensor.is_chained]
@@ -1247,7 +1432,7 @@ def test_derived_memos_leave_the_cap_to_its_owners(monkeypatch):
             codes[0])
     before = answers()
     hierarchies = [C.weight_hierarchy() for C in codes]
-    assert [code_polygon(C).N for C in codes] == [2, 2]
+    assert [code_polygon(C).N for C in codes] == [2, 2, 3]
     assert subset_polygon(codes[1]).vertices[:2] == ((0, 3), (1, 3))
     monkeypatch.setattr(hn, "_check_cap", refuse)
     monkeypatch.setattr(tensor, "_check_cap", refuse)

@@ -292,6 +292,15 @@ def test_wei_duality_without_full_support(monkeypatch):
             del searches[:]
             assert wei_duality_check(C)
             assert searches == []
+    # the [9,7] code plus the square, n = 14, has a coloop, its dual a
+    # loop; each side is searched block by block, then nothing more either
+    from test_hn import code_direct_sum
+    W = code_direct_sum(zoo.binary_9_7(), zoo.binary_5_2_square())
+    W.weight_hierarchy()
+    W.dual().weight_hierarchy()
+    assert sorted(searches) == [2, 2, 2, 2, 9, 9]
+    del searches[:]
+    assert wei_duality_check(W) and searches == []
 
 
 def test_wei_partition_by_hand():
