@@ -69,14 +69,14 @@ class LinearCode:
 
     # Memos of the code's own analysis: the min-rank search as (minima,
     # witnesses) kept by `algebra.least_ranks`, the blocks of the column
-    # matroid, the rank table, the weight hierarchy, the dual, the column
-    # spans by column set, the subset and the canonical filtration and the
-    # exhaustive subcode lattice (all three filled by hn.py), the chain
-    # condition (tensor.py), and the last tensor product as (other,
-    # product, star), star its Schaathun table, filled by the first
-    # witness that reads it.
+    # matroid, the rank table, the weight hierarchy, the dual, the subset
+    # and the canonical filtration and the exhaustive subcode lattice (all
+    # three filled by hn.py; the lattice keeps the column spans its Galois
+    # walk reads), the chain condition (tensor.py), and the last tensor
+    # product as (other, product, star), star its Schaathun table, filled
+    # by the first witness that reads it.
     __slots__ = ("field", "n", "k", "gen", "_minr", "_blocks", "_rtab",
-                 "_hier", "_dual", "_spans", "_sfilt", "_filt", "_lattice",
+                 "_hier", "_dual", "_sfilt", "_filt", "_lattice",
                  "_chained", "_tensor")
 
     def __init__(self, gen: Matrix):
@@ -97,7 +97,6 @@ class LinearCode:
         self._rtab = None
         self._hier = None
         self._dual = None
-        self._spans = {}
         self._sfilt = None
         self._filt = None
         self._lattice = None
@@ -147,49 +146,13 @@ class LinearCode:
     def zero_subcode(self) -> "Subcode":
         return Subcode(self, Matrix(self.field, 0, self.k, ()))
 
-    def _column_span(self, J: int) -> Matrix:
-        """The RREF span in F^k of the generator's J-columns, whose complement
-        is the key of the subcode vanishing on J.  Every span asked for is
-        kept for the life of the code, so the memo grows by one span of at
-        most k rows per distinct J; only the exhaustive Galois check asks
-        for all 2^n.  When the span of J minus its top column is kept, J's
-        span extends it by that column, one `Matrix.extend` step, so a walk
-        up through the subsets eliminates no column set; any other J is one
-        elimination of its columns, with no walk down its prefixes."""
-        span = self._spans.get(J)
-        if span is None:
-            G, f = self.gen, self.field
-            top = J.bit_length() - 1
-            kept = self._spans.get(J ^ (1 << top)) if J else None
-            if kept is None:                     # one elimination
-                js = bits_of(J)
-                cols = tuple(x for j in js for x in G.entries[j::G.cols])
-                span = Matrix(f, len(js), G.rows, cols).rref_nonzero()
-            else:                                # one step from the kept span
-                span = kept.extend(Matrix(f, 1, G.rows, G.column(top)))
-            self._spans[J] = span
-        return span
-
-    def _dependent_columns(self, J: int) -> tuple[int, ...]:
-        """The columns of J in the span of the columns of J before them: a
-        walk up J from no rows, one `Matrix.extend` step per column, whose
-        span at the end is kept as J's (one span per call)."""
-        G, span, dependent = self.gen, Matrix(self.field, 0, self.k, ()), []
-        for j in bits_of(J):
-            grown = span.extend(Matrix(G.field, 1, G.rows, G.column(j)))
-            if grown.rows == span.rows:
-                dependent.append(j)
-            span = grown
-        self._spans.setdefault(J, span)
-        return tuple(dependent)
-
     def shorten(self, J: int) -> "Subcode":
-        """C_J: the largest subcode supported inside the coordinate set J.
-        The span of the columns outside J is kept on the code (see
-        `_column_span`), so a loop over many J holds one span per J asked
-        for, at most k x k entries each, until the code is dropped."""
-        span = self._column_span(((1 << self.n) - 1) ^ J)
-        return Subcode(self, span.right_nullspace())
+        """C_J: the largest subcode supported inside the coordinate set J,
+        the nullspace of the columns outside J, eliminated once and kept
+        nowhere."""
+        outside = bits_of(((1 << self.n) - 1) ^ J)
+        return Subcode(self, self.gen.col_submatrix(outside).transpose()
+                       .right_nullspace())
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""

@@ -29,8 +29,8 @@ rank table: by the Galois connection its rivals are coordinate subsets,
 so it is capped by the columns like every other column question.
 The lattice serves the lattice laws alone (`verify_parallelogram`,
 `verify_galois`) and reads its order on masks of the points of P^(k-1);
-the Galois check reads the subset images from the column spans the code
-keeps, one reduction step each.
+the Galois check reads the subset images from the column spans the
+lattice keeps (`SubspaceLattice.vanishing`), one reduction step each.
 The exhaustive lattice enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
 is built; a sampled lattice's cap counts the points, one mask bit and
@@ -404,7 +404,8 @@ class SubspaceLattice:
     `_perps` holds each element's orthogonal complement (a k-column
     nullspace), found once and recorded both ways, and a join is
     complement, meet, complement.
-    `vanishing(J)` interns the subcode vanishing on the columns J.
+    `vanishing(J)` interns the subcode vanishing on the columns J from
+    the span of those columns, which `_spans` keeps by J.
 
     Without `subcodes` every subcode is enumerated, and it is refused
     when the subcodes number more than 2^cap; the first such lattice of a
@@ -429,6 +430,7 @@ class SubspaceLattice:
         self._supports = _Memo(lambda i: self.subcode(i).support_mask)
         self._masks = _Memo(self._point_mask)
         self._by_mask: dict[int, int] = {}
+        self._spans: dict[int, Matrix] = {}
         if subcodes is not None:
             for S in subcodes:
                 self.index_of(S)
@@ -518,8 +520,22 @@ class SubspaceLattice:
 
     def vanishing(self, J: int) -> int:
         """The subcode vanishing on the columns J, interned from its key:
-        the complement of the columns' span, `LinearCode._column_span`."""
-        return self._perps[self._intern(self.code._column_span(J))]
+        the complement of the RREF span in F^k of the generator's
+        J-columns.  Every span is kept in `_spans`, at most k rows per
+        distinct J for the life of the lattice.  When the span of J minus
+        its top column is kept, J's span extends it by that column, one
+        `Matrix.extend` step, so a walk up through the subsets eliminates
+        no column set; any other J is one elimination of its columns."""
+        span = self._spans.get(J)
+        if span is None:
+            G, top = self.code.gen, J.bit_length() - 1
+            kept = self._spans.get(J ^ (1 << top)) if J else None
+            if kept is None:                     # one elimination
+                span = G.col_submatrix(bits_of(J)).transpose().rref_nonzero()
+            else:                                # one step from the kept span
+                span = kept.extend(Matrix(G.field, 1, G.rows, G.column(top)))
+            self._spans[J] = span
+        return self._perps[self._intern(span)]
 
     def meet(self, i: int, j: int) -> int:
         m = self._masks[i] & self._masks[j]
@@ -641,7 +657,7 @@ def verify_galois(C: LinearCode, subcodes=None, subsets=None) -> bool:
     so each unordered pair is read once.  Each subset's
     image is interned from its k-column key by `SubspaceLattice.vanishing`;
     the subsets are walked upward, so each key is one step from a span
-    the code keeps.  The subsets are grouped by image: each pair of
+    the lattice keeps.  The subsets are grouped by image: each pair of
     classes takes one join and one meet, which the images of J | K must
     equal and which lies below each image class of J & K, asked once per
     class.  Exhaustively the code's own lattice (`subcode_lattice`) is

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import lanes, least_ranks, popcounts
+from .algebra import Matrix, lanes, least_ranks, popcounts
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import (CanonicalPolygon, code_polygon, hierarchies_tile,
@@ -58,13 +58,19 @@ class CohomologyPair:
 
 
 def cohomology(C: LinearCode, J: int) -> CohomologyPair:
-    """H0 and H1 of (C, J) from one walk up the columns outside J: h1_coords
-    are where its rank does not grow (`LinearCode._dependent_columns`),
-    and the code keeps the span it ends at, which `shorten(J)` reads."""
-    h1_coords = C._dependent_columns(((1 << C.n) - 1) ^ J)
-    sub = C.shorten(J)
+    """H0 and H1 of (C, J) from one walk up the columns outside J, one
+    `Matrix.extend` step each from no rows: h1_coords are where the rank
+    of their span does not grow, and H0 = C_J is the nullspace of the span
+    it ends at.  Nothing is kept on the code."""
+    G, span, h1_coords = C.gen, Matrix(C.field, 0, C.k, ()), []
+    for j in bits_of(((1 << C.n) - 1) ^ J):
+        grown = span.extend(Matrix(C.field, 1, C.k, G.column(j)))
+        if grown.rows == span.rows:
+            h1_coords.append(j)
+        span = grown
+    sub = Subcode(C, span.right_nullspace())
     pair = CohomologyPair(C, J, sub.dim, len(h1_coords), sub.basis,
-                          h1_coords)
+                          tuple(h1_coords))
     if pair.euler() != J.bit_count() + C.k - C.n:
         raise InvariantViolation("Euler characteristic miscomputed")
     return pair
@@ -73,12 +79,19 @@ def cohomology(C: LinearCode, J: int) -> CohomologyPair:
 def rr_check(X) -> bool:
     """h0(X, J) - h0(X-dual, [n]-J) == #J + k - n for every subset J, for
     a code or a matroid X, read off the rank tables of X and then of its
-    dual, with h0(X, J) = k - r([n]-J)."""
+    dual, with h0(X, J) = k - r([n]-J).  The dual of a full-space code
+    (k = n), which no LinearCode represents, is the zero code: its table
+    is all zeros and k* = 0."""
     # r*(J) + n - k* == #J + r([n]-J) in lanes of at most 3n
-    tab, D = X.rank_table(), X.dual()
+    tab = X.rank_table()
+    if isinstance(X, LinearCode) and X.k == X.n:
+        dtab, dk = bytes(len(tab)), 0
+    else:
+        D = X.dual()
+        dtab, dk = D.rank_table(), D.k
     one = lanes(b"\1" * len(tab))
-    return (lanes(D.rank_table()) + X.n * one
-            == lanes(popcounts(X.n)) + lanes(tab[::-1]) + D.k * one)
+    return (lanes(dtab) + X.n * one
+            == lanes(popcounts(X.n)) + lanes(tab[::-1]) + dk * one)
 
 
 def serre_check(X) -> bool:
@@ -173,7 +186,7 @@ def dual_dlp_check(C: LinearCode) -> bool:
         # the complement of C's maximizer maximizes for the dual: the dual
         # shortened there, the subcode vanishing on wits[j], must realize
         # k_{n-j} of the dual; its dimension is D.k minus one column rank
-        rank = D._column_span(wits[j]).rows
+        rank = D.gen.col_submatrix(bits_of(wits[j])).rank()
         if D.k - rank != kjd[C.n - j]:
             return False
     return True

@@ -435,12 +435,16 @@ def dual_rank_table(n: int, ranks) -> bytes:
                  for J in range(1 << n))
 
 
-def table_rr_serre(n: int, ranks, dual_ranks) -> tuple[bool, bool]:
+def table_rr_serre(n: int, ranks, dual_ranks,
+                   dual_k=None) -> tuple[bool, bool]:
     """(Riemann-Roch, Serre) for a rank table and a dual table, by a scan
     of h0(J) = k - r(E - J), h1(J) = #(E - J) - r(E - J) and the dual
-    h0(E - J) = k* - r*(J), subset by subset."""
+    h0(E - J) = k* - r*(J), subset by subset; k* is the dual table's last
+    entry unless given."""
     full = (1 << n) - 1
-    k, dual_k = ranks[full], dual_ranks[full]
+    k = ranks[full]
+    if dual_k is None:
+        dual_k = dual_ranks[full]
     rr = serre = True
     for J in range(1 << n):
         comp = full ^ J

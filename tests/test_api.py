@@ -87,3 +87,27 @@ def test_library_imports_no_private_helpers():
             if a.name.startswith("_") and not a.name.endswith("__")
             and (node.module, a.name) not in allowed]
     assert hits == []
+
+
+def test_library_calls_no_private_methods_across_modules():
+    # an underscore method is its class's own module's: no library module
+    # calls one that only another module defines, except the subset
+    # engine's hook for graded pieces, `X._minor` (hn.subset_graded)
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(LIBRARY.glob("*.py"))}
+    methods = {name: {f.name for c in ast.walk(tree)
+                      if isinstance(c, ast.ClassDef) for f in c.body
+                      if isinstance(f, ast.FunctionDef) and private(f.name)}
+               for name, tree in trees.items()}
+    foreign = set().union(*methods.values())
+    allowed = {("hn.py", "_minor")}
+    hits = sorted({(name, node.func.attr)
+                   for name, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in foreign - methods[name]
+                   and (name, node.func.attr) not in allowed})
+    assert hits == []

@@ -119,14 +119,19 @@ def test_invariant_violation_exits_3(tmp_path):
     proc = run_cli("weights", str(bad))
     assert proc.returncode == 3
     assert "error:" in proc.stderr
-    # the full space has no dual code to check against, but its own rank
-    # table is read first, so the cap still decides past it
+
+
+def test_rr_all_on_the_full_space_exits_0(tmp_path):
+    # the full space's dual is the zero code, whose rank table is all
+    # zeros, so both identities hold; its own rank table is read first, so
+    # the cap still decides past it
     full = tmp_path / "full_5.code"
     full.write_text("field 2 1\ncode 5 5\n"
                     + "".join(f"{1 << i:05b}\n" for i in range(5)))
     proc = run_cli("rr", str(full), "--all")
-    assert proc.returncode == 3
-    assert "error:" in proc.stderr
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)["results"]
+    assert results["rr_ok"] is True and results["serre_ok"] is True
     assert run_cli("rr", str(full), "--all",
                    "--max-enum", "4").returncode == 4
 

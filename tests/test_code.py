@@ -18,6 +18,7 @@ from hncodes import (
 )
 from hncodes.algebra import FieldSpec, Matrix
 from hncodes.code import Subcode, bits_of, mask_of
+from hncodes.hn import SubspaceLattice
 
 import oracles
 
@@ -266,28 +267,35 @@ def test_kept_column_spans_match_a_fresh_elimination():
         shuffled = up[:]
         rng.shuffle(shuffled)
         for order in (up, up[::-1], shuffled):
-            D = LinearCode(C.gen)        # a fresh code keeps no span
+            lat = SubspaceLattice(C, subcodes=[])    # keeps no span yet
             for J in order:
-                span = D._column_span(J)
+                image = lat.vanishing(J)
+                span = lat._spans[J]
                 R, piv = span.rref()
-                assert R is span and D._column_span(J) is span
+                assert R is span and lat.vanishing(J) == image
+                assert lat._spans[J] is span
                 assert (span.entries, span.rows, piv) == want[J]
                 assert span.cols == C.k
 
 
 def test_a_shorten_loop_keeps_one_span_per_column_set():
-    # the span memo grows with the distinct column sets asked for and no
-    # further: a repeated loop over every J adds nothing, and each kept
-    # span is at most k x k
+    # the lattice's span memo grows with the distinct column sets asked
+    # for and no further: a repeated loop over every J adds nothing, and
+    # each kept span is at most k x k; shortening keeps nothing on the code
     C = zoo.random_code(random.Random(937), GF3, 9, 4)
     full = (1 << C.n) - 1
-    assert C._spans == {}
+    lat = SubspaceLattice(C, subcodes=[])
+    assert lat._spans == {}
     for _ in range(3):
         for J in range(1 << C.n):
-            C.shorten(J)
-        assert sorted(C._spans) == list(range(1 << C.n))
-    assert all(s.rows <= C.k and s.cols == C.k for s in C._spans.values())
-    assert sum(len(s.entries) for s in C._spans.values()) <= C.k ** 2 << C.n
+            lat.vanishing(J)
+        assert sorted(lat._spans) == list(range(1 << C.n))
+    assert all(s.rows <= C.k and s.cols == C.k for s in lat._spans.values())
+    assert sum(len(s.entries) for s in lat._spans.values()) <= C.k ** 2 << C.n
+    slots = {s: getattr(C, s) for s in LinearCode.__slots__}
+    for J in range(1 << C.n):
+        C.shorten(J)
+    assert all(getattr(C, s) is v for s, v in slots.items())
     assert C.shorten(full).dim == C.k and C.shorten(0).dim == 0
 
 

@@ -1048,29 +1048,28 @@ def test_one_lattice_per_code_and_no_elimination_per_subset(monkeypatch,
         fresh.clear()
         masks.clear()
         steps.clear()
-        kept = len(C._spans)
+        kept = len(lat._spans)
         assert verify_galois(C)
         assert sum(fresh) == 0 and masks == []
-        assert 0 < len(steps) <= len(C._spans) - kept
+        assert 0 < len(steps) <= len(lat._spans) - kept
 
 
 def test_subcode_questions_step_no_kept_row_again(steps):
     # cohomology eliminates the columns outside J once, one step each, and
-    # keeps their span, so shorten(J) reduces only that span's nullspace
-    # (one step per row of C_J) and the code keeps one more span per J; a
-    # join or a membership test steps in the other subcode's rows and no
-    # kept row; a meet that names no known element steps the rows of the
-    # second complement into the first, which are kept, and then reduces
-    # the meet's own nullspace
+    # reduces only their span's nullspace (one step per row of C_J), and
+    # keeps nothing on the code; a join or a membership test steps in the
+    # other subcode's rows and no kept row; a meet that names no known
+    # element steps the rows of the second complement into the first,
+    # which are kept, and then reduces the meet's own nullspace
     rng = random.Random(953)
     for field, n, k in ((GF2, 5, 3), (GF3, 4, 2), (GF4, 4, 2)):
         C = zoo.random_code(rng, field, n, k)
         for J in range(1 << n):
             steps.clear()
-            kept = len(C._spans)
+            slots = {s: getattr(C, s) for s in LinearCode.__slots__}
             P = rr.cohomology(C, J)
             assert len(steps) == n - J.bit_count() + P.h0
-            assert len(C._spans) == kept + 1
+            assert all(getattr(C, s) is v for s, v in slots.items())
         lat = SubspaceLattice(C)
         subs = [lat.subcode(i) for i in range(len(lat))]
         for i, U in enumerate(subs):
@@ -1123,7 +1122,7 @@ def test_exhaustive_galois_laws_are_capped_by_their_pairs(monkeypatch):
     # before any subset is read
     def refuse(*args):
         raise AssertionError("the subsets were walked")
-    monkeypatch.setattr(LinearCode, "_column_span", refuse)
+    monkeypatch.setattr(SubspaceLattice, "vanishing", refuse)
     C = LinearCode.from_rows(GF2, [(1,) * 6 + (0,) * 5, (0,) * 6 + (1,) * 5])
     with pytest.raises(SizeLimitExceeded) as err:
         verify_galois(C)

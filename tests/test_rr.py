@@ -127,6 +127,21 @@ def test_rr_and_serre_checks():
         assert serre_check(C)
 
 
+def test_rr_check_reads_the_zero_dual_of_the_full_space():
+    # the full space has no dual LinearCode: its dual is the zero code, of
+    # rank table all zeros and k* = 0; with k* taken as 1 the identity
+    # fails at every subset
+    for field in (GF2, GF3, GF4):
+        for n in range(1, 9):
+            F = zoo.full_space(field, n)
+            zeros = bytes(1 << n)
+            assert rr_check(F) and serre_check(F)
+            assert oracles.table_rr_serre(n, F.rank_table(), zeros) == (
+                True, True)
+            assert oracles.table_rr_serre(n, F.rank_table(), zeros,
+                                          dual_k=1) == (False, False)
+
+
 def test_rr_serre_and_clifford_enumerate_under_the_cap():
     # every subset is checked up to the cap and none past it: there is no
     # sampled fallback
