@@ -286,13 +286,33 @@ def _rref_step(rows: list, piv: list, v, f: FieldSpec):
     piv.insert(a, c)
 
 
+def _stepped(f: FieldSpec, width: int, R, vectors) -> "Matrix":
+    """The stepping loop, the one caller of `_rref_step`: the vectors, of
+    length `width`, stepped one at a time into the rows of R, a Matrix
+    kept as its own RREF, or into no rows when R is None.  R itself is
+    returned when no vector adds rank; any other span is a new Matrix
+    kept as its own RREF."""
+    rows, piv = ([], []) if R is None else (R.row_list(), list(R._rref[1]))
+    for v in vectors:
+        _rref_step(rows, piv, v, f)
+    if R is not None and len(piv) == R.rows:
+        return R
+    out = Matrix(f, len(piv), width,
+                 tuple(itertools.chain.from_iterable(rows)))
+    out._rref = (out, tuple(piv))
+    return out
+
+
 class Matrix:
     """Immutable dense matrix over a FieldSpec, entries stored row-major.
 
     The constructor checks only the shape and trusts the entries to be
     field elements; `from_rows` checks rows from outside the library.
-    Every row reduction is `_rref_step`: `rref` steps the rows in from
-    nothing and `extend` into rows already in RREF."""
+    A span has one format: its RREF with no zero rows, kept as its own
+    RREF.  Every row reduction steps vectors into such a span
+    (`_stepped`): `rref` the rows of self into none, `extend` the rows
+    of other into self's RREF, and `column_span` columns of self into a
+    span it returned before, or into none."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
@@ -346,11 +366,6 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch("operands live over different fields")
 
-    def transpose(self) -> "Matrix":
-        ent = tuple(self.entries[i * self.cols + j]
-                    for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
-
     def matmul(self, other: "Matrix") -> "Matrix":
         self._require_same_field(other)
         if self.cols != other.rows:
@@ -381,8 +396,8 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row (i, j) maps to index i * other.rows + j.
-        When both factors keep themselves as their RREF with no zero row,
-        so does the product: row (i, j) leads with 1 at column
+        When both factors keep themselves as their RREF, which has no
+        zero row, so does the product: row (i, j) leads with 1 at column
         p_i * other.cols + p'_j, where every other row is 0."""
         self._require_same_field(other)
         f = self.field
@@ -401,59 +416,42 @@ class Matrix:
                     for l in range(other.cols):
                         ent[base + l] = ma[orow[l]]
         out = Matrix(f, R, C, tuple(ent))
-        own = [M._rref[1] for M in (self, other) if M._rref
-               and M._rref[0] is M and len(M._rref[1]) == M.rows]
+        own = [M._rref[1] for M in (self, other)
+               if M._rref and M._rref[0] is M]
         if len(own) == 2:
             out._rref = (out, tuple(a * other.cols + b
                                     for a in own[0] for b in own[1]))
         return out
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form, zero rows last, and the pivot column
-        tuple: the rows are stepped in one at a time (`_rref_step`)."""
+        """The reduced row echelon form of the row space with zero rows
+        dropped, rank-many rows kept as their own RREF, and its pivot
+        columns: the rows of self stepped in from none (`_stepped`),
+        once per matrix."""
         if self._rref is None:
-            rows, piv = [], []
-            for i in range(self.rows):
-                _rref_step(rows, piv, self.row(i), self.field)
-            ent = tuple(itertools.chain.from_iterable(rows))
-            out = Matrix(self.field, self.rows, self.cols,
-                         ent + (0,) * (len(self.entries) - len(ent)))
-            out._rref = self._rref = (out, tuple(piv))
+            self._rref = _stepped(self.field, self.cols, None,
+                                  map(self.row, range(self.rows)))._rref
         return self._rref
 
     def extend(self, other: "Matrix") -> "Matrix":
-        """The RREF span of the rows of self and of other, zero rows
-        dropped: each row of other is one `_rref_step` into the nonzero
-        rows of self's RREF, which are not reduced again when kept (as on
-        every span of the library), and that RREF is returned when it has
-        no zero rows and other adds no rank."""
+        """The RREF span of the rows of self and of other: the rows of
+        other stepped into self's RREF (`_stepped`), whose rows are not
+        reduced again, and that RREF itself when other adds no rank."""
         self._require_same_field(other)
         if self.cols != other.cols:
             raise InvariantViolation("column counts differ")
-        R, kept = self.rref()
-        rows, piv = R.row_list()[:len(kept)], list(kept)
-        for i in range(other.rows):
-            _rref_step(rows, piv, other.row(i), self.field)
-        if len(piv) == len(kept) == R.rows:
-            return R
-        out = Matrix(self.field, len(rows), self.cols,
-                     tuple(itertools.chain.from_iterable(rows)))
-        out._rref = (out, tuple(piv))
-        return out
+        return _stepped(self.field, self.cols, self.rref()[0],
+                        map(other.row, range(other.rows)))
+
+    def column_span(self, cols, span=None) -> "Matrix":
+        """The RREF span in F^rows of the columns `cols` of self, read as
+        vectors: they are stepped one at a time (`_stepped`) into `span`,
+        a span this method returned before, or into none, and `span`
+        itself is returned when no column adds rank."""
+        return _stepped(self.field, self.rows, span, map(self.column, cols))
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def rref_nonzero(self) -> "Matrix":
-        """RREF with zero rows dropped (rank many rows); the result is its
-        own RREF, so reducing it again costs nothing."""
-        R, piv = self.rref()
-        r = len(piv)
-        if r == self.rows:
-            return R
-        out = Matrix(self.field, r, self.cols, R.entries[:r * self.cols])
-        out._rref = (out, piv)
-        return out
 
     def right_nullspace(self) -> "Matrix":
         """The RREF basis of {x : M x = 0}: the solution of each free
@@ -468,7 +466,7 @@ class Matrix:
             for i, pc in enumerate(piv):
                 v[pc] = NEG[R.entry(i, fc)]
             ent.extend(v)
-        return Matrix(f, len(free), self.cols, tuple(ent)).rref_nonzero()
+        return Matrix(f, len(free), self.cols, tuple(ent)).rref()[0]
 
     def row_space_words(self) -> list[tuple[int, ...]]:
         """All q^rows words of the row space (independent rows assumed)."""

@@ -110,7 +110,7 @@ class LinearCode:
     @classmethod
     def span(cls, gen: Matrix) -> "LinearCode":
         """Like the constructor but silently dropping dependent rows."""
-        return cls(gen.rref_nonzero())
+        return cls(gen.rref()[0])
 
     # -- basic data ---------------------------------------------------------
 
@@ -148,11 +148,10 @@ class LinearCode:
 
     def shorten(self, J: int) -> "Subcode":
         """C_J: the largest subcode supported inside the coordinate set J,
-        the nullspace of the columns outside J, eliminated once and kept
-        nowhere."""
+        the nullspace of the span of the columns outside J
+        (`Matrix.column_span`), stepped in once and kept nowhere."""
         outside = bits_of(((1 << self.n) - 1) ^ J)
-        return Subcode(self, self.gen.col_submatrix(outside).transpose()
-                       .right_nullspace())
+        return Subcode(self, self.gen.column_span(outside).right_nullspace())
 
     def puncture(self, J: int) -> "LinearCode":
         """Image of C under projection onto the coordinates in J."""
@@ -295,7 +294,7 @@ class Subcode:
         M = Matrix.from_rows(parent.field, rows)
         if M.rows and M.cols != parent.n:
             raise InvariantViolation("subcode length differs from parent")
-        M = M.rref_nonzero()
+        M = M.rref()[0]
         if M.rows and parent.gen.extend(M).rows != parent.k:
             raise NotASubcode("rows do not lie in the parent code's row space")
         return cls(parent, M.col_submatrix(parent.gen.rref()[1]))

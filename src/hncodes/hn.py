@@ -23,14 +23,15 @@ Stability, the strict form, reads the weight hierarchy.
 The canonical filtration and the exhaustive subcode lattice belong to the
 code: both are built once per LinearCode and kept on it, the lattice by
 whichever of `SubspaceLattice(C)` and `subcode_lattice(C)` builds it
-first.  The gap
-condition reads the filtration and least ranks, not the lattice or the
-rank table: by the Galois connection its rivals are coordinate subsets,
-so it is capped by the columns like every other column question.
-The lattice serves the lattice laws alone (`verify_parallelogram`,
-`verify_galois`) and reads its order on masks of the points of P^(k-1);
-the Galois check reads the subset images from the column spans the
-lattice keeps (`SubspaceLattice.vanishing`), one reduction step each.
+first.  The gap condition reads the filtration and least ranks, not the
+lattice or the rank table: by the Galois connection its rivals are
+coordinate subsets, so it is capped by the columns like every other
+column question.  The lattice serves the lattice laws alone
+(`verify_parallelogram`, `verify_galois`) and reads its order on masks
+of the points of P^(k-1); the Galois check reads each subset's image as
+the complement of its column span, which the lattice keeps
+(`SubspaceLattice.vanishing`): a walk up through the subsets steps one
+column per subset into a kept span (`Matrix.column_span`).
 The exhaustive lattice enumerates every subcode, so its cap counts
 subcodes: the number of subspaces of F_q^k, computed before any element
 is built; a sampled lattice's cap counts the points, one mask bit and
@@ -521,20 +522,17 @@ class SubspaceLattice:
     def vanishing(self, J: int) -> int:
         """The subcode vanishing on the columns J, interned from its key:
         the complement of the RREF span in F^k of the generator's
-        J-columns.  Every span is kept in `_spans`, at most k rows per
-        distinct J for the life of the lattice.  When the span of J minus
-        its top column is kept, J's span extends it by that column, one
-        `Matrix.extend` step, so a walk up through the subsets eliminates
-        no column set; any other J is one elimination of its columns."""
+        J-columns (`Matrix.column_span`).  Every span is kept in `_spans`,
+        at most k rows per distinct J for the life of the lattice.  When
+        the span of J minus its top column is kept, only that column is
+        stepped into it, so a walk up through the subsets steps one column
+        per subset; any other J steps all of its columns from none."""
         span = self._spans.get(J)
         if span is None:
-            G, top = self.code.gen, J.bit_length() - 1
-            kept = self._spans.get(J ^ (1 << top)) if J else None
-            if kept is None:                     # one elimination
-                span = G.col_submatrix(bits_of(J)).transpose().rref_nonzero()
-            else:                                # one step from the kept span
-                span = kept.extend(Matrix(G.field, 1, G.rows, G.column(top)))
-            self._spans[J] = span
+            top = 1 << J.bit_length() >> 1       # J's top column, 0 if none
+            kept = self._spans.get(J ^ top)
+            span = self._spans[J] = self.code.gen.column_span(
+                bits_of(J if kept is None else top), kept)
         return self._perps[self._intern(span)]
 
     def meet(self, i: int, j: int) -> int:

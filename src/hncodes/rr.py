@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Matrix, lanes, least_ranks, popcounts
+from .algebra import lanes, least_ranks, popcounts
 from .code import LinearCode, Subcode, bits_of
 from .errors import InvariantViolation, NotFullSupport
 from .hn import (CanonicalPolygon, code_polygon, hierarchies_tile,
@@ -58,14 +58,15 @@ class CohomologyPair:
 
 
 def cohomology(C: LinearCode, J: int) -> CohomologyPair:
-    """H0 and H1 of (C, J) from one walk up the columns outside J, one
-    `Matrix.extend` step each from no rows: h1_coords are where the rank
-    of their span does not grow, and H0 = C_J is the nullspace of the span
-    it ends at.  Nothing is kept on the code."""
-    G, span, h1_coords = C.gen, Matrix(C.field, 0, C.k, ()), []
+    """H0 and H1 of (C, J) from one walk up the columns outside J, each
+    stepped by `Matrix.column_span` into the span of those before it,
+    from the empty span: h1_coords are the columns whose step returns the
+    span itself, adding no rank, and H0 = C_J is the nullspace of the
+    span the walk ends at.  Nothing is kept on the code."""
+    span, h1_coords = C.gen.column_span(()), []
     for j in bits_of(((1 << C.n) - 1) ^ J):
-        grown = span.extend(Matrix(C.field, 1, C.k, G.column(j)))
-        if grown.rows == span.rows:
+        grown = C.gen.column_span((j,), span)
+        if grown is span:
             h1_coords.append(j)
         span = grown
     sub = Subcode(C, span.right_nullspace())
@@ -123,8 +124,7 @@ def les_check(C: LinearCode, J: int, Jp: int) -> bool:
     if a.h0 - b.h0 + Jp.bit_count() - a.h1 + b.h1 != 0:
         return False
     if b.h0:
-        middle = b.h0_basis.col_submatrix(bits_of(Jp))
-        if middle.rank() != b.h0 - a.h0:
+        if b.h0_basis.column_span(bits_of(Jp)).rows != b.h0 - a.h0:
             return False
     elif b.h0 - a.h0 != 0:
         return False
@@ -186,7 +186,7 @@ def dual_dlp_check(C: LinearCode) -> bool:
         # the complement of C's maximizer maximizes for the dual: the dual
         # shortened there, the subcode vanishing on wits[j], must realize
         # k_{n-j} of the dual; its dimension is D.k minus one column rank
-        rank = D.gen.col_submatrix(bits_of(wits[j])).rank()
+        rank = D.gen.column_span(bits_of(wits[j])).rows
         if D.k - rank != kjd[C.n - j]:
             return False
     return True

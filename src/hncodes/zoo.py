@@ -100,13 +100,14 @@ def binary_9_7() -> LinearCode:
 
 def random_code(rng: random.Random, field: FieldSpec, n: int,
                 k: int) -> LinearCode:
-    """Uniformly random [n, k] code (rejection sampling on full-rank
-    generators, drawn row by row)."""
+    """Uniformly random [n, k] code: whole k x n matrices are drawn,
+    entry by entry in row-major order, until one has rank k, and the code
+    is its row space."""
     while True:
         M = Matrix(field, k, n,
                    tuple([rng.randrange(field.q) for _ in range(k * n)]))
         if M.rank() == k:
-            return LinearCode(M.rref_nonzero())
+            return LinearCode(M)
 
 
 def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
@@ -117,7 +118,7 @@ def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
         coeffs = Matrix(f, r, C.k,
                         tuple([rng.randrange(f.q) for _ in range(r * C.k)]))
         if coeffs.rank() == r:
-            return Subcode(C, coeffs.rref_nonzero())
+            return Subcode(C, coeffs.rref()[0])
 
 
 def iter_all_codes(field: FieldSpec, n: int, kmin: int = 1,

@@ -308,7 +308,7 @@ def test_extend_matches_the_oracle_rref():
                 for r in (rng.randrange(4), rng.randrange(4)))
             rows, piv = oracles.brute_rref(
                 field, A.row_list() + B.row_list(), c)
-            for R in (A, A.rref_nonzero()):
+            for R in (A, A.rref()[0]):
                 E = R.extend(B)
                 assert (E.entries, E.rows, E.rref()) == (
                     sum(rows, ()), len(rows), (E, piv))
@@ -318,6 +318,51 @@ def test_extend_matches_the_oracle_rref():
         R.extend(Matrix.identity(FIELDS[0], 3))
     with pytest.raises(FieldMismatch):
         R.extend(Matrix.identity(FIELDS[1], 2))
+
+
+def test_column_span_matches_the_oracle_rref():
+    # columns stepped into no rows, or into a span that column_span
+    # returned before, give the RREF of all of them as the scalar
+    # Gauss-Jordan oracle reduces them, and the span stepped into comes
+    # back itself exactly when no column adds rank.  The matrices are
+    # padded with zero rows, rarely square, and carry a zero column and
+    # a column repeated up to a scalar; the column lists repeat columns
+    # too.  And rref() of any matrix, all-zero ones included, has
+    # rank-many rows
+    rng = random.Random(4003)
+    fields = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
+              FieldSpec(2, 8, 0x11B)]
+    for field in fields:
+        for _ in range(40):
+            height, width = rng.randrange(1, 6), rng.randrange(3, 8)
+            zero_rows = set(rng.sample(range(height),
+                                       rng.randrange(height)))
+            cols = [tuple(0 if i in zero_rows else rng.choice(
+                (0, rng.randrange(field.q))) for i in range(height))
+                for _ in range(width)]
+            a, b, z = rng.sample(range(width), 3)
+            c = rng.randrange(1, field.q)
+            cols[b] = tuple(field.mul(c, x) for x in cols[a])
+            cols[z] = (0,) * height
+            M = Matrix(field, height, width, tuple(
+                cols[j][i] for i in range(height) for j in range(width)))
+            R, piv = M.rref()
+            assert R.rows == len(piv) == len(oracles.brute_rref(
+                field, M.row_list(), width)[1])
+            first = rng.choices(range(width), k=rng.randrange(width + 1))
+            then = rng.choices(range(width), k=rng.randrange(width + 1))
+            S = M.column_span(first)
+            T = M.column_span(then, S)
+            for span, js in ((S, first), (T, first + then)):
+                rows, piv = oracles.brute_rref(
+                    field, [cols[j] for j in js], height)
+                assert (span.entries, span.rows, span.cols,
+                        span.rref()) == (sum(rows, ()), len(rows), height,
+                                         (span, piv))
+            assert (T is S) == (T.rows == S.rows)
+        Z = Matrix(field, height, width, (0,) * (height * width))
+        assert Z.rref()[0].rows == 0 and Z.rref()[1] == ()
+        assert Z.column_span(range(width)).rows == 0
 
 
 def test_nullspace():
@@ -334,8 +379,8 @@ def test_nullspace():
             rows, piv = oracles.brute_rref(field, N.row_list(), c)
             assert (N.entries, N.rref()) == (sum(rows, ()), (N, piv))
             for i in range(N.rows):
-                v = Matrix.from_rows(field, [N.row(i)])
-                prod = M.matmul(v.transpose())
+                v = Matrix.from_rows(field, [[x] for x in N.row(i)])
+                prod = M.matmul(v)
                 assert all(prod.entry(a, 0) == 0 for a in range(r))
 
 

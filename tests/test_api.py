@@ -89,6 +89,27 @@ def test_library_imports_no_private_helpers():
     assert hits == []
 
 
+def test_one_stepping_loop_calls_the_reduction_step():
+    # every row reduction of the library is one loop over the one step:
+    # `algebra._rref_step` is named by exactly one function, the stepping
+    # loop `algebra._stepped`, and by no other function or module
+    users = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, (where[0], getattr(child, "name", "lambda")))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_rref_step"
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == "_rref_step"):
+                users.add(where)
+            visit(child, where)
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), (path.name, None))
+    assert users == {("algebra.py", "_stepped")}
+
+
 def test_library_calls_no_private_methods_across_modules():
     # an underscore method is its class's own module's: no library module
     # calls one that only another module defines, except the subset

@@ -80,6 +80,37 @@ def test_cohomology_against_oracle():
                 c for a, c in enumerate(out) if rank[a + 1] == rank[a])
 
 
+def test_cohomology_builds_matrices_by_rank_not_by_columns(monkeypatch):
+    # the walk up the columns outside J builds a span only where the rank
+    # grows and no matrix for a column itself: on codes with zero and
+    # repeated columns the matrices of one cohomology call number the
+    # rank of the outside columns plus one constant, however many
+    # columns lie outside J
+    Matrix = hncodes.algebra.Matrix
+    init, built = Matrix.__init__, []
+
+    def spy(M, *args):
+        built.append(args)
+        init(M, *args)
+    rng = random.Random(4007)
+    codes = [LinearCode.from_rows(GF2, [(1, 1, 0, 1, 1, 0),
+                                        (0, 0, 1, 1, 0, 0)]),
+             LinearCode.from_rows(GF3, [(1, 2, 0, 0, 1), (0, 0, 1, 2, 2)])]
+    codes += [zoo.random_code(rng, f, 6, rng.randrange(1, 4))
+              for f in (GF2, GF3, GF4) for _ in range(3)]
+    offsets = set()
+    for C in codes:
+        full, ranks = (1 << C.n) - 1, C.rank_table()
+        for J in range(1 << C.n):
+            built.clear()
+            monkeypatch.setattr(Matrix, "__init__", spy)
+            P = cohomology(C, J)
+            monkeypatch.setattr(Matrix, "__init__", init)
+            assert P.h1 == (full ^ J).bit_count() - ranks[full ^ J]
+            offsets.add(len(built) - ranks[full ^ J])
+    assert len(offsets) == 1
+
+
 def test_cohomology_extremes():
     C = zoo.hamming_7_4()
     full = (1 << 7) - 1
