@@ -28,9 +28,9 @@ from .errors import (Error, InvariantViolation, NotFullSupport, ParseError,
                      SizeLimitExceeded)
 from .formats import parse_code_file, parse_matroid_file
 from .hn import (canonical_filtration, code_polygon, gap_condition_check,
-                 is_semistable, is_stable, semistability_witness,
-                 subcode_lattice, subset_polygon, verify_galois,
-                 verify_parallelogram)
+                 is_semistable, is_stable, profile_gaps, profile_hierarchy,
+                 semistability_witness, subcode_lattice, subset_polygon,
+                 subset_profile, verify_galois, verify_parallelogram)
 from .matroid import (dual_polygon_check, gap_counts_check,
                       gap_duality_check, matroid_from_code,
                       rr_matroid_check, uniform_matroid,
@@ -387,23 +387,25 @@ def cmd_tensor(args):
 
 
 def cmd_matroid(args):
-    M = parse_matroid_file(args.file)
+    X = parse_matroid_file(args.file)           # a code or a rank table
     checks = {
-        "rr": rr_matroid_check(M),
-        "gap_counts": gap_counts_check(M),
-        "gap_duality": gap_duality_check(M),
-        "wei_partition": wei_partition_check(M),
-        "dual_polygon": dual_polygon_check(M),
+        "rr": rr_check(X),
+        "gap_counts": gap_counts_check(X),
+        "gap_duality": gap_duality_check(X),
+        "wei_partition": wei_partition_check(X),
+        "dual_polygon": dual_polygon_check(X),
     }
+    kj, P = subset_profile(X), subset_polygon(X)
+    gaps, nongaps = profile_gaps(kj)
     results = {
-        "n": M.n,
-        "k": M.k,
-        "hierarchy": list(M.hierarchy()),
-        "profile": list(M.profile()),
-        "gaps": list(M.gaps()),
-        "nongaps": list(M.nongaps()),
-        "polygon": _polygon_obj(M.polygon()),
-        "semistable": M.is_semistable(),
+        "n": X.n,
+        "k": X.k,
+        "hierarchy": list(profile_hierarchy(X.k, kj)[1:]),
+        "profile": list(kj),
+        "gaps": list(gaps),
+        "nongaps": list(nongaps),
+        "polygon": _polygon_obj(P),
+        "semistable": P.N <= 1,
         "checks": checks,
         "all_ok": all(checks.values()),
     }

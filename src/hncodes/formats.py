@@ -9,7 +9,8 @@ Code files ('#' starts a comment anywhere on a line):
 
 Matroid files: either `matroid <n> <k>` followed by one line per basis
 (bitmask integers), or a single `from-code <path>` directive naming a
-code file (relative paths resolve against the matroid file's directory).
+code file (relative paths resolve against the matroid file's directory),
+read as that code, at the default cap of 2^20 columns, unless k = n.
 All parse errors carry 1-based line and column positions.  Bytes that are
 not UTF-8 read as U+FFFD, which no token accepts, so they fail in position.
 """
@@ -127,7 +128,7 @@ def parse_code_file(path: str) -> LinearCode:
         return parse_code_text(fh.read())
 
 
-def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
+def parse_matroid_text(text: str, base_dir: str = ".") -> LinearCode | Matroid:
     lines = _tokenize(text)
     if not lines:
         raise ParseError("empty input", line=1, col=1)
@@ -140,8 +141,9 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
         if "\0" in rel:
             raise ParseError("from-code path contains a NUL byte",
                              line=head[1][1], col=head[1][2])
-        path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-        return matroid_from_code(parse_code_file(path))
+        C = parse_code_file(os.path.join(base_dir, rel))  # or rel, if absolute
+        # the full space has no dual LinearCode: its rank table stands in
+        return C if C.k < C.n else matroid_from_code(C)
     _expect_keyword(head[0], "matroid")
     if len(head) != 3:
         raise ParseError("matroid line takes exactly 2 integers",
@@ -169,7 +171,7 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
     return matroid_from_bases(n, bases)
 
 
-def parse_matroid_file(path: str) -> Matroid:
+def parse_matroid_file(path: str) -> LinearCode | Matroid:
     with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_matroid_text(fh.read(), base_dir=os.path.dirname(path)
                                   or ".")

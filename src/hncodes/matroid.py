@@ -4,11 +4,16 @@ The ground set is [n] with n <= 16; the rank of every subset is stored
 (2^n bytes).  Degree of a subset J is k - r(J) with k = r(E), so the top
 has degree 0 and the empty set degree k; the canonical polygon, filtration
 and graded pieces on the subset lattice come from that degree, through the
-subset engine that codes use (`hn.py`); a matroid reads its least ranks
-off its table (`algebra.least_ranks_of_table`).  The constructor trusts
-its table; `Matroid.from_ranks` checks the local exchange axioms
-(equivalent to semimodularity) at all 2^n subsets at once: n(n+1)/2
-big-int passes over the table in 16-bit lanes, not n(n+1)/2 tests each.
+subset engine that codes use (`hn.py`, its functions bound as methods); a
+matroid reads its least ranks off its table (`algebra.least_ranks_of_table`).
+The constructor trusts its table; `Matroid.from_ranks` checks the local
+exchange axioms (equivalent to semimodularity) at all 2^n subsets at once:
+n(n+1)/2 big-int passes over the table in 16-bit lanes, not n(n+1)/2 tests.
+
+A code is a matroid to that engine, so the checks below take a code or a
+matroid X; `hncodes matroid` reads a `from-code` file as its code, at the
+default cap of 2^20 columns.  `Matroid.hierarchy` is (d_1, ..., d_k) and
+`LinearCode.weight_hierarchy` is (d_0, ..., d_k).
 
 Cohomology on this lattice: h0(M, J) = k - r(E - J) and
 h1(M, J) = #(E - J) - r(E - J), tied to the dual matroid through the usual
@@ -21,9 +26,9 @@ from __future__ import annotations
 from .algebra import _check_cap, lane_mask, lanes, popcounts
 from .code import LinearCode
 from .errors import InvariantViolation, SizeLimitExceeded
-from .hn import (CanonicalPolygon, Filtration, hierarchies_tile,
-                 profile_gaps, profile_hierarchy, subset_filtration,
-                 subset_graded, subset_polygon, subset_profile)
+from .hn import (hierarchies_tile, profile_gaps, profile_hierarchy,
+                 subset_filtration, subset_graded, subset_polygon,
+                 subset_profile)
 from .rr import dual_filtration_check, dual_subset_polygon_check, rr_check
 
 MATROID_CAP = 16
@@ -72,6 +77,11 @@ def _check_local_axioms(n: int, r: bytes):
                     f"elements {a}, {b}")
 
 
+def _hierarchy(X) -> tuple[int, ...]:
+    """(d_1, ..., d_k) of a code or matroid X, off its subset profile."""
+    return profile_hierarchy(X.k, subset_profile(X))[1:]
+
+
 class Matroid:
     """A matroid given by the rank of every subset of its ground set."""
 
@@ -84,9 +94,7 @@ class Matroid:
         self.n = n
         self.ranks = ranks
         self.k = ranks[(1 << n) - 1]
-        self._minr = None
-        self._sfilt = None
-        self._dual = None
+        self._minr = self._sfilt = self._dual = None
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "Matroid":
@@ -138,15 +146,13 @@ class Matroid:
         ranks, base = self.ranks, self.ranks[S]
         return Matroid(len(elems), bytes([ranks[x] - base for x in masks]))
 
-    # -- profiles ------------------------------------------------------------
+    # -- profiles: (k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j} -------
 
-    def profile(self) -> tuple[int, ...]:
-        """(k_0, ..., k_n) with k_j = max {h0(M, J) : #J = j}."""
-        return subset_profile(self)
-
-    def hierarchy(self) -> tuple[int, ...]:
-        """(d_1, ..., d_k): least #J with h0 reaching each dimension."""
-        return profile_hierarchy(self.k, self.profile())[1:]
+    profile = subset_profile
+    polygon = subset_polygon
+    filtration = subset_filtration
+    graded = subset_graded
+    hierarchy = _hierarchy
 
     def gaps(self) -> tuple[int, ...]:
         """Sizes j >= 1 where the profile stalls (k_j = k_{j-1})."""
@@ -154,19 +160,6 @@ class Matroid:
 
     def nongaps(self) -> tuple[int, ...]:
         return profile_gaps(self.profile())[1]
-
-    def polygon(self) -> CanonicalPolygon:
-        return subset_polygon(self)
-
-    def filtration(self) -> Filtration:
-        """Chain of subsets attaining the polygon's vertices (unique per
-        vertex, so each is the least-rank search's witness there)."""
-        return subset_filtration(self)
-
-    def graded(self) -> list["Matroid"]:
-        """Minors between consecutive filtration steps, each semistable of
-        its side slope (`subset_graded`)."""
-        return subset_graded(self)
 
     def is_semistable(self) -> bool:
         """At most one side; a loop's flat first side counts against it, so
@@ -228,35 +221,35 @@ def matroid_from_bases(n: int, bases) -> Matroid:
 
 
 def rr_matroid_check(M: Matroid) -> bool:
-    """h0(M, J) - h0(M*, E - J) = #J + k - n for every subset J, with the
-    dual h0 agreeing with h1(M, J) (the Serre pairing at dimension level).
-    One table comparison checks both: h0 and h1 obey Euler by
-    construction, so Serre is the Riemann-Roch identity of rank tables.
+    """Riemann-Roch, and with it Serre, on M's table (`rr.rr_check`).
     `Matroid.dual` is built from that identity, so this holds for any
-    table: it guards the dual's lane arithmetic, not a theorem."""
+    table: it guards the dual's lane arithmetic, not a theorem.  On a
+    `from-code` file `hncodes matroid` runs `rr_check` on the code, whose
+    dual comes from a nullspace."""
     return rr_check(M)
 
 
-def gap_counts_check(M: Matroid) -> bool:
+def gap_counts_check(X) -> bool:
     """Exactly n - k gaps and k non-gaps, and the non-gaps are the
-    hierarchy."""
-    g, ng = M.gaps(), M.nongaps()
-    return (len(g) == M.n - M.k and len(ng) == M.k
-            and ng == M.hierarchy())
+    hierarchy, for a code or a matroid X."""
+    g, ng = profile_gaps(subset_profile(X))
+    return len(g) == X.n - X.k and len(ng) == X.k and ng == _hierarchy(X)
 
 
-def gap_duality_check(M: Matroid) -> bool:
-    """j is a non-gap of M exactly when n + 1 - j is a gap of M*."""
-    return set(M.nongaps()) == {M.n + 1 - j for j in M.dual().gaps()}
+def gap_duality_check(X) -> bool:
+    """j is a non-gap of X exactly when n + 1 - j is a gap of X*."""
+    dual_gaps = profile_gaps(subset_profile(X.dual()))[0]
+    return (set(profile_gaps(subset_profile(X))[1])
+            == {X.n + 1 - j for j in dual_gaps})
 
 
-def wei_partition_check(M: Matroid) -> bool:
-    """The hierarchy of M and the reflected hierarchy of M* tile [n]."""
-    return hierarchies_tile(M.n, M.k, M.hierarchy(), M.dual().hierarchy())
+def wei_partition_check(X) -> bool:
+    """The hierarchy of X and the reflected hierarchy of X* tile [n]."""
+    return hierarchies_tile(X.n, X.k, _hierarchy(X), _hierarchy(X.dual()))
 
 
-def dual_polygon_check(M: Matroid) -> bool:
-    """P_{M*}(x) = P_M(n - x) + n - x - k, vertexwise (so the slopes are
+def dual_polygon_check(X) -> bool:
+    """P_{X*}(x) = P_X(n - x) + n - x - k, vertexwise (so the slopes are
     -1 - mu reversed), and the dual filtration is the complement chain
-    reversed."""
-    return dual_subset_polygon_check(M) and dual_filtration_check(M)
+    reversed, for a code or a matroid X."""
+    return dual_subset_polygon_check(X) and dual_filtration_check(X)

@@ -176,18 +176,20 @@ def wei_duality_check(C: LinearCode) -> bool:
 def dual_dlp_check(C: LinearCode) -> bool:
     """k_{n-j}(C-dual) = k_j(C) + n - j - k for all j, with witness
     transfer: a maximizing J for C complements to one for the dual."""
-    D = C.dual()
-    kj = C.dlp()
+    D, kj, wits = C.dual(), C.dlp(), C.dlp_witnesses()
     kjd = D.dlp()
-    wits = C.dlp_witnesses()
+    span, prev = None, 0
     for j in range(C.n + 1):
         if kjd[C.n - j] != kj[j] + C.n - j - C.k:
             return False
-        # the complement of C's maximizer maximizes for the dual: the dual
-        # shortened there, the subcode vanishing on wits[j], must realize
-        # k_{n-j} of the dual; its dimension is D.k minus one column rank
-        rank = D.gen.column_span(bits_of(wits[j])).rows
-        if D.k - rank != kjd[C.n - j]:
+        # C's maximizer complements to one for the dual: the dual shortened
+        # there has dimension D.k minus the rank of its columns on wits[j],
+        # stepped on from the last witness's span when that one nests in it
+        if prev & ~wits[j]:
+            span, prev = None, 0
+        span = D.gen.column_span(bits_of(wits[j] & ~prev), span)
+        prev = wits[j]
+        if D.k - span.rows != kjd[C.n - j]:
             return False
     return True
 

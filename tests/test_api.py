@@ -43,7 +43,7 @@ def test_bench_trace_targets_exist():
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["footprints"]]
     targets += footprints
-    assert footprints and len(targets) > 50
+    assert len(footprints) == 3 and len(targets) > 50
     missing, functions = [], {}
     for modname, clsname, attr in targets:
         owner = importlib.import_module(modname)
@@ -59,6 +59,29 @@ def test_bench_trace_targets_exist():
     # a target listed twice (a span and a footprint) is one target
     ids = {id(fn) for fn in functions.values()}
     assert len(ids) == len(functions)
+
+
+def test_bench_matroid_methods_exist():
+    # the products workload calls methods on the matroids it builds; those
+    # are names the benchmark reads without importing them, and the
+    # tracer wraps some of them by name
+    from hncodes.matroid import Matroid
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    called = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        built = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and getattr(node.value.func, "id", "").startswith("matroid_")
+                 for t in node.targets if isinstance(t, ast.Name)}
+        called |= {node.func.attr for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and getattr(node.func.value, "id", None) in built}
+    assert called >= {"profile", "hierarchy", "polygon", "graded"}
+    assert [m for m in sorted(called) if not callable(
+        getattr(Matroid, m, None))] == []
 
 
 def test_library_has_no_floats():

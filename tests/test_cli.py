@@ -15,8 +15,11 @@ import hncodes.cli as cli
 import hncodes.code as code
 import hncodes.rr as rr
 import hncodes.tensor as tensor
-from hncodes import zoo
+from hncodes import LinearCode, matroid_from_code, zoo
+from hncodes.formats import parse_code_file
 from conftest import SRC, run_cli, run_python
+
+import oracles
 
 HERE = Path(__file__).resolve().parent
 
@@ -249,6 +252,57 @@ def test_sum_past_the_cap_runs_at_the_default_cap(tmp_path, capsys):
             out["polygon"]["polygon"]["vertices"]] == polygon
     assert out["filtration"]["length"] == len(vertices) - 1
     assert out["semistable"]["semistable"] == (len(vertices) == 2)
+
+
+def test_from_code_matroid_runs_past_the_table_cap(tmp_path, capsys):
+    # a `from-code` file reads as its code, at the default cap of 2^20
+    # columns, not as a rank table refused past MATROID_CAP = 16 elements;
+    # its Riemann-Roch line compares the code's table with its dual's
+    from hncodes.matroid import MATROID_CAP
+    path = write_random_binary_code(tmp_path / "b18.code", 1809, 18, 9)
+    (tmp_path / "b18.matroid").write_text("from-code b18.code\n")
+    assert cli.main(["matroid", str(tmp_path / "b18.matroid")]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    C = zoo.random_code(random.Random(1809), zoo.gf2(), 18, 9)
+    assert (results["n"], results["k"]) == (18, 9) and MATROID_CAP < 18
+    rr_ok, serre_ok = oracles.table_rr_serre(18, C.rank_table(),
+                                             C.dual().rank_table())
+    assert results["checks"]["rr"] is rr_ok is serre_ok is True
+    assert results["all_ok"] is True
+    assert results["hierarchy"] == list(C.weight_hierarchy()[1:])
+    assert parse_code_file(path) == C
+
+
+def test_from_code_matroid_reports_match_the_table_path(tmp_path, capsys,
+                                                        monkeypatch):
+    # the `matroid` report of a `from-code` file, read as its code, is the
+    # one built on `matroid_from_code`, its rank table; a full-space code,
+    # which has no dual LinearCode, is read as that table
+    from test_hn import codes_with_loops_and_copies
+    rng = random.Random(4101)
+    codes = codes_with_loops_and_copies(rng, 40, nmax=10, kmax=5)
+    codes.append(LinearCode.from_rows(zoo.gf3(), [[1, 2, 0], [0, 1, 1],
+                                                  [0, 0, 2]]))
+    assert codes[-1].k == codes[-1].n
+    assert sum(not C.is_full_support for C in codes) >= 5
+
+    def report(path):
+        rc = cli.main(["matroid", path])
+        return rc, capsys.readouterr().out
+    for i, C in enumerate(codes):
+        f = C.field
+        head = f"field {f.p} {f.m}" + (f" {f.modulus}" if f.m > 1 else "")
+        rows = ["".join(map(str, C.gen.row(r))) for r in range(C.k)]
+        (tmp_path / f"c{i}.code").write_text(
+            "\n".join([head, f"code {C.n} {C.k}", *rows]) + "\n")
+        path = tmp_path / f"c{i}.matroid"
+        path.write_text(f"from-code c{i}.code\n")
+        got = report(str(path))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "parse_matroid_file",
+                      lambda _: matroid_from_code(C))
+            assert report(str(path)) == got
+        assert got[0] == 0
 
 
 def test_rr_honours_a_raised_cap(tmp_path, capsys):

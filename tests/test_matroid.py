@@ -23,6 +23,7 @@ from hncodes import (
 from hncodes.algebra import (enumeration_cap, least_ranks,
                              least_ranks_of_table, popcounts, subsets_where)
 from hncodes.code import mask_of
+from hncodes.formats import parse_code_file
 from hncodes.matroid import (
     Matroid,
     dual_polygon_check,
@@ -583,19 +584,25 @@ def no_matroid_searches(monkeypatch) -> list:
 
 
 def test_matroids_never_run_the_column_search(monkeypatch, capsys):
-    # `least_ranks` reads a matroid's table: the `matroid` command on both
-    # data files (whose outputs are the goldens), and the graded minors and
-    # dual polygon check of a 16-element matroid, with two sides and a loop
+    # `least_ranks` reads a matroid's table: the `matroid` command on a
+    # table file, and the graded minors and dual polygon check of a
+    # 16-element matroid, with two sides and a loop.  A `from-code` file
+    # reads as its code, so the command searches that code and its dual
+    # (built from a nullspace) and no matroid; both outputs are the goldens
     searched = no_matroid_searches(monkeypatch)
     here = Path(__file__).resolve().parent
-    for data, golden in [("u24.matroid", "matroid_u24.json"),
-                         ("from_code_9_7.matroid",
-                          "matroid_from_code_9_7.json")]:
+    C97 = parse_code_file(str(here / "data" / "binary_9_7.code"))
+    for data, golden, codes in [
+            ("u24.matroid", "matroid_u24.json", []),
+            ("from_code_9_7.matroid", "matroid_from_code_9_7.json",
+             [C97, C97.dual()])]:
         path = str(here / "data" / data)
         assert cli.main(["matroid", path]) == 0
         out = json.loads(capsys.readouterr().out)
         expect = json.loads((here / "golden" / golden).read_text())
         assert out["results"] == expect["results"]
+        assert searched == codes
+        searched.clear()
     M = direct_sum(direct_sum(uniform_matroid(2, 7), uniform_matroid(6, 8)),
                    uniform_matroid(0, 1))
     assert M.n == 16 and len(M.graded()) == 3

@@ -283,6 +283,46 @@ def test_wei_duality_other_fields():
             assert dual_dlp_check(C)
 
 
+def dual_dlp_steps(monkeypatch, C) -> int:
+    """The rows `dual_dlp_check(C)` steps (`algebra._rref_step`), with the
+    dual, both profiles and the witnesses computed beforehand."""
+    C.dual().dlp()
+    C.dlp_witnesses()
+    step, stepped = hncodes.algebra._rref_step, []
+
+    def counted(rows, piv, v, f):
+        stepped.append(v)
+        return step(rows, piv, v, f)
+    monkeypatch.setattr(hncodes.algebra, "_rref_step", counted)
+    assert dual_dlp_check(C)
+    monkeypatch.undo()
+    return len(stepped)
+
+
+def test_dual_dlp_check_steps_on_from_nested_witnesses(monkeypatch):
+    # the [9,7] code's witnesses form a chain, so each is stepped on from
+    # the last one's span: one column each, 9 rows, where stepping every
+    # witness from none took 0 + 1 + ... + 9 = 45
+    C = zoo.binary_9_7()
+    wits = C.dlp_witnesses()
+    assert all(not a & ~b for a, b in zip(wits, wits[1:]))
+    assert dual_dlp_steps(monkeypatch, C) == C.n
+    assert sum(w.bit_count() for w in wits) == 45
+
+
+def test_dual_dlp_check_restarts_where_witnesses_do_not_nest(monkeypatch):
+    # <110>: witness 1 is {2} and witness 2 is {0, 1}.  The dual's columns
+    # on their union have rank 2 but on {0, 1} rank 1, so a span kept
+    # across them would fail the transfer; the check steps {0, 1} afresh
+    C = LinearCode.from_rows(GF2, [[1, 1, 0]])
+    wits = C.dlp_witnesses()
+    assert wits == (0, 0b100, 0b011, 0b111)
+    D = C.dual()
+    assert (D.gen.column_span([0, 1, 2]).rows, D.gen.column_span([0, 1]).rows
+            ) == (2, 1)
+    assert dual_dlp_steps(monkeypatch, C) == 1 + 2 + 1
+
+
 def padded_code(rng, zeros, units):
     """A random code with n <= 8 padded with `zeros` zero columns and
     `units` unit-vector summands (new coordinates carrying weight-1 words),
