@@ -453,6 +453,15 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def support(self) -> int:
+        """The mask of the nonzero columns: the entries read as binary
+        digits by one translate, and each row of them ORed in."""
+        c, mask = self.cols, 0
+        bits = int(bytes(self.entries[::-1]).translate(_BINARY) or b"0", 2)
+        for i in range(self.rows):
+            mask |= bits >> i * c
+        return mask & ((1 << c) - 1)
+
     def right_nullspace(self) -> "Matrix":
         """The RREF basis of {x : M x = 0}: the solution of each free
         column, reduced."""
@@ -974,6 +983,36 @@ def _word_rank_table(M) -> bytes:
         h.append(count.to_bytes(W << b, "little")[::W])   # h(U) <= k
     h = b"".join(h)[::-1]
     return h.translate(bytes(range(k, -1, -1)).ljust(256, b"\0"))
+
+
+@functools.cache
+def subspaces(q: int, c: int, r: int) -> int:
+    """The Gaussian binomial [c, r]_q, the r-dimensional subspaces of
+    F_q^c, from [c, r - 1]_q."""
+    if not 0 < r <= c:
+        return int(r == 0)
+    return subspaces(q, c, r - 1) * (q ** (c - r + 1) - 1) // (q ** r - 1)
+
+
+def rref_at(field: FieldSpec, r: int, c: int, x: int) -> Matrix:
+    """The r x c RREF of rank r at index x < [c, r]_q, a bijection, kept as
+    its own RREF.  Column j is read from the last back by [j + 1, t]_q =
+    [j, t - 1]_q + q^t [j, t]_q, t rows open: x below the first term makes
+    j row t - 1's pivot, else the rest of x gives rows 0..t-1 its digits."""
+    q, ent, piv, t = field.q, [0] * (r * c), [], r
+    for j in reversed(range(c)):
+        head = subspaces(q, j, t - 1)
+        if x < head:
+            t -= 1
+            ent[t * c + j] = 1
+            piv.insert(0, j)
+        else:
+            x, digits = divmod(x - head, q ** t)
+            for i in range(t):
+                digits, ent[i * c + j] = divmod(digits, q)
+    M = Matrix(field, r, c, tuple(ent))
+    M._rref = (M, tuple(piv))
+    return M
 
 
 def iter_rref_matrices(field: FieldSpec, r: int, c: int):

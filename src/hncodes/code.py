@@ -60,10 +60,6 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def _support_of_matrix(M: Matrix) -> int:
-    return mask_of(j for j in range(M.cols) if any(M.column(j)))
-
-
 class LinearCode:
     """An [n, k] linear code, 1 <= k <= n, held in RREF generator form."""
 
@@ -116,7 +112,7 @@ class LinearCode:
 
     @property
     def support_mask(self) -> int:
-        return _support_of_matrix(self.gen)
+        return self.gen.support()
 
     @property
     def weight(self) -> int:
@@ -301,7 +297,7 @@ class Subcode:
 
     @property
     def support_mask(self) -> int:
-        return _support_of_matrix(self.basis)
+        return self.basis.support()
 
     @property
     def weight(self) -> int:

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Matrix, _check_cap, iter_rref_matrices, least_ranks
+from .algebra import (Matrix, _check_cap, iter_rref_matrices, least_ranks,
+                      subspaces)
 from .code import LinearCode, Subcode, bits_of
 from .errors import (EmptyProfile, InvariantViolation, NotASubcode,
                      NotFullSupport)
@@ -369,11 +370,7 @@ def graded_pieces(C: LinearCode) -> list[LinearCode]:
 def _lattice_bits(C: LinearCode) -> int:
     """log2, rounded up, of the number of subcodes of C: the subspaces of
     F_q^k, the sum of the Gaussian binomials [k, r]_q over r."""
-    q, k = C.field.q, C.k
-    total, g = 0, 1                      # g = [k, r]_q
-    for r in range(k + 1):
-        total += g
-        g = g * (q ** (k - r) - 1) // (q ** (r + 1) - 1)
+    total = sum(subspaces(C.field.q, C.k, r) for r in range(C.k + 1))
     return (total - 1).bit_length()
 
 

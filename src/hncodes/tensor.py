@@ -134,7 +134,8 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
         raise NotASubcode("ambient length is not the product of the "
                           "factor lengths")
     T = A.tensor(B)
-    if D.parent != T and T.gen.extend(D.basis).rows != T.k:
+    if (D.parent is not T and D.parent != T
+            and T.gen.extend(D.basis).rows != T.k):
         raise NotASubcode("a basis vector has a matrix column outside the "
                           "first factor or a matrix row outside the second")
     r, weight = D.dim, D.weight
@@ -192,8 +193,8 @@ def witness(D: Subcode, A: LinearCode, B: LinearCode) -> SchaathunWitness:
 def tensor_semistable_check(A: LinearCode, B: LinearCode) -> bool:
     """Semistable factors give a semistable product (checked exactly).
 
-    Alongside the exact verdict, random subcodes of the product are run
-    through the weight certificate and the semistability inequality
+    Alongside the exact verdict, random subcodes of the product, exactly
+    uniform in their dimension (`zoo.random_subcode`), are certified and
     w(D) >= dim(D) / R(A (x) B) is rechecked on each.
     """
     from .zoo import random_subcode

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FieldSpec, Matrix, iter_rref_matrices
+from .algebra import (FieldSpec, Matrix, iter_rref_matrices, rref_at,
+                      subspaces)
 from .code import LinearCode, Subcode
 
 
@@ -111,14 +112,10 @@ def random_code(rng: random.Random, field: FieldSpec, n: int,
 
 
 def random_subcode(rng: random.Random, C: LinearCode, r: int) -> Subcode:
-    """Random r-dimensional subcode of C, keyed by the RREF of the drawn
-    coefficients."""
-    f = C.field
-    while True:
-        coeffs = Matrix(f, r, C.k,
-                        tuple([rng.randrange(f.q) for _ in range(r * C.k)]))
-        if coeffs.rank() == r:
-            return Subcode(C, coeffs.rref()[0])
+    """Uniformly random r-dimensional subcode of C, exactly: its key is the
+    RREF at one index drawn below [k, r]_q, by the bijection `rref_at`."""
+    return Subcode(C, rref_at(C.field, r, C.k,
+                              rng.randrange(subspaces(C.field.q, C.k, r))))
 
 
 def iter_all_codes(field: FieldSpec, n: int, kmin: int = 1,

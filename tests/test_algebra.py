@@ -30,7 +30,9 @@ from hncodes.algebra import (
     iter_rref_matrices,
     least_ranks,
     min_column_rank_by_size,
+    rref_at,
     subsets_where,
+    subspaces,
 )
 from hncodes.code import Subcode
 from hncodes.matroid import Matroid
@@ -926,3 +928,57 @@ def test_iter_rref_matrices_counts():
                 assert len(set(mats)) == len(mats)
                 for M in mats:
                     assert M.rank() == r
+
+
+def test_rref_at_unranks_every_rref_matrix_once():
+    # the indices below [c, r]_q go onto the r x c RREF matrices of rank
+    # r, each one exactly once, and each kept as its own fresh RREF
+    for field, cmax in [(FieldSpec(2), 5), (FieldSpec(3), 5),
+                        (FieldSpec(2, 2, 0b111), 5),
+                        (FieldSpec(2, 8, 0x11D), 3)]:
+        for c in range(cmax + 1):
+            for r in range(c + 1):
+                count = subspaces(field.q, c, r)
+                assert count == gauss_binom(field.q, c, r)
+                got = [rref_at(field, r, c, x) for x in range(count)]
+                assert sorted(M.entries for M in got) == sorted(
+                    M.entries for M in iter_rref_matrices(field, r, c))
+                for M in got:
+                    assert M.rref()[0] is M
+                    assert M.rref() == Matrix(field, r, c, M.entries).rref()
+
+
+def test_random_subcode_draws_one_index(monkeypatch):
+    # one randrange call below [k, r]_q per draw, and no row reduction
+    C = zoo.random_code(random.Random(619), FieldSpec(3), 7, 4)
+    reduced = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref",
+                        lambda M: reduced.append(M) or rref(M))
+    for r in range(C.k + 1):
+        rng, ref, calls = random.Random(r), random.Random(r), []
+        monkeypatch.setattr(rng, "randrange", lambda *args: calls.append(
+            args) or random.Random.randrange(rng, *args))
+        S = zoo.random_subcode(rng, C, r)
+        ref.randrange(subspaces(3, C.k, r))
+        assert calls == [(subspaces(3, C.k, r),)] and S.dim == r
+        assert rng.getstate() == ref.getstate()
+    assert reduced == []
+
+
+def test_support_matches_a_column_scan():
+    # random entries of every density, one row zeroed when there is one,
+    # and the 0 x n and m x 0 shapes
+    rng = random.Random(631)
+    for field in (FieldSpec(2), FieldSpec(3), FieldSpec(2, 2, 0b111),
+                  FieldSpec(2, 8, 0x11D)):
+        for rows, cols in itertools.product(range(5), range(8)):
+            for density in (0.0, 0.3, 1.0):
+                ent = [rng.randrange(1, field.q) if rng.random() < density
+                       else 0 for _ in range(rows * cols)]
+                if rows:
+                    i = rng.randrange(rows) * cols
+                    ent[i:i + cols] = [0] * cols
+                M = Matrix(field, rows, cols, tuple(ent))
+                scan = sum(1 << j for j in range(cols) if any(M.column(j)))
+                assert M.support() == scan

@@ -16,7 +16,7 @@ from hncodes import (
     enumeration_cap,
     zoo,
 )
-from hncodes.algebra import FieldSpec, Matrix
+from hncodes.algebra import FieldSpec, Matrix, rref_at, subspaces
 from hncodes.code import Subcode, bits_of, mask_of
 from hncodes.hn import SubspaceLattice
 
@@ -409,6 +409,15 @@ def test_subcode_closure_oracle():
             assert cl.contains(S)
 
 
+def checked_key(field, r, k, rng):
+    """The key random_subcode draws: one index below [k, r]_q, unranked by
+    rref_at and rebuilt through from_rows' checks, of rank r."""
+    x = rng.randrange(subspaces(field.q, k, r))
+    coeffs = Matrix.from_rows(field, rref_at(field, r, k, x).row_list())
+    assert coeffs.rank() == r
+    return coeffs
+
+
 def test_random_subcode_is_reduced_in_coefficient_space():
     # the basis is RREF coefficients times the RREF generator: already its
     # own RREF, and the RREF of the drawn coefficients times the generator
@@ -421,20 +430,16 @@ def test_random_subcode_is_reduced_in_coefficient_space():
             state = rng.getstate()
             S = zoo.random_subcode(rng, C, r)
             rng.setstate(state)
-            while True:                                # the same draw
-                coeffs = Matrix.from_rows(field, [
-                    [rng.randrange(field.q) for _ in range(C.k)]
-                    for _ in range(r)])
-                if coeffs.rank() == r:
-                    break
+            coeffs = checked_key(field, r, C.k, rng)      # the same draw
             assert S.dim == r and S.parent is C
             assert S.basis == S.basis.rref()[0]
             assert S.basis == coeffs.matmul(C.gen).rref()[0]
 
 
 def test_zoo_draws_match_a_checked_draw():
-    # random_code and random_subcode skip from_rows' checks on the entries
-    # they draw, but draw the same entries in the same order
+    # random_code skips from_rows' checks on the entries it draws, and
+    # random_subcode on the key it unranks, but they draw the same entries
+    # and the same index in the same order
     for field in (GF2, GF3, GF4):
         rng = random.Random(157)
         for _ in range(30):
@@ -452,12 +457,7 @@ def test_zoo_draws_match_a_checked_draw():
                     for _ in range(k)])
                 if M.rank() == k:
                     break
-            while True:
-                coeffs = Matrix.from_rows(field, [
-                    [rng.randrange(field.q) for _ in range(k)]
-                    for _ in range(r)])
-                if coeffs.rank() == r:
-                    break
+            coeffs = checked_key(field, r, k, rng)
             assert C.gen == M.rref()[0]
             assert S.basis == coeffs.rref()[0].matmul(C.gen)
             assert rng.getstate() == after

@@ -27,8 +27,8 @@ from hncodes import (
     zoo,
 )
 from hncodes.algebra import (FieldSpec, Matrix, column_rank_table,
-                             least_ranks, min_column_rank_by_size,
-                             subsets_where)
+                             least_ranks, min_column_rank_by_size, rref_at,
+                             subspaces, subsets_where)
 from hncodes.code import Subcode, mask_of
 from hncodes.hn import (
     CanonicalPolygon,
@@ -902,9 +902,14 @@ def test_sampled_lattice_on_a_large_field():
     rng = random.Random(281)
     f = FieldSpec(2, 8, 0x11D)
     C = LinearCode.from_rows(f, [(1, 1, 1, 0), (0, 0, 0, 1)])
-    lines = [zoo.random_subcode(rng, C, 1) for _ in range(3)]
+    line = Subcode.from_rows(C, [(1, 1, 1, 9)])
+    # three sampled lines, distinct and off that line by construction:
+    # distinct indices of rref_at, skipping the line's own key
+    keys = [rref_at(f, 1, C.k, x) for x in range(subspaces(f.q, C.k, 1))]
+    keys.remove(line.key)
+    lines = [Subcode(C, key) for key in rng.sample(keys, 3)]
     lines.append(Subcode.from_rows(C, [(7, 7, 7, f.mul(7, 9))]))
-    lines.append(Subcode.from_rows(C, [(1, 1, 1, 9)]))     # the same line
+    lines.append(line)                                     # the same line
     samples = [C.zero_subcode(), C.whole_subcode()] + lines
     P = SubspaceLattice(C, subcodes=samples)
     assert len(P) == len(set(samples)) == 6
@@ -1508,6 +1513,19 @@ def three_sided_16_9():
     for B in blocks[1:]:
         C = code_direct_sum(C, B)
     return C
+
+
+def test_lattice_bits_sum_the_gaussian_binomials():
+    # the count read off algebra.subspaces equals the running product of
+    # [k, r]_q over r that it replaced
+    for f in (FieldSpec(2), FieldSpec(3), zoo.gf4(), FieldSpec(2, 8, 0x11D)):
+        for k in range(1, 9):
+            q, total, g = f.q, 0, 1
+            for r in range(k + 1):
+                total += g
+                g = g * (q ** (k - r) - 1) // (q ** (r + 1) - 1)
+            bits = (total - 1).bit_length()
+            assert hn._lattice_bits(zoo.full_space(f, k)) == bits
 
 
 def test_gap_condition_past_the_lattice_cap(monkeypatch):

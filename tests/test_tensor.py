@@ -29,7 +29,6 @@ from hncodes.tensor import (
     witness,
 )
 
-import hncodes.code as code
 import hncodes.tensor as tensor
 import oracles
 
@@ -209,6 +208,19 @@ def test_witness_of_a_product_subcode_stacks_no_generator(monkeypatch):
     assert extended == []
 
 
+def test_witness_of_a_product_subcode_compares_no_generators(monkeypatch):
+    # D.parent is the product itself, so no code is compared with it
+    A, B = zoo.binary_3_2(), zoo.binary_5_2()
+    T = A.tensor(B)
+    D = zoo.random_subcode(random.Random(541), T, 3)
+    compared = []
+    eq = LinearCode.__eq__
+    monkeypatch.setattr(LinearCode, "__eq__",
+                        lambda X, Y: compared.append((X, Y)) or eq(X, Y))
+    assert witness(D, A, B).r == 3
+    assert not any(X is T or Y is T for X, Y in compared)
+
+
 def test_witness_reads_its_columns_off_one_token_pass(monkeypatch):
     # no per-column matrix is built or reduced, and the only support read
     # is D's own weight, once
@@ -220,8 +232,8 @@ def test_witness_reads_its_columns_off_one_token_pass(monkeypatch):
         monkeypatch.setattr(Matrix, name,
                             lambda M, *args, name=name, method=method:
                             calls.append(name) or method(M, *args))
-    support = code._support_of_matrix
-    monkeypatch.setattr(code, "_support_of_matrix",
+    support = Matrix.support
+    monkeypatch.setattr(Matrix, "support",
                         lambda M: supports.append(M) or support(M))
     w = witness(D, A, B)
     assert w.r == 3 and calls == []
